@@ -76,6 +76,8 @@ def _resolve_threads(value):
             except ValueError:
                 raise ParameterError(
                     f"CSTM_THREADS must be an integer, got {env!r}")
+        elif hasattr(os, "sched_getaffinity"):
+            n = len(os.sched_getaffinity(0))
         else:
             n = os.cpu_count() or 1
     if n < 1:
@@ -331,7 +333,7 @@ def cmd_verify(args):
 def _add_threads_flag(parser):
     parser.add_argument("--threads", type=int, default=None,
                         help="worker threads (default: CSTM_THREADS env "
-                             "or the machine's core count)")
+                             "or the CPUs this process may use)")
 
 
 def build_parser():

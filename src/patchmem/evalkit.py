@@ -25,7 +25,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .errors import DimensionError, ParameterError, PhantomSpecError
+from .errors import DataError, DimensionError, ParameterError, PhantomSpecError
 from .grids import CineVolume, FeatureGrid, LabelVolume
 from .matcher import OpCounter, dense_readout, plmm_forward
 from .patcher import make_layout
@@ -177,6 +177,10 @@ def report_by_region(pred, truth, partition, method="plmm", threads=1):
     if pred.labels.shape != truth.labels.shape:
         raise DimensionError(
             f"prediction {pred.labels.shape} and truth {truth.labels.shape} disagree")
+    if pred.spacing_mm != truth.spacing_mm:
+        raise DataError(
+            f"prediction spacing {pred.spacing_mm} mm and truth spacing "
+            f"{truth.spacing_mm} mm disagree")
     if partition.z_count != truth.z_count:
         raise DimensionError(
             f"partition covers {partition.z_count} slices, volume has {truth.z_count}")

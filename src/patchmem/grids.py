@@ -19,6 +19,7 @@ volumes additionally carry a ``labels`` legend.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,14 @@ class FeatureGrid:
         return self.data.shape[2]
 
 
+def _checked_spacing(spacing_mm):
+    """Return (dy, dx) as floats; both must be finite and positive."""
+    dy, dx = float(spacing_mm[0]), float(spacing_mm[1])
+    if not (0.0 < dy < math.inf and 0.0 < dx < math.inf):
+        raise ParameterError(f"spacing must be finite and positive, got {(dy, dx)}")
+    return dy, dx
+
+
 class CineVolume:
     """A (Z, T, H, W) stack of intensity frames normalized to [0, 1].
 
@@ -91,11 +100,8 @@ class CineVolume:
             raise DataError("cine volume contains non-finite values")
         if intensities.min() < 0.0 or intensities.max() > 1.0:
             raise DataError("cine volume intensities must lie in [0, 1]")
-        dy, dx = float(spacing_mm[0]), float(spacing_mm[1])
-        if dy <= 0.0 or dx <= 0.0:
-            raise ParameterError(f"spacing must be positive, got {(dy, dx)}")
         self.intensities = intensities
-        self.spacing_mm = (dy, dx)
+        self.spacing_mm = _checked_spacing(spacing_mm)
 
     @property
     def z_count(self):
@@ -132,11 +138,8 @@ class LabelVolume:
             raise LabelError(
                 f"label values must lie in 0..{MAX_LABEL}, "
                 f"got range {labels.min()}..{labels.max()}")
-        dy, dx = float(spacing_mm[0]), float(spacing_mm[1])
-        if dy <= 0.0 or dx <= 0.0:
-            raise ParameterError(f"spacing must be positive, got {(dy, dx)}")
+        self.spacing_mm = _checked_spacing(spacing_mm)
         self.labels = labels.astype(np.uint8)
-        self.spacing_mm = (dy, dx)
 
     @property
     def z_count(self):
@@ -367,6 +370,8 @@ def load_container(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContainerFormatError(f"header is not valid JSON in {path}: {exc}") from exc
 
+    if not isinstance(header, dict):
+        raise ContainerFormatError(f"header is not a JSON object in {path}")
     for key in ("dims", "order", "dtype", "spacing_mm"):
         if key not in header:
             raise ContainerFormatError(f"header missing required key {key!r} in {path}")
@@ -374,19 +379,21 @@ def load_container(path):
     order = header["order"]
     dtype_name = header["dtype"]
     spacing = header["spacing_mm"]
-    if dtype_name not in _DTYPE_TO_NUMPY:
+    if not isinstance(dtype_name, str) or dtype_name not in _DTYPE_TO_NUMPY:
         raise UnsupportedDtypeError(f"unsupported dtype {dtype_name!r} in {path}")
     if order not in ("ZTYX", "CYX", "YX"):
         raise ContainerFormatError(f"unsupported axis order {order!r} in {path}")
+    # bool is a subclass of int, and json parses NaN and Infinity as floats
     if not isinstance(dims, list) or len(dims) != len(order) or any(
-            not isinstance(d, int) or d < 1 for d in dims):
+            type(d) is not int or d < 1 for d in dims):
         raise ContainerFormatError(f"dims {dims!r} do not match order {order!r} in {path}")
     if (not isinstance(spacing, list) or len(spacing) != 2
-            or any(not isinstance(s, (int, float)) or s <= 0 for s in spacing)):
+            or any(type(s) not in (int, float) or not 0 < s < math.inf
+                   for s in spacing)):
         raise ContainerFormatError(f"bad spacing_mm {spacing!r} in {path}")
 
     np_dtype = _DTYPE_TO_NUMPY[dtype_name]
-    expected = int(np.prod(dims)) * np_dtype.itemsize
+    expected = math.prod(dims) * np_dtype.itemsize
     payload = raw[header_start + header_len:]
     if len(payload) != expected:
         raise TruncationError(

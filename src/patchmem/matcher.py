@@ -10,7 +10,9 @@ the query frame at a fraction of the cost of all-pairs pixel matching, which
 
 Similarity is the negated squared Euclidean distance, so identical vectors
 score 0 and everything else is negative. Softmax rows are stabilized by
-subtracting the row maximum.
+subtracting the row maximum. The patch path computes its pixel logits as
+``2 q.m - ||m||^2``, one GEMM per query patch: the dropped ``-||q||^2`` is
+constant along each softmax row, so the weights do not change.
 
 ``OpCounter`` tracks exact comparison counts: a patch affinity over T memory
 frames of N patches adds T*N^2 patch pairs, pixel matching adds
@@ -90,10 +92,14 @@ def _neg_sqdist(a, b):
 
 
 def _softmax_rows(logits):
-    """Row softmax over the last axis, stabilized by the row max."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row softmax over the last axis, stabilized by the row max.
+
+    Works in place: ``logits`` is overwritten with the weights and returned.
+    """
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def patch_affinity(query, memory, counter=None):
@@ -273,18 +279,18 @@ def plmm_forward(q_key, mem_keys, mem_values, patch, k,
     v_sel = val_pix[ids].reshape(n, kk * p * p, c_v)
     q_pix = q_pg.data.transpose(0, 2, 3, 1).reshape(n, p * p, c_k)
 
-    # batched -||q - m||^2 over all query patches at once
-    qq = (q_pix * q_pix).sum(axis=2)
-    mm = (m_sel * m_sel).sum(axis=2)
-    logits = 2.0 * np.einsum("npc,nmc->npm", q_pix, m_sel) \
-        - qq[:, :, None] - mm[:, None, :]
+    # -||q - m||^2 up to the row constant -||q||^2, batched over query
+    # patches; the key norms are taken before the gather, which repeats keys
+    key_sq = (key_pix * key_pix).sum(axis=2)
+    logits = np.matmul(2.0 * q_pix, m_sel.transpose(0, 2, 1))
+    logits -= key_sq[ids].reshape(n, 1, kk * p * p)
     if _FAULT_FLIP_PIXEL_SIMILARITY:
         logits = -logits
     weights = _softmax_rows(logits)
     if counter is not None:
         counter.pixel_pairs += n * kk * (p * p) * (p * p)
 
-    ro_pix = np.einsum("npm,nmv->npv", weights, v_sel)
+    ro_pix = np.matmul(weights, v_sel)
     ro_patches = PatchGrid(layout, ro_pix.transpose(0, 2, 1).reshape(n, c_v, p, p))
     out = fold(ro_patches)
 
@@ -347,19 +353,18 @@ def plmm_backward(result, upstream):
     g = g_pg.data.transpose(0, 2, 3, 1).reshape(n, p * p, c_v)
 
     # readout adjoints
-    d_v_sel = np.einsum("npv,npm->nmv", g, w)
-    s = np.einsum("npv,nmv->npm", g, v_sel)
+    d_v_sel = np.matmul(w.transpose(0, 2, 1), g)
+    s = np.matmul(g, v_sel.transpose(0, 2, 1))
 
     # softmax adjoint
     ws = (w * s).sum(axis=2, keepdims=True)
     d_logit = w * (s - ws)
 
-    # similarity adjoint: logits[i,j] = -||q_i - m_j||^2
-    row = d_logit.sum(axis=2)
+    # similarity adjoint: logits[i,j] = -||q_i - m_j||^2. The rows of
+    # d_logit sum to 0, so the -||q_i||^2 term contributes nothing to d_q.
     col = d_logit.sum(axis=1)
-    d_q_pix = -2.0 * (row[:, :, None] * q_pix
-                      - np.einsum("npm,nmc->npc", d_logit, m_sel))
-    d_m_sel = 2.0 * (np.einsum("npm,npc->nmc", d_logit, q_pix)
+    d_q_pix = 2.0 * np.matmul(d_logit, m_sel)
+    d_m_sel = 2.0 * (np.matmul(d_logit.transpose(0, 2, 1), q_pix)
                      - col[:, :, None] * m_sel)
 
     # scatter the selected-patch gradients back to per-frame patch buffers

@@ -1,12 +1,13 @@
 """End-to-end command-line behavior, run in process through main()."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 from patchmem.cli import main
-from patchmem.grids import load_container
+from patchmem.grids import MAGIC, LabelVolume, load_container, save_container
 
 
 def echoed_json(capsys):
@@ -199,6 +200,33 @@ class TestEvalCommand:
                    "--threads", "1"])
         assert rc == 2
 
+    def test_spacing_mismatch(self, tmp_path, capsys):
+        _, truth = make_phantom(tmp_path, capsys)
+        labels = load_container(truth).labels
+        pred_path, truth_path = tmp_path / "p.cgrid", tmp_path / "t.cgrid"
+        save_container(LabelVolume(labels, spacing_mm=(1.0, 1.0)), pred_path)
+        save_container(LabelVolume(labels, spacing_mm=(2.0, 2.0)), truth_path)
+        rc = main(["eval", "--pred", str(pred_path), "--truth", str(truth_path),
+                   "--threads", "1"])
+        assert rc == 2
+        assert "spacing" in capsys.readouterr().err
+
+    def test_threads_default_follows_affinity(self, tmp_path, capsys,
+                                              monkeypatch):
+        _, truth = make_phantom(tmp_path, capsys)
+        monkeypatch.delenv("CSTM_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert main(["eval", "--pred", str(truth), "--truth", str(truth)]) == 0
+        payload, _ = echoed_json(capsys)
+        assert payload["threads"] == 3
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert main(["eval", "--pred", str(truth), "--truth", str(truth)]) == 0
+        payload, _ = echoed_json(capsys)
+        assert payload["threads"] == 2
+
     def test_threads_env_fallback(self, tmp_path, capsys, monkeypatch):
         _, truth = make_phantom(tmp_path, capsys)
         monkeypatch.setenv("CSTM_THREADS", "2")
@@ -208,6 +236,56 @@ class TestEvalCommand:
         assert payload["threads"] == 2
         monkeypatch.setenv("CSTM_THREADS", "junk")
         assert main(["eval", "--pred", str(truth), "--truth", str(truth)]) == 1
+
+
+def write_cgrid(path, header, payload):
+    """Write a CGRID file by hand, bypassing save_container's checks."""
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + len(blob).to_bytes(8, "little") + blob + payload)
+
+
+LABEL_HEADER = {"dims": [3, 2, 48, 48], "order": "ZTYX", "dtype": "u8",
+                "spacing_mm": [1.3, 1.3]}
+
+
+class TestMalformedHeaders:
+    """Hand-written headers that must end in exit code 2, not a traceback."""
+
+    @pytest.mark.parametrize("change", [
+        {"spacing_mm": [float("nan"), 1.0]},
+        {"spacing_mm": [1.0, float("inf")]},
+        {"spacing_mm": [True, 1.0]},
+        {"dims": [True, 2, 48, 48]},
+        {"dims": [3, 2, 48, 48.0]},
+        {"dtype": ["u8"]},
+    ], ids=["nan-spacing", "inf-spacing", "bool-spacing", "bool-dims",
+            "float-dims", "list-dtype"])
+    def test_eval_exits_two(self, tmp_path, capsys, change):
+        _, truth = make_phantom(tmp_path, capsys)
+        header = dict(LABEL_HEADER, **change)
+        z, t, h, w = (int(d) for d in header["dims"])
+        bad = tmp_path / "bad.cgrid"
+        write_cgrid(bad, header, bytes(z * t * h * w))
+        rc = main(["eval", "--pred", str(bad), "--truth", str(truth),
+                   "--threads", "1"])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_header_not_an_object(self, tmp_path, capsys):
+        _, truth = make_phantom(tmp_path, capsys)
+        bad = tmp_path / "bad.cgrid"
+        write_cgrid(bad, ["dims", "order", "dtype", "spacing_mm"], b"")
+        rc = main(["eval", "--pred", str(truth), "--truth", str(bad),
+                   "--threads", "1"])
+        assert rc == 2
+
+    def test_well_formed_header_is_accepted(self, tmp_path, capsys):
+        _, truth = make_phantom(tmp_path, capsys)
+        good = tmp_path / "good.cgrid"
+        write_cgrid(good, LABEL_HEADER, bytes(3 * 2 * 48 * 48))
+        rc = main(["eval", "--pred", str(good), "--truth", str(truth),
+                   "--threads", "1"])
+        assert rc == 0
 
 
 class TestBenchCommand:

@@ -88,8 +88,9 @@ class TestCineVolume:
             CineVolume(bad)
 
     def test_spacing_positive(self):
-        with pytest.raises(ParameterError):
-            CineVolume(np.zeros((1, 2, 4, 4)), spacing_mm=(0.0, 1.0))
+        for spacing in [(0.0, 1.0), (float("nan"), 1.0), (1.0, float("inf"))]:
+            with pytest.raises(ParameterError):
+                CineVolume(np.zeros((1, 2, 4, 4)), spacing_mm=spacing)
 
 
 class TestLabelVolume:
@@ -102,6 +103,12 @@ class TestLabelVolume:
         bad[0, 0, 0, 0] = 4
         with pytest.raises(LabelError):
             LabelVolume(bad)
+
+    def test_spacing_finite_and_positive(self):
+        for spacing in [(-1.0, 1.0), (1.0, float("nan")), (float("inf"), 1.0)]:
+            with pytest.raises(ParameterError):
+                LabelVolume(np.zeros((1, 2, 4, 4), dtype=np.uint8),
+                            spacing_mm=spacing)
 
 
 class TestSoftLabelMap:

@@ -26,8 +26,12 @@ from patchmem.matcher import (
 from patchmem.patcher import coverage_map, make_layout, unfold
 
 
-def loop_plmm_reference(q_key, mem_keys, mem_values, patch, k):
-    """Patch matching recomputed with explicit python loops."""
+def loop_plmm_reference(q_key, mem_keys, mem_values, patch, k, topk_ids=None):
+    """Patch matching recomputed with explicit python loops.
+
+    ``topk_ids`` stands in for the affinity and top-K stage, as
+    ``plmm_forward``'s ``topk_override`` does.
+    """
     layout = make_layout(q_key.height, q_key.width, patch)
     origins = [tuple(o) for o in layout.origins]
     p = patch
@@ -52,7 +56,10 @@ def loop_plmm_reference(q_key, mem_keys, mem_values, patch, k):
     acc = np.zeros((c_v, q_key.height, q_key.width))
     cov = coverage_map(layout).astype(np.float64)
     for qi, qo in enumerate(origins):
-        order = sorted(range(t * n), key=lambda j: (-scores[qi, j], j))[:k]
+        if topk_ids is None:
+            order = sorted(range(t * n), key=lambda j: (-scores[qi, j], j))[:k]
+        else:
+            order = [int(j) for j in topk_ids[qi]]
         q_pix = patch_of(q_key, qo).transpose(1, 2, 0).reshape(p * p, -1)
         m_pix = []
         v_pix = []
@@ -229,6 +236,35 @@ class TestPlmmForward:
             res = plmm_forward(q, mk, mv, patch=4, k=k)
             want = loop_plmm_reference(q, mk, mv, patch=4, k=k)
             assert np.allclose(res.readout.data, want, atol=1e-10)
+
+    def test_matches_loop_reference_at_benchmark_shapes(self):
+        # the benchmark's channel counts and K, at both pyramid scales: patch
+        # 6 selects, then patch 12 on a map twice the size reuses the table
+        rng = np.random.default_rng(42)
+        for t in (2, 3):
+            q, mk, mv = random_maps(rng, t=t, h=9, w=9, c_key=64, c_val=4)
+            res = plmm_forward(q, mk, mv, patch=6, k=4)
+            want = loop_plmm_reference(q, mk, mv, patch=6, k=4)
+            assert np.allclose(res.readout.data, want, rtol=0, atol=1e-10)
+        q3, mk3, mv3 = random_maps(rng, t=3, h=18, w=18, c_key=64, c_val=4)
+        lifted = plmm_forward(q3, mk3, mv3, patch=12, k=4,
+                              topk_override=res.topk)
+        want = loop_plmm_reference(q3, mk3, mv3, patch=12, k=4,
+                                   topk_ids=res.topk.ids)
+        assert np.allclose(lifted.readout.data, want, rtol=0, atol=1e-10)
+
+    def test_large_norm_keys_match_loop_reference(self):
+        # keys x40 give ||q||^2 near 1e4, so the logits lie far from 0 and
+        # the weights stay finite only through the row-max shift
+        rng = np.random.default_rng(43)
+        q, mk, mv = random_maps(rng, t=2, h=9, w=9, c_key=6, c_val=4)
+        q = FeatureGrid(40.0 * q.data)
+        mk = [FeatureGrid(40.0 * m.data) for m in mk]
+        assert (q.data ** 2).sum(axis=0).mean() > 5e3
+        res = plmm_forward(q, mk, mv, patch=6, k=4)
+        assert np.isfinite(res.readout.data).all()
+        want = loop_plmm_reference(q, mk, mv, patch=6, k=4)
+        assert np.allclose(res.readout.data, want, rtol=0, atol=1e-10)
 
     def test_equals_dense_when_patch_spans_map(self):
         rng = np.random.default_rng(32)
