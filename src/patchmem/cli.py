@@ -218,9 +218,7 @@ def cmd_propagate(args):
         merged["z0"] = volume.z_count // 2
     cfg = _build_propagation_config(merged)
 
-    threads = _resolve_threads(args.threads)
     _echo({"command": "propagate", "config": _config_payload(cfg),
-           "threads": threads,
            "volume": args.volume, "seed_mask": args.seed_mask,
            "out_masks": args.out_masks,
            "out_provenance": args.out_provenance})
@@ -292,8 +290,7 @@ def _parse_bench_grid(path):
 def cmd_bench(args):
     configs = _parse_bench_grid(args.grid_json) if args.grid_json \
         else default_bench_grid()
-    threads = _resolve_threads(args.threads)
-    _echo({"command": "bench", "reps": args.reps, "threads": threads,
+    _echo({"command": "bench", "reps": args.reps,
            "grid": [{"t": c.t, "h": c.h, "w": c.w, "patch": c.patch,
                      "k": c.k, "scales": list(c.scales)} for c in configs],
            "out_csv": args.out_csv})
@@ -328,12 +325,6 @@ def cmd_verify(args):
         print("all suites passed")
         return EXIT_OK
     return EXIT_VERIFY
-
-
-def _add_threads_flag(parser):
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: CSTM_THREADS env "
-                             "or the CPUs this process may use)")
 
 
 def build_parser():
@@ -383,7 +374,6 @@ def build_parser():
     p.add_argument("--basal-frac", type=float)
     p.add_argument("--apex-frac", type=float)
     p.add_argument("--working-side", type=int)
-    _add_threads_flag(p)
     p.set_defaults(func=cmd_propagate)
 
     p = sub.add_parser("eval", help="score predicted labels against truth")
@@ -394,7 +384,9 @@ def build_parser():
     p.add_argument("--apex-frac", type=float, default=1.0 / 3.0)
     p.add_argument("--method", default="plmm",
                    help="method name written into the CSV rows")
-    _add_threads_flag(p)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker threads (default: CSTM_THREADS env "
+                        "or the CPUs this process may use)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="measure matching cost against the "
@@ -403,7 +395,6 @@ def build_parser():
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--grid-json", help="JSON array of "
                                        "{t,h,w,patch,k[,scales]} entries")
-    _add_threads_flag(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify", help="run the self-check suites")

@@ -32,7 +32,7 @@ from .grids import (
     load_container,
     resize_bilinear,
 )
-from .pyramid import FeaturePyramid, KeyPyramid, ValuePyramid
+from .pyramid import FeaturePyramid
 
 STRIDE_SCALE4 = 16
 STRIDE_SCALE3 = 8
@@ -156,7 +156,7 @@ def encode_key(image, cfg=EncoderConfig()):
         c, gh, gw = std.shape
         projected = (proj @ std.reshape(c, gh * gw)).reshape(cfg.key_channels, gh, gw)
         grids[name] = FeatureGrid(projected)
-    return KeyPyramid(scale4=grids["scale4"], scale3=grids["scale3"])
+    return FeaturePyramid(scale4=grids["scale4"], scale3=grids["scale3"])
 
 
 def encode_value(labels_soft):
@@ -177,7 +177,7 @@ def encode_value(labels_soft):
         sums = g.data.sum(axis=0)
         if np.abs(sums - 1.0).max() > 1e-5:
             raise DimensionError("pooled value grid lost probability normalization")
-    return ValuePyramid(scale4=g4, scale3=g3)
+    return FeaturePyramid(scale4=g4, scale3=g3)
 
 
 def decode(readout3, readout4):
@@ -209,12 +209,16 @@ def decode(readout3, readout4):
         ups.append(resize_bilinear(readout3.data, out_h, out_w))
     if readout4 is not None:
         ups.append(resize_bilinear(readout4.data, out_h, out_w))
-    fused = ups[0] if len(ups) == 1 else 0.5 * (ups[0] + ups[1])
-    fused = np.clip(fused, 0.0, 1.0)
+    # resize_bilinear returns fresh arrays, so fusing in place touches no input
+    fused = ups[0]
+    if len(ups) == 2:
+        fused += ups[1]
+        fused *= 0.5
+    np.clip(fused, 0.0, 1.0, out=fused)
     sums = fused.sum(axis=0, keepdims=True)
+    fused /= np.maximum(sums, 1e-12)
     # degenerate all-zero pixels fall back to uniform
-    uniform = 1.0 / fused.shape[0]
-    fused = np.where(sums > 1e-12, fused / np.maximum(sums, 1e-12), uniform)
+    fused[:, sums[0] <= 1e-12] = 1.0 / fused.shape[0]
     return SoftLabelMap(fused)
 
 

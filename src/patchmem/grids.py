@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +235,12 @@ def resize_bilinear(image, out_h, out_w):
     images stay constant and equal input/output sizes reproduce the input
     exactly. Accepts an (H, W) map or a (C, H, W) grid; channels are
     resampled independently.
+
+    The resize is separable: columns are interpolated first, on the input
+    rows, then rows, on whole-row gathers. Each output element goes through
+    the same floating-point operations in the same order as the 2-d formula
+    ``(1-wr)*((1-wc)*tl + wc*tr) + wr*((1-wc)*bl + wc*br)``, so the result
+    is bitwise equal to it. The output is always a fresh array.
     """
     image = np.asarray(image, dtype=np.float64)
     if image.ndim not in (2, 3):
@@ -252,13 +259,21 @@ def resize_bilinear(image, out_h, out_w):
     r1 = np.minimum(r0 + 1, in_h - 1)
     c1 = np.minimum(c0 + 1, in_w - 1)
     wr = (src_r - r0).reshape(-1, 1)
-    wc = (src_c - c0).reshape(1, -1)
+    wc = src_c - c0
 
-    top = image[..., r0, :]
-    bot = image[..., r1, :]
-    tl, tr = top[..., c0], top[..., c1]
-    bl, br = bot[..., c0], bot[..., c1]
-    return (1.0 - wr) * ((1.0 - wc) * tl + wc * tr) + wr * ((1.0 - wc) * bl + wc * br)
+    # columns before rows: a row-first order would not be bitwise equal
+    cols = image[..., c0]
+    cols *= 1.0 - wc
+    right = image[..., c1]
+    right *= wc
+    cols += right
+
+    out = cols[..., r0, :]
+    out *= 1.0 - wr
+    bot = cols[..., r1, :]
+    bot *= wr
+    out += bot
+    return out
 
 
 def downsample_avg(grid, factor):
@@ -365,9 +380,11 @@ def load_container(path):
     header_start = len(MAGIC) + 8
     if len(raw) < header_start + header_len:
         raise ContainerFormatError(f"header truncated in {path}")
+    # ValueError covers bad UTF-8, bad JSON and integers past Python's digit
+    # limit; RecursionError covers deeply nested arrays or objects
     try:
         header = json.loads(raw[header_start: header_start + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ContainerFormatError(f"header is not valid JSON in {path}: {exc}") from exc
 
     if not isinstance(header, dict):
@@ -383,12 +400,13 @@ def load_container(path):
         raise UnsupportedDtypeError(f"unsupported dtype {dtype_name!r} in {path}")
     if order not in ("ZTYX", "CYX", "YX"):
         raise ContainerFormatError(f"unsupported axis order {order!r} in {path}")
-    # bool is a subclass of int, and json parses NaN and Infinity as floats
+    # bool is a subclass of int, json parses NaN and Infinity as floats, and
+    # an int past the float range would overflow when converted
     if not isinstance(dims, list) or len(dims) != len(order) or any(
             type(d) is not int or d < 1 for d in dims):
         raise ContainerFormatError(f"dims {dims!r} do not match order {order!r} in {path}")
     if (not isinstance(spacing, list) or len(spacing) != 2
-            or any(type(s) not in (int, float) or not 0 < s < math.inf
+            or any(type(s) not in (int, float) or not 0 < s <= sys.float_info.max
                    for s in spacing)):
         raise ContainerFormatError(f"bad spacing_mm {spacing!r} in {path}")
 

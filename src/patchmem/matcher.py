@@ -47,12 +47,6 @@ class OpCounter:
     patch_pairs: int = 0
     pixel_pairs: int = 0
 
-    def merge(self, other):
-        """Fold another counter into this one (order-independent)."""
-        self.patch_pairs += other.patch_pairs
-        self.pixel_pairs += other.pixel_pairs
-        return self
-
 
 @dataclass
 class AffinityMatrix:

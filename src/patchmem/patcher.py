@@ -95,13 +95,6 @@ class PatchGrid:
     def channels(self):
         return self.data.shape[1]
 
-    def verify_against(self, grid):
-        """Check every patch equals the source grid at its origin."""
-        for i, (r, c) in enumerate(self.layout.origins):
-            if not np.array_equal(self.data[i], grid.data[:, r:r + self.layout.patch,
-                                                          c:c + self.layout.patch]):
-                raise DimensionError(f"patch {i} does not match its source window")
-
 
 def unfold(grid, layout):
     """Cut a FeatureGrid into overlapping patches.

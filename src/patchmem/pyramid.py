@@ -36,12 +36,6 @@ class FeaturePyramid:
                 f"twice scale-4 dims ({self.scale4.height}, {self.scale4.width})")
 
 
-# The key and value pathways carry the same structure; the aliases are purely
-# for reading signatures.
-KeyPyramid = FeaturePyramid
-ValuePyramid = FeaturePyramid
-
-
 @dataclass
 class ScalePair:
     """Patch sizes used at the two scales; p3 is pinned to 2 * p4."""
@@ -90,9 +84,10 @@ def match_multiscale(query, memory_keys, memory_values, p4, k, counter=None):
     """Run patch matching at both scales with one top-K selection.
 
     Args:
-        query: KeyPyramid for the query frame.
-        memory_keys: list of KeyPyramid, one per memory frame.
-        memory_values: list of ValuePyramid, parallel to memory_keys.
+        query: FeaturePyramid of keys for the query frame.
+        memory_keys: list of key FeaturePyramids, one per memory frame.
+        memory_values: list of value FeaturePyramids, parallel to
+            memory_keys.
         p4: patch size at scale 4; scale 3 uses 2 * p4.
         k: memory patches kept per query patch.
         counter: optional OpCounter. Only the scale-4 pass adds patch pairs.

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from patchmem.cli import main
 from patchmem.grids import MAGIC, LabelVolume, load_container, save_container
@@ -114,10 +116,11 @@ class TestPropagateCommand:
         prov = tmp_path / "prov.json"
         rc = main(["propagate", "--volume", str(vol), "--seed-mask", str(seed),
                    "--out-masks", str(masks), "--out-provenance", str(prov),
-                   "--threads", "1", *PROPAGATE_FLAGS])
+                   *PROPAGATE_FLAGS])
         assert rc == 0
         payload, out = echoed_json(capsys)
         assert payload["config"]["z0"] == 1
+        assert "threads" not in payload
         assert "segmented 6 frames (3 slices x 2 phases)" in out
         got = load_container(masks)
         assert got.labels.shape == (3, 2, 48, 48)
@@ -177,6 +180,12 @@ class TestPropagateCommand:
                    "--out-masks", str(tmp_path / "m.cgrid"),
                    "--scales", "4", "--working-side", "100"])
         assert rc == 1
+
+    def test_threads_flag_exits_one(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["propagate", "--volume", "v", "--seed-mask", "s",
+                  "--out-masks", str(tmp_path / "m.cgrid"), "--threads", "1"])
+        assert err.value.code == 1
 
 
 class TestEvalCommand:
@@ -255,11 +264,12 @@ class TestMalformedHeaders:
         {"spacing_mm": [float("nan"), 1.0]},
         {"spacing_mm": [1.0, float("inf")]},
         {"spacing_mm": [True, 1.0]},
+        {"spacing_mm": [10 ** 400, 1.0]},
         {"dims": [True, 2, 48, 48]},
         {"dims": [3, 2, 48, 48.0]},
         {"dtype": ["u8"]},
-    ], ids=["nan-spacing", "inf-spacing", "bool-spacing", "bool-dims",
-            "float-dims", "list-dtype"])
+    ], ids=["nan-spacing", "inf-spacing", "bool-spacing", "huge-spacing",
+            "bool-dims", "float-dims", "list-dtype"])
     def test_eval_exits_two(self, tmp_path, capsys, change):
         _, truth = make_phantom(tmp_path, capsys)
         header = dict(LABEL_HEADER, **change)
@@ -287,6 +297,108 @@ class TestMalformedHeaders:
                    "--threads", "1"])
         assert rc == 0
 
+    @pytest.mark.parametrize("blob", [
+        b"[" * 200000 + b"]" * 200000,
+        b'{"dims": [' + b"9" * 5000 + b"]}",
+    ], ids=["deep-nesting", "long-integer"])
+    def test_unparseable_header(self, tmp_path, capsys, blob):
+        _, truth = make_phantom(tmp_path, capsys)
+        bad = tmp_path / "bad.cgrid"
+        bad.write_bytes(MAGIC + len(blob).to_bytes(8, "little") + blob)
+        rc = main(["eval", "--pred", str(bad), "--truth", str(truth),
+                   "--threads", "1"])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=12)
+FUZZ_DIMS = [3, 2, 8, 8]
+FUZZ_HEADER = {"dims": FUZZ_DIMS, "order": "ZTYX", "dtype": "u8",
+               "spacing_mm": [1.0, 1.0]}
+# per key: edge values a loader must reject, odd lists, then any JSON at all
+FUZZ_FIELDS = {
+    "dims": st.sampled_from([[6, 8, 8], [8, 8], [3, 1, 8, 8], [3, 2, 8, 8.0],
+                             [True, 2, 8, 8], [0, 2, 8, 8], [-3, 2, 8, 8],
+                             [2 ** 70, 2, 8, 8]])
+    | st.lists(st.integers() | st.booleans() | st.floats(), max_size=5)
+    | JSON_VALUES,
+    "order": st.sampled_from(["CYX", "YX", "XY"]) | JSON_VALUES,
+    "dtype": st.sampled_from(["f32", "f64"]) | JSON_VALUES,
+    "spacing_mm": st.sampled_from([[1.3, 1.3], [10 ** 400, 1.0], [0.0, 1.0],
+                                   [float("nan"), 1.0], [1.0, float("inf")],
+                                   [True, 1.0], [1.0]])
+    | st.lists(st.integers() | st.floats() | st.booleans(), max_size=3)
+    | JSON_VALUES,
+    "labels": JSON_VALUES,
+}
+
+
+FUZZ_HEADERS = st.one_of(
+    JSON_VALUES.map(lambda v: json.dumps(v).encode("utf-8")),
+    st.binary(max_size=24),
+    st.sampled_from([1, 100000]).map(lambda n: b"[" * n + b"]" * n),
+    st.sampled_from([4300, 4301]).map(lambda n: b"9" * n))
+
+
+@st.composite
+def cgrid_files(draw):
+    """A valid label volume of FUZZ_DIMS with up to three parts broken: a
+    header key replaced or removed, the whole header, the header length,
+    the magic or the payload."""
+    header = dict(FUZZ_HEADER)
+    blob = magic = length = None
+    payload = bytes(range(4)) * (int(np.prod(FUZZ_DIMS)) // 4)
+    parts = st.sampled_from(["key", "key", "header", "length", "magic",
+                             "payload"])
+    for part in draw(st.lists(parts, max_size=3)):
+        if part == "key":
+            key = draw(st.sampled_from(sorted(FUZZ_FIELDS)))
+            if draw(st.booleans()):
+                header[key] = draw(FUZZ_FIELDS[key])
+            else:
+                header.pop(key, None)
+        elif part == "header":
+            blob = draw(FUZZ_HEADERS)
+        elif part == "length":
+            length = draw(st.integers(0, 2 ** 64 - 1))
+        elif part == "magic":
+            magic = draw(st.binary(max_size=8))
+        else:
+            # 384 and 1536 bytes fit FUZZ_DIMS as u8 and as f32
+            size = draw(st.sampled_from([384, 1536]) | st.integers(0, 4096))
+            pattern = draw(st.binary(min_size=1, max_size=8))
+            if draw(st.booleans()):
+                pattern = bytes(b % 4 for b in pattern)
+            payload = (pattern * size)[:size]
+    if blob is None:
+        blob = json.dumps(header).encode("utf-8")
+    if length is None:
+        length = len(blob)
+    return ((MAGIC if magic is None else magic) + length.to_bytes(8, "little")
+            + blob + payload)
+
+
+class TestLoaderFuzz:
+    """Any file at all, given to eval as the prediction, ends in exit 0 or 2."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    @given(blob=cgrid_files())
+    def test_eval_exits_zero_or_two(self, tmp_path, blob):
+        truth = tmp_path / "truth.cgrid"
+        labels = np.arange(np.prod(FUZZ_DIMS)).reshape(FUZZ_DIMS) % 4
+        save_container(LabelVolume(labels, spacing_mm=(1.0, 1.0)), truth)
+        fuzzed = tmp_path / "fuzzed.cgrid"
+        fuzzed.write_bytes(blob)
+        rc = main(["eval", "--pred", str(fuzzed), "--truth", str(truth),
+                   "--threads", "1"])
+        assert rc in (0, 2)
+
 
 class TestBenchCommand:
     def test_tiny_grid(self, tmp_path, capsys):
@@ -309,6 +421,11 @@ class TestBenchCommand:
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps([{"t": 1, "h": 12}]))
         assert main(["bench", "--grid-json", str(grid)]) == 1
+
+    def test_threads_flag_exits_one(self):
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--threads", "1"])
+        assert err.value.code == 1
 
 
 class TestVerifyCommand:

@@ -15,7 +15,13 @@ from patchmem.featurizer import (
     raw_channel_names,
     raw_feature_bank,
 )
-from patchmem.grids import FeatureGrid, SoftLabelMap, one_hot, save_container
+from patchmem.grids import (
+    FeatureGrid,
+    SoftLabelMap,
+    one_hot,
+    resize_bilinear,
+    save_container,
+)
 
 
 def checkerboard(h, w, cell=8):
@@ -154,7 +160,43 @@ class TestEncodeValue:
             encode_value(np.zeros((4, 32, 32)))
 
 
+def where_decode_reference(readout3, readout4):
+    """decode's fusion with fresh temporaries and np.where, the bitwise
+    oracle of the in-place form."""
+    ups = [resize_bilinear(r.data, r.height * stride, r.width * stride)
+           for r, stride in ((readout3, 8), (readout4, 16)) if r is not None]
+    fused = ups[0] if len(ups) == 1 else 0.5 * (ups[0] + ups[1])
+    fused = np.clip(fused, 0.0, 1.0)
+    sums = fused.sum(axis=0, keepdims=True)
+    uniform = 1.0 / fused.shape[0]
+    return np.where(sums > 1e-12, fused / np.maximum(sums, 1e-12), uniform)
+
+
 class TestDecode:
+    @pytest.mark.parametrize("scales", [(3,), (4,), (3, 4)])
+    def test_bitwise_equal_to_where_form(self, scales):
+        rng = np.random.default_rng(75)
+        # values outside [0, 1] exercise the clip; the negative corner block
+        # clips to all-zero pixels, which must decode to uniform
+        d3 = rng.random((4, 6, 6)) * 1.4 - 0.2
+        d3[:, :2, :2] = -0.5
+        d4 = rng.random((4, 3, 3)) * 1.4 - 0.2
+        d4[:, :1, :1] = -0.5
+        r3 = FeatureGrid(d3) if 3 in scales else None
+        r4 = FeatureGrid(d4) if 4 in scales else None
+        before3, before4 = d3.copy(), d4.copy()
+        got = decode(r3, r4).probabilities
+        want = where_decode_reference(r3, r4)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got[:, 0, 0], np.full(4, 0.25))
+        assert np.array_equal(d3, before3) and np.array_equal(d4, before4)
+
+    def test_all_zero_pixels_decode_to_uniform(self):
+        zeros = FeatureGrid(np.zeros((4, 2, 2)))
+        soft = decode(zeros, None)
+        assert np.array_equal(soft.probabilities, np.full((4, 16, 16), 0.25))
+        assert np.array_equal(zeros.data, np.zeros((4, 2, 2)))
+
     def test_single_scale_is_plain_upsample(self):
         rng = np.random.default_rng(73)
         probs = rng.random((4, 2, 2))

@@ -55,6 +55,28 @@ def bilinear_reference(image, out_h, out_w):
     return out
 
 
+def four_corner_reference(image, out_h, out_w):
+    """The 2-d four-corner bilinear formula, the bitwise oracle of the
+    separable resize."""
+    image = np.asarray(image, dtype=np.float64)
+    in_h, in_w = image.shape[-2], image.shape[-1]
+    src_r = (np.arange(out_h, dtype=np.float64) + 0.5) * (in_h / out_h) - 0.5
+    src_c = (np.arange(out_w, dtype=np.float64) + 0.5) * (in_w / out_w) - 0.5
+    src_r = np.clip(src_r, 0.0, in_h - 1.0)
+    src_c = np.clip(src_c, 0.0, in_w - 1.0)
+    r0 = np.floor(src_r).astype(np.intp)
+    c0 = np.floor(src_c).astype(np.intp)
+    r1 = np.minimum(r0 + 1, in_h - 1)
+    c1 = np.minimum(c0 + 1, in_w - 1)
+    wr = (src_r - r0).reshape(-1, 1)
+    wc = (src_c - c0).reshape(1, -1)
+    top = image[..., r0, :]
+    bot = image[..., r1, :]
+    tl, tr = top[..., c0], top[..., c1]
+    bl, br = bot[..., c0], bot[..., c1]
+    return (1.0 - wr) * ((1.0 - wc) * tl + wc * tr) + wr * ((1.0 - wc) * bl + wc * br)
+
+
 class TestFeatureGrid:
     def test_shape_and_props(self):
         g = FeatureGrid(np.zeros((3, 4, 5)))
@@ -156,6 +178,47 @@ class TestResizeBilinear:
         img = np.full((4, 4), 0.37)
         out = resize_bilinear(img, 13, 6)
         assert np.allclose(out, 0.37, atol=1e-12)
+
+    @pytest.mark.parametrize("in_shape, out_hw", [
+        ((7, 9), (7, 9)),
+        ((5, 6), (13, 17)),
+        ((13, 17), (5, 6)),
+        ((3, 5, 7), (11, 4)),
+        ((2, 9, 9), (9, 9)),
+        ((1, 1), (4, 5)),
+        ((1, 8), (3, 3)),
+        ((2, 8, 1), (5, 2)),
+        ((6, 6), (1, 1)),
+        # every resize a benchmark study makes, at working sides 288 and 576
+        ((128, 128), (288, 288)),
+        ((4, 128, 128), (288, 288)),
+        ((4, 36, 36), (288, 288)),
+        ((4, 18, 18), (288, 288)),
+        ((4, 288, 288), (128, 128)),
+        ((256, 256), (576, 576)),
+        ((4, 256, 256), (576, 576)),
+        ((4, 72, 72), (576, 576)),
+        ((4, 36, 36), (576, 576)),
+        ((4, 576, 576), (256, 256)),
+    ])
+    def test_bitwise_equal_to_four_corner_formula(self, in_shape, out_hw):
+        rng = np.random.default_rng(sum(in_shape) + sum(out_hw))
+        img = rng.random(in_shape)
+        before = img.copy()
+        got = resize_bilinear(img, *out_hw)
+        assert np.array_equal(got, four_corner_reference(img, *out_hw))
+        assert np.array_equal(img, before)
+        assert not np.shares_memory(got, img)
+
+    def test_bitwise_equal_on_non_contiguous_input(self):
+        rng = np.random.default_rng(5)
+        base = rng.random((3, 20, 30))
+        before = base.copy()
+        for view in (base.transpose(0, 2, 1), base[:, ::2, 1::3], base[1].T):
+            got = resize_bilinear(view, 17, 9)
+            assert np.array_equal(got, four_corner_reference(view, 17, 9))
+            assert not np.shares_memory(got, base)
+        assert np.array_equal(base, before)
 
 
 class TestDownsampleAvg:

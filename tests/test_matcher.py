@@ -362,9 +362,3 @@ class TestFaultInjection:
             matcher._set_pixel_similarity_fault(False)
         assert np.abs(faulty.readout.data - clean.readout.data).max() > 1e-3
         assert np.allclose(faulty_dense.data, clean_dense.data, atol=1e-12)
-
-    def test_counter_merge(self):
-        a = OpCounter(patch_pairs=3, pixel_pairs=10)
-        b = OpCounter(patch_pairs=4, pixel_pairs=1)
-        a.merge(b)
-        assert (a.patch_pairs, a.pixel_pairs) == (7, 11)
