@@ -130,7 +130,7 @@ def cmd_phantom(args):
     if args.distractor is not None:
         overrides["distractor"] = args.distractor == "on"
     merged = _merged(file_cfg, overrides, _PHANTOM_KEYS, "phantom")
-    if "spacing_mm" in merged:
+    if isinstance(merged.get("spacing_mm"), list):
         merged["spacing_mm"] = tuple(merged["spacing_mm"])
     spec = PhantomSpec(**merged)
     _echo({"command": "phantom",
@@ -178,7 +178,7 @@ def _config_payload(cfg):
         "apex_t_max": cfg.apex_t_max, "continuity_mode": cfg.continuity_mode,
         "matcher": cfg.matcher, "working_side": cfg.working_side,
         "encoder": {
-            "mode": enc.mode, "key_channels": enc.key_channels,
+            "key_channels": enc.key_channels,
             "blur_sigmas": list(enc.blur_sigmas),
             "include_coords": enc.include_coords,
             "projection_seed": enc.projection_seed,
@@ -246,6 +246,9 @@ def cmd_eval(args):
     truth = load_container(args.truth)
     if not isinstance(pred, LabelVolume) or not isinstance(truth, LabelVolume):
         raise DataError("eval expects two label volumes")
+    if pred.labels.shape != truth.labels.shape:
+        raise DimensionError(
+            f"prediction {pred.labels.shape} and truth {truth.labels.shape} disagree")
     threads = _resolve_threads(args.threads)
     fractions = (args.basal_frac, args.apex_frac)
     _echo({"command": "eval", "pred": args.pred, "truth": args.truth,

@@ -18,15 +18,17 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .errors import DataError, DimensionError, ParameterError, PhantomSpecError
-from .grids import CineVolume, FeatureGrid, LabelVolume
+from .grids import CineVolume, FeatureGrid, LabelVolume, _checked_spacing
 from .matcher import OpCounter, dense_readout, plmm_forward
 from .patcher import make_layout
 from .pyramid import lift_topk
@@ -222,6 +224,9 @@ def report_by_region(pred, truth, partition, method="plmm", threads=1):
     return MetricsReport(rows=rows)
 
 
+_SPEC_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
+
+
 @dataclass(frozen=True)
 class PhantomSpec:
     """Parameters of the analytic 4D phantom.
@@ -247,6 +252,15 @@ class PhantomSpec:
     seed: int = 7
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = _SPEC_TYPES.get(f.type)
+            if kind is not None and (not isinstance(value, kind)
+                                     or (isinstance(value, bool) and kind is not bool)):
+                raise PhantomSpecError(f"{f.name} must be of type {f.type}, got {value!r}")
+            if kind is numbers.Real and not abs(value) <= sys.float_info.max:
+                raise PhantomSpecError(f"{f.name} must be finite, got {value!r}")
+        _checked_spacing(self.spacing_mm)
         if self.z_count < 1 or self.t_count < 2:
             raise PhantomSpecError(
                 f"need z_count >= 1 and t_count >= 2, got ({self.z_count}, {self.t_count})")

@@ -12,26 +12,17 @@ and both scales.
 The value pathway carries class probabilities: a soft label map is
 area-averaged to the same two strides. Decoding reverses that with bilinear
 upsampling, averages whatever scales are active, clamps, and renormalizes.
-
-Externally computed pyramids can be loaded from CGRID files instead, one
-CYX file per scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import DimensionError, ParameterError, PyramidError
-from .grids import (
-    FeatureGrid,
-    SoftLabelMap,
-    downsample_avg,
-    load_container,
-    resize_bilinear,
-)
+from .errors import DimensionError, ParameterError
+from .grids import FeatureGrid, SoftLabelMap, downsample_avg, resize_bilinear
 from .pyramid import FeaturePyramid
 
 STRIDE_SCALE4 = 16
@@ -44,23 +35,18 @@ class EncoderConfig:
     """Settings for the handcrafted key encoder.
 
     Attributes:
-        mode: "handcrafted" computes features here; "external-file" marks
-            runs whose pyramids come from load_feature_pyramid.
         key_channels: output channel count after projection.
         blur_sigmas: Gaussian blur widths in the channel bank.
         include_coords: append normalized row/col coordinate channels.
         projection_seed: seed of the fixed random projection.
     """
 
-    mode: str = "handcrafted"
     key_channels: int = 32
     blur_sigmas: tuple = (1.0, 2.0, 4.0)
     include_coords: bool = True
     projection_seed: int = 1234
 
     def __post_init__(self):
-        if self.mode not in ("handcrafted", "external-file"):
-            raise ParameterError(f"unknown encoder mode {self.mode!r}")
         if self.key_channels < 1:
             raise ParameterError("key_channels must be positive")
         if any(s <= 0 for s in self.blur_sigmas):
@@ -71,16 +57,6 @@ class EncoderConfig:
         return 3 + len(self.blur_sigmas) + (2 if self.include_coords else 0)
 
 
-def raw_channel_names(cfg):
-    """Channel names of the raw bank, in stacking order."""
-    names = ["intensity"]
-    names += [f"blur{int(s) if float(s).is_integer() else s}" for s in cfg.blur_sigmas]
-    names += ["gradmag", "localstd"]
-    if cfg.include_coords:
-        names += ["row", "col"]
-    return names
-
-
 def raw_feature_bank(image, cfg):
     """Compute the unprojected channel bank for one frame.
 
@@ -89,8 +65,10 @@ def raw_feature_bank(image, cfg):
         cfg: EncoderConfig.
 
     Returns:
-        (C_raw, H, W) float64 array; channel order follows
-        raw_channel_names(cfg).
+        (C_raw, H, W) float64 array. Channels in order: intensity, one
+        Gaussian blur per entry of cfg.blur_sigmas, gradient magnitude,
+        3x3 local standard deviation, then (with include_coords) the row
+        and column coordinates.
     """
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
@@ -139,10 +117,6 @@ def encode_key(image, cfg=EncoderConfig()):
     The frame dims must be divisible by 16. Identical inputs produce
     bit-identical outputs.
     """
-    if cfg.mode != "handcrafted":
-        raise ParameterError(
-            "encode_key computes handcrafted features; external pyramids "
-            "come from load_feature_pyramid")
     bank = raw_feature_bank(image, cfg)
     h, w = bank.shape[1], bank.shape[2]
     if h % STRIDE_SCALE4 or w % STRIDE_SCALE4:
@@ -221,11 +195,3 @@ def decode(readout3, readout4):
     fused[:, sums[0] <= 1e-12] = 1.0 / fused.shape[0]
     return SoftLabelMap(fused)
 
-
-def load_feature_pyramid(path_scale4, path_scale3):
-    """Load an externally computed pyramid, one CGRID CYX file per scale."""
-    g4 = load_container(path_scale4)
-    g3 = load_container(path_scale3)
-    if not isinstance(g4, FeatureGrid) or not isinstance(g3, FeatureGrid):
-        raise PyramidError("feature pyramid files must hold CYX feature grids")
-    return FeaturePyramid(scale4=g4, scale3=g3)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from pathlib import Path
 
@@ -70,11 +71,17 @@ class FeatureGrid:
 
 
 def _checked_spacing(spacing_mm):
-    """Return (dy, dx) as floats; both must be finite and positive."""
-    dy, dx = float(spacing_mm[0]), float(spacing_mm[1])
-    if not (0.0 < dy < math.inf and 0.0 < dx < math.inf):
-        raise ParameterError(f"spacing must be finite and positive, got {(dy, dx)}")
-    return dy, dx
+    """Return (dy, dx) as floats from a pair of finite, positive reals.
+
+    bool is a subclass of int and an int past the float range would overflow
+    when converted, so both are rejected.
+    """
+    pair = tuple(spacing_mm) if isinstance(spacing_mm, (tuple, list)) else ()
+    if len(pair) != 2 or any(isinstance(s, bool) or not isinstance(s, numbers.Real)
+                             or not 0 < s <= sys.float_info.max for s in pair):
+        raise ParameterError(
+            f"spacing must be two finite, positive numbers, got {spacing_mm!r}")
+    return float(pair[0]), float(pair[1])
 
 
 class CineVolume:

@@ -49,15 +49,6 @@ class OpCounter:
 
 
 @dataclass
-class AffinityMatrix:
-    """Patch-level scores of shape (N, T*N); higher means more similar."""
-
-    scores: np.ndarray
-    n_query: int
-    n_memory_frames: int
-
-
-@dataclass
 class TopKIndex:
     """Per query patch, the flat indices of its K best memory patches.
 
@@ -66,16 +57,6 @@ class TopKIndex:
 
     ids: np.ndarray
     k: int
-
-
-def similarity(a, b):
-    """Negated squared Euclidean distance between two flat vectors."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise DimensionError(f"length mismatch: {a.shape} vs {b.shape}")
-    d = a - b
-    return float(-(d * d).sum())
 
 
 def _neg_sqdist(a, b):
@@ -106,8 +87,8 @@ def patch_affinity(query, memory, counter=None):
         counter: optional OpCounter; receives T*N^2 patch pairs.
 
     Returns:
-        AffinityMatrix with scores (N, T*N); column t*N+j is memory frame t,
-        patch j.
+        (N, T*N) scores, higher meaning more similar; column t*N+j is
+        memory frame t, patch j.
     """
     if not memory:
         raise ParameterError("memory must contain at least one frame")
@@ -125,74 +106,21 @@ def patch_affinity(query, memory, counter=None):
     scores = _neg_sqdist(flat_q, flat_m)
     if counter is not None:
         counter.patch_pairs += len(memory) * n * n
-    return AffinityMatrix(scores=scores, n_query=n, n_memory_frames=len(memory))
+    return scores
 
 
-def topk_select(affinity, k):
-    """Pick the K highest-scoring memory patches per query row.
+def topk_select(scores, k):
+    """Pick the K highest-scoring memory patches per row of (N, T*N) scores.
 
     Ties are broken toward the lower memory index; rows come back sorted by
     descending score. k must lie in 1..T*N.
     """
-    scores = affinity.scores
     total = scores.shape[1]
     if k < 1 or k > total:
         raise ParameterError(f"k={k} outside valid range 1..{total}")
     # stable argsort on negated scores keeps the lower index first on ties
     order = np.argsort(-scores, axis=1, kind="stable")
     return TopKIndex(ids=order[:, :k].astype(np.intp), k=k)
-
-
-def pixel_match_weights(q_patch, k_patches, counter=None):
-    """Softmax pixel matching inside one query patch.
-
-    Args:
-        q_patch: (C, P, P) query patch.
-        k_patches: (K, C, P, P) selected memory key patches.
-        counter: optional OpCounter; receives P^2 * K * P^2 pixel pairs.
-
-    Returns:
-        (P^2, K*P^2) weight matrix; each row is a distribution over all
-        pixels of the K selected patches.
-    """
-    q_patch = np.asarray(q_patch, dtype=np.float64)
-    k_patches = np.asarray(k_patches, dtype=np.float64)
-    if q_patch.ndim != 3 or k_patches.ndim != 4:
-        raise DimensionError("expected (C,P,P) query and (K,C,P,P) memory patches")
-    c, p, p2 = q_patch.shape
-    if p != p2 or k_patches.shape[1:] != (c, p, p):
-        raise DimensionError(
-            f"patch shapes disagree: {q_patch.shape} vs {k_patches.shape}")
-    kk = k_patches.shape[0]
-    q_pix = q_patch.reshape(c, p * p).T
-    m_pix = k_patches.transpose(0, 2, 3, 1).reshape(kk * p * p, c)
-    logits = _neg_sqdist(q_pix, m_pix)
-    if _FAULT_FLIP_PIXEL_SIMILARITY:
-        logits = -logits
-    if counter is not None:
-        counter.pixel_pairs += (p * p) * (kk * p * p)
-    return _softmax_rows(logits)
-
-
-def readout(weights, v_patches):
-    """Weighted sum of memory value pixels for one query patch.
-
-    Args:
-        weights: (P^2, K*P^2) matching weights.
-        v_patches: (K, C_v, P, P) selected memory value patches.
-
-    Returns:
-        (C_v, P, P) readout patch.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    v_patches = np.asarray(v_patches, dtype=np.float64)
-    kk, cv, p, _ = v_patches.shape
-    if weights.shape != (p * p, kk * p * p):
-        raise DimensionError(
-            f"weights shape {weights.shape} does not match values {v_patches.shape}")
-    v_pix = v_patches.transpose(0, 2, 3, 1).reshape(kk * p * p, cv)
-    out = weights @ v_pix
-    return out.T.reshape(cv, p, p)
 
 
 @dataclass
@@ -259,8 +187,7 @@ def plmm_forward(q_key, mem_keys, mem_values, patch, k,
         if topk.ids.max() >= t * n or topk.ids.min() < 0:
             raise ParameterError("top-K table indexes outside this memory bank")
     else:
-        aff = patch_affinity(q_pg, key_pgs, counter=counter)
-        topk = topk_select(aff, k)
+        topk = topk_select(patch_affinity(q_pg, key_pgs, counter=counter), k)
     kk = topk.k
 
     # pixel views: (T*N, P^2, C)

@@ -128,26 +128,10 @@ def coverage_map(layout):
     return cov
 
 
-def fold(patches):
-    """Reassemble overlapping patches into a FeatureGrid.
-
-    Overlapping contributions are averaged: each output pixel is the sum of
-    all patch values covering it divided by its coverage count.
-    """
-    layout = patches.layout
-    c = patches.channels
-    p = layout.patch
-    acc = np.zeros((c, layout.map_h, layout.map_w), dtype=np.float64)
-    for i, (r, col) in enumerate(layout.origins):
-        acc[:, r:r + p, col:col + p] += patches.data[i]
-    cov = coverage_map(layout)
-    return FeatureGrid(acc / cov[None, :, :])
-
-
 def scatter_add(patches):
     """Adjoint of unfold: sum patches back onto the map without averaging.
 
-    Used by gradient propagation; returns a raw (C, H, W) array.
+    Used by fold and by gradient propagation; returns a raw (C, H, W) array.
     """
     layout = patches.layout
     acc = np.zeros((patches.channels, layout.map_h, layout.map_w), dtype=np.float64)
@@ -157,15 +141,10 @@ def scatter_add(patches):
     return acc
 
 
-def center_block_coverage(layout):
-    """Map of pixels lying in the central P/2 block of at least one patch.
+def fold(patches):
+    """Reassemble overlapping patches into a FeatureGrid.
 
-    The central block of a patch at origin o starts at o + (P - P//2) // 2
-    and spans P//2 pixels per axis. Returns a boolean (H, W) array.
+    Overlapping contributions are averaged: each output pixel is the sum of
+    all patch values covering it divided by its coverage count.
     """
-    half = layout.patch // 2
-    off = (layout.patch - half) // 2
-    hit = np.zeros((layout.map_h, layout.map_w), dtype=bool)
-    for r, c in layout.origins:
-        hit[r + off:r + off + half, c + off:c + off + half] = True
-    return hit
+    return FeatureGrid(scatter_add(patches) / coverage_map(patches.layout)[None])

@@ -43,7 +43,7 @@ from .featurizer import EncoderConfig, decode, encode_key, encode_value
 from .grids import CineVolume, LabelVolume, SoftLabelMap, one_hot, resize_bilinear
 from .matcher import dense_readout, plmm_forward
 from .patcher import make_layout
-from .pyramid import lift_topk, match_multiscale
+from .pyramid import match_multiscale
 
 REGION_BASAL = "basal"
 REGION_MIDDLE = "middle"
@@ -108,36 +108,6 @@ class BankEntry:
     @property
     def frame_id(self):
         return (self.z, self.t)
-
-
-class MemoryBank:
-    """A bounded, ordered set of memory frames.
-
-    The first entry ever added is the anchor and is never evicted; adding
-    beyond t_max drops the oldest non-anchor entry instead. Duplicate frame
-    ids are ignored.
-    """
-
-    def __init__(self, t_max):
-        if t_max < 1:
-            raise ParameterError(f"t_max must be >= 1, got {t_max}")
-        self.t_max = t_max
-        self.entries = []
-
-    def add(self, entry):
-        if any(e.frame_id == entry.frame_id for e in self.entries):
-            return
-        if len(self.entries) == self.t_max:
-            if self.t_max == 1:
-                raise StateError("bank of capacity 1 cannot evict its anchor")
-            self.entries.pop(1)
-        self.entries.append(entry)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def frame_ids(self):
-        return [e.frame_id for e in self.entries]
 
 
 @dataclass(frozen=True)
@@ -265,7 +235,6 @@ class PropagationEngine:
         self.soft = {}
         self.provenance = {}
         self.order = []
-        self.num_classes = None
 
     # frame-level caches ---------------------------------------------------
 
@@ -302,17 +271,11 @@ class PropagationEngine:
                 f"({self.volume.height}, {self.volume.width})")
         if not np.issubdtype(seed_labels.dtype, np.integer):
             raise LabelError("seed mask must be integer-typed")
-        self.num_classes = num_classes
         self.seed_labels = seed_labels.astype(np.uint8)
-        self.install_soft(self.z0, self.t0, self._labels_to_work_soft(seed_labels),
-                          provenance=[])
-
-    def _labels_to_work_soft(self, labels):
-        soft = one_hot(labels, self.num_classes).probabilities
-        work = resize_bilinear(soft, self.work_h, self.work_w)
-        work = np.clip(work, 0.0, 1.0)
+        soft = one_hot(seed_labels, num_classes).probabilities
+        work = np.clip(resize_bilinear(soft, self.work_h, self.work_w), 0.0, 1.0)
         work /= np.maximum(work.sum(axis=0, keepdims=True), 1e-12)
-        return work
+        self.install_soft(self.z0, self.t0, work, provenance=[])
 
     def install_soft(self, z, t, soft_work, provenance):
         fid = (z, t)
@@ -324,64 +287,48 @@ class PropagationEngine:
 
     # bank assembly and matching --------------------------------------------
 
-    def build_bank(self, frame_ids, t_max):
-        """Encode the listed frames (deduplicated, order kept) into a bank."""
-        bank = MemoryBank(t_max)
-        seen = set()
-        for fid in frame_ids:
-            if fid in seen or len(bank) == t_max:
-                continue
-            seen.add(fid)
-            z, t = fid
-            bank.add(BankEntry(z=z, t=t, keys=self.keys_of(z, t),
-                               values=self.values_of(z, t)))
-        return bank
+    def build_bank(self, frame_ids):
+        """Encode the listed frames, duplicates dropped and order kept."""
+        return [BankEntry(z=z, t=t, keys=self.keys_of(z, t), values=self.values_of(z, t))
+                for z, t in dict.fromkeys(frame_ids)]
 
     def segment_frame(self, query, bank):
-        """Segment one frame against an assembled bank.
+        """Segment one frame against an assembled bank (a list of BankEntry).
 
         Returns (hard labels, soft map), both at working resolution, and
         records the result plus provenance in the engine state.
         """
-        if len(bank) == 0:
+        if not bank:
             raise StateError(f"empty memory bank for query {query}")
         z, t = query
         cfg = self.cfg
         q_keys = self.keys_of(z, t)
-        mem_keys = [e.keys for e in bank.entries]
-        mem_values = [e.values for e in bank.entries]
+        mem_keys = [e.keys for e in bank]
+        mem_values = [e.values for e in bank]
 
-        readout3 = readout4 = None
+        def at(scale):
+            name = f"scale{scale}"
+            return (getattr(q_keys, name), [getattr(m, name) for m in mem_keys],
+                    [getattr(m, name) for m in mem_values])
+
+        readouts = {}
         if cfg.matcher == "dense":
-            if 4 in cfg.scales:
-                readout4 = dense_readout(
-                    q_keys.scale4, [m.scale4 for m in mem_keys],
-                    [m.scale4 for m in mem_values])
-            if 3 in cfg.scales:
-                readout3 = dense_readout(
-                    q_keys.scale3, [m.scale3 for m in mem_keys],
-                    [m.scale3 for m in mem_values])
-        elif cfg.scales == (3, 4):
-            layout4 = make_layout(q_keys.scale4.height, q_keys.scale4.width, cfg.patch)
-            k_eff = min(cfg.k, len(bank) * layout4.n_patches)
-            res = match_multiscale(q_keys, mem_keys, mem_values, cfg.patch, k_eff)
-            readout4, readout3 = res.readout4, res.readout3
-        elif cfg.scales == (4,):
-            layout4 = make_layout(q_keys.scale4.height, q_keys.scale4.width, cfg.patch)
-            k_eff = min(cfg.k, len(bank) * layout4.n_patches)
-            readout4 = plmm_forward(
-                q_keys.scale4, [m.scale4 for m in mem_keys],
-                [m.scale4 for m in mem_values], patch=cfg.patch, k=k_eff).readout
-        else:  # scales == (3,): own top-K at the fine scale, patch 2P
-            p3 = 2 * cfg.patch
-            layout3 = make_layout(q_keys.scale3.height, q_keys.scale3.width, p3)
-            k_eff = min(cfg.k, len(bank) * layout3.n_patches)
-            readout3 = plmm_forward(
-                q_keys.scale3, [m.scale3 for m in mem_keys],
-                [m.scale3 for m in mem_values], patch=p3, k=k_eff).readout
+            for s in cfg.scales:
+                readouts[s] = dense_readout(*at(s))
+        else:
+            # both scales tile into the same patch count, so K clamps alike
+            n = make_layout(q_keys.scale4.height, q_keys.scale4.width, cfg.patch).n_patches
+            k_eff = min(cfg.k, len(bank) * n)
+            if cfg.scales == (3, 4):
+                res = match_multiscale(q_keys, mem_keys, mem_values, cfg.patch, k_eff)
+                readouts = {3: res.readout3, 4: res.readout4}
+            else:  # one scale, its own top-K; scale 3 uses patch 2P
+                (s,) = cfg.scales
+                readouts[s] = plmm_forward(*at(s), patch=cfg.patch * (2 if s == 3 else 1),
+                                           k=k_eff).readout
 
-        soft = decode(readout3, readout4)
-        self.install_soft(z, t, soft.probabilities, provenance=bank.frame_ids())
+        soft = decode(readouts.get(3), readouts.get(4))
+        self.install_soft(z, t, soft.probabilities, provenance=[e.frame_id for e in bank])
         return soft.argmax_labels(), soft
 
     # passes -----------------------------------------------------------------
@@ -398,13 +345,11 @@ class PropagationEngine:
             while t_hist >= self.t0 and len(ids) < self.cfg.apex_t_max:
                 ids.append((z, t_hist))
                 t_hist -= 1
-            return ids, self.cfg.apex_t_max
-        return ids, 2
+        return ids
 
     def run_temporal_pass(self):
         for t in range(self.t0 + 1, self.volume.t_count):
-            bank = self.build_bank(self.temporal_bank_ids(t), t_max=2)
-            self.segment_frame((self.z0, t), bank)
+            self.segment_frame((self.z0, t), self.build_bank(self.temporal_bank_ids(t)))
 
     def run_z_pass(self, tau, direction, allow_apex_history):
         if direction not in ("base", "apex"):
@@ -412,8 +357,7 @@ class PropagationEngine:
         step = -1 if direction == "base" else 1
         z = self.z0 + step
         while 0 <= z < self.volume.z_count:
-            ids, t_max = self.z_bank_ids(z, tau, step, allow_apex_history)
-            bank = self.build_bank(ids, t_max=t_max)
+            bank = self.build_bank(self.z_bank_ids(z, tau, step, allow_apex_history))
             self.segment_frame((z, tau), bank)
             z += step
 
@@ -446,64 +390,6 @@ class PropagationEngine:
             work_dims=(self.work_h, self.work_w),
             config=self.cfg,
         )
-
-
-def propagate_temporal(volume, seed_labels, cfg=PropagationConfig()):
-    """Propagate the anchor slice forward in time only.
-
-    Returns (masks, provenance): masks maps (z0, t) to a hard label map at
-    the input resolution for every phase from t0 on.
-    """
-    engine = PropagationEngine(volume, cfg)
-    engine.seed_anchor(seed_labels)
-    engine.run_temporal_pass()
-    masks = {}
-    for (z, t), soft_work in engine.soft.items():
-        if (z, t) == (engine.z0, engine.t0):
-            masks[(z, t)] = engine.seed_labels.copy()
-        else:
-            masks[(z, t)] = engine.soft_to_labels(soft_work)
-    return masks, dict(engine.provenance)
-
-
-def propagate_z(volume, phase, direction, prior_masks, cfg=PropagationConfig()):
-    """Run one spatial pass at a fixed phase, outward from z0.
-
-    prior_masks maps frame ids to already-known masks: 2-d integer label
-    maps at the input resolution, or soft (L+1, H', W') arrays at the
-    working resolution. It must contain every frame the bank policy needs
-    (the anchor, (z0, phase), and for apex queries the same-slice earlier
-    phases when continuity includes them).
-
-    Returns (masks, provenance) for the newly segmented frames.
-    """
-    engine = PropagationEngine(volume, cfg)
-    anchor = (engine.z0, engine.t0)
-    if anchor not in prior_masks:
-        raise SchedulingError("prior_masks must contain the anchor frame")
-    engine.seed_anchor(np.asarray(prior_masks[anchor]))
-    for fid, mask in prior_masks.items():
-        if fid == anchor:
-            continue
-        mask = np.asarray(mask)
-        if mask.ndim == 2:
-            engine.install_soft(fid[0], fid[1],
-                                engine._labels_to_work_soft(mask.astype(np.int64)),
-                                provenance=[])
-        elif mask.ndim == 3:
-            engine.install_soft(fid[0], fid[1], np.asarray(mask, dtype=np.float64),
-                                provenance=[])
-        else:
-            raise DimensionError(f"prior mask for {fid} has shape {mask.shape}")
-    allow_hist = cfg.continuity_mode == "both"
-    before = set(engine.soft)
-    engine.run_z_pass(phase, direction, allow_apex_history=allow_hist)
-    masks = {}
-    prov = {}
-    for fid in set(engine.soft) - before:
-        masks[fid] = engine.soft_to_labels(engine.soft[fid])
-        prov[fid] = engine.provenance[fid]
-    return masks, prov
 
 
 def run_4d(volume, seed_labels, cfg=PropagationConfig()):
@@ -541,7 +427,7 @@ def run_4d(volume, seed_labels, cfg=PropagationConfig()):
         engine.run_z_pass(engine.t0, "apex", allow_apex_history=False)
         for z in range(volume.z_count):
             for t in range(engine.t0 + 1, volume.t_count):
-                bank = engine.build_bank([(z, engine.t0), (z, t - 1)], t_max=2)
+                bank = engine.build_bank([(z, engine.t0), (z, t - 1)])
                 engine.segment_frame((z, t), bank)
 
     return engine.collect_result()

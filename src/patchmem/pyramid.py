@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import LayoutError, ParameterError, PyramidError
 from .grids import FeatureGrid
-from .matcher import OpCounter, TopKIndex, plmm_forward
+from .matcher import TopKIndex, plmm_forward
 from .patcher import make_layout
 
 
@@ -34,18 +34,6 @@ class FeaturePyramid:
             raise PyramidError(
                 f"scale-3 dims ({self.scale3.height}, {self.scale3.width}) are not "
                 f"twice scale-4 dims ({self.scale4.height}, {self.scale4.width})")
-
-
-@dataclass
-class ScalePair:
-    """Patch sizes used at the two scales; p3 is pinned to 2 * p4."""
-
-    p4: int
-    p3: int
-
-    def __post_init__(self):
-        if self.p3 != 2 * self.p4:
-            raise ParameterError(f"scale-3 patch must be 2*p4, got {self.p3} vs {self.p4}")
 
 
 def lift_topk(topk, layout4, layout3):

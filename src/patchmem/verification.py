@@ -15,7 +15,7 @@ import numpy as np
 from .errors import PartitionError
 from .evalkit import PhantomSpec, gen_phantom
 from .grids import FeatureGrid
-from .matcher import TopKIndex, dense_readout, plmm_backward, plmm_forward, topk_select
+from .matcher import dense_readout, plmm_backward, plmm_forward, topk_select
 from .patcher import coverage_map, fold, make_layout, unfold
 from .propagator import PropagationConfig, partition_regions, run_4d
 
@@ -168,15 +168,13 @@ def suite_topk(instances=200):
     """Selection must agree with a brute-force stable sort and break ties
     toward the lower memory index."""
     rng = np.random.default_rng(20240504)
-    from .matcher import AffinityMatrix
     for i in range(instances):
         n = int(rng.integers(1, 8))
         m = int(rng.integers(1, 10))
         k = int(rng.integers(1, m + 1))
         # quantized scores force frequent ties
         scores = np.round(rng.standard_normal((n, m)) * 2) / 2.0
-        aff = AffinityMatrix(scores, n_query=n, n_memory_frames=1)
-        got = topk_select(aff, k).ids
+        got = topk_select(scores, k).ids
         for row in range(n):
             order = sorted(range(m), key=lambda j: (-scores[row, j], j))
             if not np.array_equal(got[row], np.array(order[:k])):
@@ -184,8 +182,7 @@ def suite_topk(instances=200):
                     "topk", False,
                     f"instance {i} row {row}: got {got[row].tolist()}, "
                     f"want {order[:k]}")
-    tie = AffinityMatrix(np.array([[0.0, 0.0, -1.0]]), 1, 1)
-    if topk_select(tie, 1).ids[0, 0] != 0:
+    if topk_select(np.array([[0.0, 0.0, -1.0]]), 1).ids[0, 0] != 0:
         return SuiteResult("topk", False, "tie must resolve to the lower index")
     return SuiteResult("topk", True,
                        f"{instances} random instances match brute-force selection")

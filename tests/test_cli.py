@@ -37,6 +37,11 @@ def make_phantom(tmp_path, capsys=None, **extra_flags):
     return vol, truth
 
 
+SMALL_SPEC = {"z_count": 3, "t_count": 2, "height": 48, "width": 48,
+              "lv_radius_px": 8.0, "myo_thickness_px": 3.0, "rv_offset_px": 12.0,
+              "spacing_mm": [1.3, 1.3], "distractor": False, "seed": 1}
+
+
 class TestPhantomCommand:
     def test_writes_both_containers(self, tmp_path, capsys):
         vol, truth = make_phantom(tmp_path)
@@ -55,12 +60,7 @@ class TestPhantomCommand:
 
     def test_flags_override_spec_file(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"z_count": 3, "t_count": 2,
-                                    "height": 48, "width": 48,
-                                    "lv_radius_px": 8.0,
-                                    "myo_thickness_px": 3.0,
-                                    "rv_offset_px": 12.0,
-                                    "distractor": False, "seed": 1}))
+        spec.write_text(json.dumps(SMALL_SPEC))
         rc = main(["phantom", "--out-volume", str(tmp_path / "v.cgrid"),
                    "--out-truth", str(tmp_path / "t.cgrid"),
                    "--spec-json", str(spec), "--seed", "9"])
@@ -94,6 +94,34 @@ class TestPhantomCommand:
             main(["phantom", "--out-volume", "v", "--out-truth", "t",
                   "--does-not-exist", "1"])
         assert err.value.code == 1
+
+    @pytest.mark.parametrize("entry,message", [
+        ({"spacing_mm": ["a", 1.0]}, "spacing"),
+        ({"spacing_mm": [None, 1.0]}, "spacing"),
+        ({"spacing_mm": [[1], 1.0]}, "spacing"),
+        ({"spacing_mm": [10 ** 400, 1.0]}, "spacing"),
+        ({"spacing_mm": [True, 1.0]}, "spacing"),
+        ({"spacing_mm": [1.0]}, "spacing"),
+        ({"spacing_mm": 5}, "spacing"),
+        ({"z_count": "a"}, "z_count"),
+        ({"z_count": 3.0}, "z_count"),
+        ({"seed": "x"}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"lv_radius_px": "8"}, "lv_radius_px"),
+        ({"lv_radius_px": float("nan")}, "lv_radius_px"),
+        ({"noise_sigma": float("inf")}, "noise_sigma"),
+        ({"rv_offset_px": 10 ** 400}, "rv_offset_px"),
+        ({"distractor": "no"}, "distractor"),
+    ])
+    def test_spec_values_are_type_checked(self, tmp_path, capsys, entry, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SMALL_SPEC, **entry}))
+        rc = main(["phantom", "--out-volume", str(tmp_path / "v.cgrid"),
+                   "--out-truth", str(tmp_path / "t.cgrid"),
+                   "--spec-json", str(spec)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "v.cgrid").exists()
 
 
 PROPAGATE_FLAGS = ["--scales", "4", "--patch", "6", "--k", "2",
@@ -137,6 +165,8 @@ class TestPropagateCommand:
                    "--out-masks", str(masks_a), *PROPAGATE_FLAGS])
         assert rc == 0
         payload, _ = echoed_json(capsys)
+        assert sorted(payload["config"]["encoder"]) == [
+            "blur_sigmas", "include_coords", "key_channels", "projection_seed"]
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(payload["config"]))
         masks_b = tmp_path / "b.cgrid"
@@ -173,6 +203,18 @@ class TestPropagateCommand:
                    "--config", str(cfg_file)])
         assert rc == 1
 
+    def test_encoder_mode_key_rejected(self, tmp_path, capsys):
+        # features come only from the handcrafted encoder
+        vol, truth = make_phantom(tmp_path, capsys)
+        seed = save_seed(tmp_path, truth)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"encoder": {"mode": "external-file"}}))
+        rc = main(["propagate", "--volume", str(vol), "--seed-mask", str(seed),
+                   "--out-masks", str(tmp_path / "m.cgrid"),
+                   "--config", str(cfg_file), *PROPAGATE_FLAGS])
+        assert rc == 1
+        assert "unknown encoder config keys: mode" in capsys.readouterr().err
+
     def test_inadmissible_working_side(self, tmp_path, capsys):
         vol, truth = make_phantom(tmp_path, capsys)
         seed = save_seed(tmp_path, truth)
@@ -208,6 +250,16 @@ class TestEvalCommand:
         rc = main(["eval", "--pred", str(truth_a), "--truth", str(truth_b),
                    "--threads", "1"])
         assert rc == 2
+
+    def test_shape_checked_before_slice_partition(self, tmp_path, capsys):
+        # two slices leave no middle region, but the shapes disagree first
+        pred_path, truth_path = tmp_path / "p.cgrid", tmp_path / "t.cgrid"
+        save_container(LabelVolume(np.zeros((3, 2, 8, 8), dtype=np.uint8)), pred_path)
+        save_container(LabelVolume(np.zeros((2, 2, 8, 8), dtype=np.uint8)), truth_path)
+        rc = main(["eval", "--pred", str(pred_path), "--truth", str(truth_path),
+                   "--threads", "1"])
+        assert rc == 2
+        assert "disagree" in capsys.readouterr().err
 
     def test_spacing_mismatch(self, tmp_path, capsys):
         _, truth = make_phantom(tmp_path, capsys)
@@ -383,7 +435,8 @@ def cgrid_files(draw):
 
 
 class TestLoaderFuzz:
-    """Any file at all, given to eval as the prediction, ends in exit 0 or 2."""
+    """Any file at all, given to eval as the prediction or as the truth,
+    ends in exit 0 or 2."""
 
     @settings(max_examples=300, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture,
@@ -395,9 +448,10 @@ class TestLoaderFuzz:
         save_container(LabelVolume(labels, spacing_mm=(1.0, 1.0)), truth)
         fuzzed = tmp_path / "fuzzed.cgrid"
         fuzzed.write_bytes(blob)
-        rc = main(["eval", "--pred", str(fuzzed), "--truth", str(truth),
-                   "--threads", "1"])
-        assert rc in (0, 2)
+        for pred, ref in ((fuzzed, truth), (truth, fuzzed)):
+            rc = main(["eval", "--pred", str(pred), "--truth", str(ref),
+                       "--threads", "1"])
+            assert rc in (0, 2)
 
 
 class TestBenchCommand:

@@ -4,24 +4,26 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from patchmem.errors import DimensionError, ParameterError, PyramidError
+from patchmem.errors import DimensionError, ParameterError
 from patchmem.featurizer import (
     EncoderConfig,
     decode,
     encode_key,
     encode_value,
-    load_feature_pyramid,
     projection_matrix,
-    raw_channel_names,
     raw_feature_bank,
 )
-from patchmem.grids import (
-    FeatureGrid,
-    SoftLabelMap,
-    one_hot,
-    resize_bilinear,
-    save_container,
-)
+from patchmem.grids import FeatureGrid, one_hot, resize_bilinear
+
+
+def raw_channel_names(cfg):
+    """Channel names of the raw bank, in the order raw_feature_bank stacks them."""
+    names = ["intensity"]
+    names += [f"blur{int(s) if float(s).is_integer() else s}" for s in cfg.blur_sigmas]
+    names += ["gradmag", "localstd"]
+    if cfg.include_coords:
+        names += ["row", "col"]
+    return names
 
 
 def checkerboard(h, w, cell=8):
@@ -121,10 +123,6 @@ class TestEncodeKey:
     def test_dims_must_divide_by_16(self):
         with pytest.raises(DimensionError):
             encode_key(checkerboard(40, 32))
-
-    def test_external_mode_rejected(self):
-        with pytest.raises(ParameterError):
-            encode_key(checkerboard(32, 32), EncoderConfig(mode="external-file"))
 
     def test_projection_matrix_shape_and_scaling(self):
         cfg = EncoderConfig()
@@ -228,25 +226,3 @@ class TestDecode:
         p3_bad = FeatureGrid(np.full((2, 6, 6), 0.5))
         with pytest.raises(DimensionError):
             decode(p3_bad, p4)
-
-
-class TestLoadFeaturePyramid:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(75)
-        g4 = FeatureGrid(rng.standard_normal((5, 3, 3)))
-        g3 = FeatureGrid(rng.standard_normal((5, 6, 6)))
-        p4, p3 = tmp_path / "s4.cgrid", tmp_path / "s3.cgrid"
-        save_container(g4, p4)
-        save_container(g3, p3)
-        pyr = load_feature_pyramid(p4, p3)
-        assert np.allclose(pyr.scale4.data, g4.data, atol=1e-6)
-        assert np.allclose(pyr.scale3.data, g3.data, atol=1e-6)
-
-    def test_mismatched_dims_rejected(self, tmp_path):
-        g4 = FeatureGrid(np.zeros((2, 3, 3)))
-        g3 = FeatureGrid(np.zeros((2, 5, 6)))
-        p4, p3 = tmp_path / "s4.cgrid", tmp_path / "s3.cgrid"
-        save_container(g4, p4)
-        save_container(g3, p3)
-        with pytest.raises(PyramidError):
-            load_feature_pyramid(p4, p3)

@@ -3,7 +3,9 @@ dense reference path.
 
 The core check is a pure-loop reference implementation of the whole
 patch-matching forward pass, kept free of einsum and broadcasting so it
-cannot share a bug with the library code.
+cannot share a bug with the library code. ``pixel_match_weights`` and
+``readout`` are per-patch oracles of the pixel stage: the full negated
+squared distance, one query patch at a time.
 """
 
 import numpy as np
@@ -13,17 +15,13 @@ from patchmem import matcher
 from patchmem.errors import DimensionError, ParameterError
 from patchmem.grids import FeatureGrid
 from patchmem.matcher import (
-    AffinityMatrix,
     OpCounter,
     dense_readout,
     patch_affinity,
-    pixel_match_weights,
     plmm_forward,
-    readout,
-    similarity,
     topk_select,
 )
-from patchmem.patcher import coverage_map, make_layout, unfold
+from patchmem.patcher import PatchGrid, coverage_map, fold, make_layout, unfold
 
 
 def loop_plmm_reference(q_key, mem_keys, mem_values, patch, k, topk_ids=None):
@@ -83,27 +81,41 @@ def loop_plmm_reference(q_key, mem_keys, mem_values, patch, k, topk_ids=None):
     return acc / cov
 
 
+def pixel_match_weights(q_patch, k_patches):
+    """Softmax over -||q_a - m_b||^2 for one (C, P, P) query patch against
+    (K, C, P, P) memory patches; returns (P^2, K*P^2) weights."""
+    c, p, _ = q_patch.shape
+    q_pix = q_patch.reshape(c, p * p).T
+    m_pix = k_patches.transpose(0, 2, 3, 1).reshape(-1, c)
+    logits = -((q_pix[:, None, :] - m_pix[None, :, :]) ** 2).sum(axis=2)
+    w = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def readout(weights, v_patches):
+    """(C_v, P, P) weighted sum of (K, C_v, P, P) memory value patches."""
+    kk, cv, p, _ = v_patches.shape
+    v_pix = v_patches.transpose(0, 2, 3, 1).reshape(kk * p * p, cv)
+    return (weights @ v_pix).T.reshape(cv, p, p)
+
+
+def selected_patches(grids, layout, ids):
+    """(K, C, P, P) patches of a memory bank at flat top-K indices t*N+j."""
+    pgs = [unfold(g, layout).data for g in grids]
+    return np.stack([pgs[j // layout.n_patches][j % layout.n_patches] for j in ids])
+
+
+def plmm_weights(q, mk, mv, patch, k):
+    """Production (N, P^2, K*P^2) pixel weights and the forward result."""
+    res = plmm_forward(q, mk, mv, patch=patch, k=k, keep_cache=True)
+    return res.cache["weights"], res
+
+
 def random_maps(rng, t, h, w, c_key=3, c_val=2):
     q = FeatureGrid(rng.standard_normal((c_key, h, w)))
     mk = [FeatureGrid(rng.standard_normal((c_key, h, w))) for _ in range(t)]
     mv = [FeatureGrid(rng.standard_normal((c_val, h, w))) for _ in range(t)]
     return q, mk, mv
-
-
-class TestSimilarity:
-    def test_known_value(self):
-        assert similarity(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == -25.0
-
-    def test_identical_is_exact_zero(self):
-        v = np.array([0.3, -1.7, 2.9])
-        assert similarity(v, v) == 0.0
-
-    def test_symmetry_and_negativity(self):
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            a, b = rng.standard_normal((2, 6))
-            assert similarity(a, b) == similarity(b, a)
-            assert similarity(a, b) <= 0.0
 
 
 class TestPatchAffinity:
@@ -119,7 +131,7 @@ class TestPatchAffinity:
                 for mi, (my, mx) in enumerate(origins):
                     mp = mk[ti].data[:, my:my + 6, mx:mx + 6].ravel()
                     want = -np.sum((qp - mp) ** 2)
-                    assert np.isclose(aff.scores[qi, ti * 4 + mi], want,
+                    assert np.isclose(aff[qi, ti * 4 + mi], want,
                                       atol=1e-9)
 
     def test_counter_counts_patch_pairs(self):
@@ -136,24 +148,22 @@ class TestPatchAffinity:
         q, _, _ = random_maps(rng, t=1, h=9, w=9)
         layout = make_layout(9, 9, 6)
         aff = patch_affinity(unfold(q, layout), [unfold(q, layout)])
-        assert np.allclose(np.diag(aff.scores), 0.0, atol=0.0)
+        assert np.allclose(np.diag(aff), 0.0, atol=0.0)
 
 
 class TestTopKSelect:
     def test_highest_score_wins(self):
-        aff = AffinityMatrix(np.array([[-5.0, 0.0, -1.0]]), 1, 1)
-        assert topk_select(aff, 1).ids[0, 0] == 1
+        assert topk_select(np.array([[-5.0, 0.0, -1.0]]), 1).ids[0, 0] == 1
 
     def test_tie_goes_to_lower_index(self):
-        aff = AffinityMatrix(np.array([[0.0, 0.0, -1.0]]), 1, 1)
-        assert topk_select(aff, 1).ids[0, 0] == 0
+        assert topk_select(np.array([[0.0, 0.0, -1.0]]), 1).ids[0, 0] == 0
 
     def test_k_range_enforced(self):
-        aff = AffinityMatrix(np.zeros((2, 3)), 2, 1)
+        scores = np.zeros((2, 3))
         with pytest.raises(ParameterError):
-            topk_select(aff, 0)
+            topk_select(scores, 0)
         with pytest.raises(ParameterError):
-            topk_select(aff, 4)
+            topk_select(scores, 4)
 
     def test_matches_brute_force_with_ties(self):
         rng = np.random.default_rng(25)
@@ -162,70 +172,106 @@ class TestTopKSelect:
             m = int(rng.integers(1, 9))
             k = int(rng.integers(1, m + 1))
             scores = np.round(rng.standard_normal((n, m)) * 2) / 2
-            got = topk_select(AffinityMatrix(scores, n, 1), k).ids
+            got = topk_select(scores, k).ids
             for row in range(n):
                 want = sorted(range(m), key=lambda j: (-scores[row, j], j))[:k]
                 assert got[row].tolist() == want
 
 
 class TestPixelMatchWeights:
+    """The pixel stage of plmm_forward, read from its keep_cache weights."""
+
     def test_rows_are_distributions(self):
         rng = np.random.default_rng(26)
-        w = pixel_match_weights(rng.standard_normal((3, 4, 4)),
-                                rng.standard_normal((2, 3, 4, 4)))
-        assert w.shape == (16, 32)
-        assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
+        q, mk, mv = random_maps(rng, t=2, h=12, w=12)
+        w, _ = plmm_weights(q, mk, mv, patch=4, k=2)
+        assert w.shape == (25, 16, 32)
+        assert np.allclose(w.sum(axis=2), 1.0, atol=1e-12)
         assert (w >= 0).all()
 
     def test_identical_patches_give_uniform_weights(self):
-        const = np.zeros((3, 2, 4, 4))  # all memory pixels equal the query
-        w = pixel_match_weights(np.zeros((2, 4, 4)), const)
-        assert np.allclose(w, 1.0 / (3 * 16), atol=1e-12)
+        # every memory pixel equals every query pixel
+        zeros = FeatureGrid(np.zeros((2, 9, 9)))
+        mv = [FeatureGrid(np.ones((1, 9, 9)))] * 2
+        w, _ = plmm_weights(zeros, [zeros, zeros], mv, patch=6, k=3)
+        assert np.allclose(w, 1.0 / (3 * 36), atol=1e-12)
 
     def test_matches_loop_softmax(self):
         rng = np.random.default_rng(28)
-        q = rng.standard_normal((2, 2, 2))
-        mem = rng.standard_normal((2, 2, 2, 2))
-        w = pixel_match_weights(q, mem)
-        q_pix = q.transpose(1, 2, 0).reshape(4, 2)
-        m_pix = mem.transpose(0, 2, 3, 1).reshape(8, 2)
+        q, mk, mv = random_maps(rng, t=2, h=2, w=2, c_key=2)
+        w, res = plmm_weights(q, mk, mv, patch=2, k=2)
+        q_pix = q.data.transpose(1, 2, 0).reshape(4, 2)
+        m_pix = np.concatenate(
+            [mk[j].data.transpose(1, 2, 0).reshape(4, 2) for j in res.topk.ids[0]])
         for a in range(4):
             logits = np.array([-np.sum((q_pix[a] - m_pix[b]) ** 2)
                                for b in range(8)])
             e = np.exp(logits - logits.max())
-            assert np.allclose(w[a], e / e.sum(), atol=1e-12)
+            assert np.allclose(w[0, a], e / e.sum(), atol=1e-12)
+
+    def test_weights_equal_per_patch_oracle(self):
+        # the GEMM logits drop -||q||^2; per query patch the weights must
+        # still equal the softmax of the full negated distance
+        rng = np.random.default_rng(27)
+        for t, c_key, k in [(2, 6, 3), (3, 64, 4)]:
+            q, mk, mv = random_maps(rng, t=t, h=9, w=9, c_key=c_key, c_val=4)
+            w, res = plmm_weights(q, mk, mv, patch=6, k=k)
+            layout = make_layout(9, 9, 6)
+            q_pg = unfold(q, layout)
+            for i, ids in enumerate(res.topk.ids):
+                want = pixel_match_weights(q_pg.data[i], selected_patches(mk, layout, ids))
+                assert np.abs(w[i] - want).max() <= 1e-12
 
     def test_counter_counts_pixel_pairs(self):
+        rng = np.random.default_rng(29)
+        q, mk, mv = random_maps(rng, t=3, h=4, w=4, c_key=1)
         counter = OpCounter()
-        pixel_match_weights(np.zeros((1, 4, 4)), np.zeros((3, 1, 4, 4)),
-                            counter=counter)
+        plmm_forward(q, mk, mv, patch=4, k=3, counter=counter)
         assert counter.pixel_pairs == 16 * 48
 
     def test_extreme_logits_stay_finite(self):
-        q = np.full((1, 2, 2), 40.0)
-        mem = np.zeros((1, 1, 2, 2))
-        w = pixel_match_weights(q, mem)  # squared distances ~6400
+        # squared distances up to 6400 on either side of the dropped ||q||^2
+        q = FeatureGrid(np.full((1, 2, 2), 40.0))
+        mk = [FeatureGrid(np.array([[[0.0, 40.0], [80.0, -40.0]]]))]
+        mv = [FeatureGrid(np.ones((1, 2, 2)))]
+        w, _ = plmm_weights(q, mk, mv, patch=2, k=1)
         assert np.isfinite(w).all()
-        assert np.allclose(w.sum(axis=1), 1.0)
+        assert np.allclose(w.sum(axis=2), 1.0)
+        want = pixel_match_weights(q.data, mk[0].data[None])
+        assert np.abs(w[0] - want).max() <= 1e-12
 
 
 class TestReadout:
     def test_convex_combination_stays_in_hull(self):
-        rng = np.random.default_rng(29)
-        w = pixel_match_weights(rng.standard_normal((2, 4, 4)),
-                                rng.standard_normal((3, 2, 4, 4)))
-        values = rng.random((3, 1, 4, 4))
-        out = readout(w, values)
-        assert out.min() >= values.min() - 1e-12
-        assert out.max() <= values.max() + 1e-12
+        rng = np.random.default_rng(30)
+        q, mk, _ = random_maps(rng, t=3, h=12, w=12, c_key=2)
+        mv = [FeatureGrid(rng.random((1, 12, 12))) for _ in range(3)]
+        out = plmm_forward(q, mk, mv, patch=4, k=3).readout.data
+        lo = min(v.data.min() for v in mv)
+        hi = max(v.data.max() for v in mv)
+        assert out.min() >= lo - 1e-12
+        assert out.max() <= hi + 1e-12
 
     def test_one_hot_weights_copy_values(self):
-        p = 2
-        w = np.zeros((p * p, p * p))
-        np.fill_diagonal(w, 1.0)
-        values = np.random.default_rng(30).standard_normal((1, 3, p, p))
-        out = readout(w, values)
-        assert np.allclose(out, values[0], atol=1e-12)
+        # pixels 100 apart in key space: each query pixel matches only itself
+        yy, xx = np.mgrid[0:4, 0:4]
+        keys = FeatureGrid(100.0 * np.stack([yy, xx]).astype(np.float64))
+        values = FeatureGrid(np.random.default_rng(31).standard_normal((3, 4, 4)))
+        w, res = plmm_weights(keys, [keys], [values], patch=4, k=1)
+        assert np.array_equal(w[0], np.eye(16))
+        assert np.allclose(res.readout.data, values.data, atol=1e-12)
+
+    def test_folded_oracle_readouts_match(self):
+        rng = np.random.default_rng(32)
+        q, mk, mv = random_maps(rng, t=2, h=12, w=12, c_key=4, c_val=3)
+        w, res = plmm_weights(q, mk, mv, patch=4, k=3)
+        layout = make_layout(12, 12, 4)
+        q_pg = unfold(q, layout)
+        patches = [readout(pixel_match_weights(q_pg.data[i], selected_patches(mk, layout, ids)),
+                           selected_patches(mv, layout, ids))
+                   for i, ids in enumerate(res.topk.ids)]
+        want = fold(PatchGrid(layout, np.stack(patches)))
+        assert np.abs(res.readout.data - want.data).max() <= 1e-12
 
 
 class TestPlmmForward:

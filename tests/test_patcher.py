@@ -6,13 +6,26 @@ import pytest
 from patchmem.errors import DimensionError, LayoutError, ParameterError
 from patchmem.grids import FeatureGrid
 from patchmem.patcher import (
-    center_block_coverage,
     coverage_map,
     fold,
     make_layout,
     scatter_add,
     unfold,
 )
+
+
+def center_block_coverage(layout):
+    """Map of pixels lying in the central P/2 block of at least one patch.
+
+    The central block of a patch at origin o starts at o + (P - P//2) // 2
+    and spans P//2 pixels per axis. Returns a boolean (H, W) array.
+    """
+    half = layout.patch // 2
+    off = (layout.patch - half) // 2
+    hit = np.zeros((layout.map_h, layout.map_w), dtype=bool)
+    for r, c in layout.origins:
+        hit[r + off:r + off + half, c + off:c + off + half] = True
+    return hit
 
 
 def random_admissible_layout(rng, max_side=60):

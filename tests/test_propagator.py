@@ -14,13 +14,9 @@ from patchmem.errors import (
 )
 from patchmem.grids import CineVolume
 from patchmem.propagator import (
-    BankEntry,
-    MemoryBank,
     PropagationConfig,
     PropagationEngine,
     partition_regions,
-    propagate_temporal,
-    propagate_z,
     run_4d,
     working_side_for,
 )
@@ -45,6 +41,19 @@ def disc_seed(h=48, w=48):
 
 
 FAST = PropagationConfig(patch=6, k=2, scales=(4,))
+
+
+def seeded_engine(vol, cfg=FAST):
+    engine = PropagationEngine(vol, cfg)
+    engine.seed_anchor(disc_seed())
+    return engine
+
+
+def new_frames(engine, run):
+    """Frame ids a pass segments, with their provenance."""
+    before = set(engine.soft)
+    run()
+    return {fid: engine.provenance[fid] for fid in set(engine.soft) - before}
 
 
 class TestPartition:
@@ -83,38 +92,41 @@ class TestPartition:
 
 
 class TestMemoryBank:
-    @staticmethod
-    def entry(z, t):
-        return BankEntry(z=z, t=t, keys=None, values=None)
+    """Banks are lists of BankEntry; their caps are set where ids are made."""
 
     def test_anchor_survives_eviction(self):
-        bank = MemoryBank(2)
-        bank.add(self.entry(0, 0))
-        bank.add(self.entry(0, 1))
-        bank.add(self.entry(0, 2))
-        assert bank.frame_ids() == [(0, 0), (0, 2)]
+        engine = seeded_engine(smooth_volume(3, 5))
+        assert engine.z_bank_ids(2, 4, 1, allow_apex_history=True)[0] == (1, 0)
+        assert engine.temporal_bank_ids(4)[0] == (1, 0)
 
     def test_eviction_is_fifo_after_anchor(self):
-        bank = MemoryBank(3)
-        for t in range(5):
-            bank.add(self.entry(1, t))
-        assert bank.frame_ids() == [(1, 0), (1, 3), (1, 4)]
+        # the apex history keeps the newest phases of the slice
+        engine = seeded_engine(smooth_volume(3, 5),
+                               PropagationConfig(patch=6, k=2, scales=(4,), apex_t_max=4))
+        assert engine.z_bank_ids(2, 4, 1, allow_apex_history=True) == [
+            (1, 0), (1, 4), (2, 3), (2, 2)]
 
     def test_duplicates_ignored(self):
-        bank = MemoryBank(3)
-        bank.add(self.entry(2, 0))
-        bank.add(self.entry(2, 0))
-        assert len(bank) == 1
+        engine = seeded_engine(smooth_volume(3, 2))
+        bank = engine.build_bank([(1, 0), (1, 0)])
+        assert [e.frame_id for e in bank] == [(1, 0)]
 
     def test_capacity_one_cannot_evict(self):
-        bank = MemoryBank(1)
-        bank.add(self.entry(0, 0))
-        with pytest.raises(StateError):
-            bank.add(self.entry(0, 1))
+        # at the smallest cap, 2, an apex bank has no room for history
+        engine = seeded_engine(smooth_volume(3, 5),
+                               PropagationConfig(patch=6, k=2, scales=(4,), apex_t_max=2))
+        assert engine.z_bank_ids(2, 4, 1, allow_apex_history=True) == [(1, 0), (1, 4)]
 
     def test_capacity_must_be_positive(self):
-        with pytest.raises(ParameterError):
-            MemoryBank(0)
+        for cap in (0, 1):
+            with pytest.raises(ParameterError):
+                PropagationConfig(apex_t_max=cap)
+
+    def test_first_temporal_bank_holds_one_frame(self):
+        # at t = 1 the previous phase is the anchor itself
+        engine = seeded_engine(smooth_volume(3, 2))
+        bank = engine.build_bank(engine.temporal_bank_ids(1))
+        assert [e.frame_id for e in bank] == [(1, 0)]
 
 
 class TestPropagationConfig:
@@ -204,26 +216,26 @@ class TestEngineGuards:
         engine = PropagationEngine(smooth_volume(3, 2), FAST)
         engine.seed_anchor(disc_seed())
         with pytest.raises(StateError):
-            engine.segment_frame((0, 0), MemoryBank(2))
+            engine.segment_frame((0, 0), [])
 
 
 class TestTemporalPass:
     def test_provenance_chain(self):
-        vol = smooth_volume(3, 4)
-        masks, prov = propagate_temporal(vol, disc_seed(), FAST)
+        engine = seeded_engine(smooth_volume(3, 4))
+        prov = new_frames(engine, engine.run_temporal_pass)
         z0 = 1
-        assert set(masks) == {(z0, t) for t in range(4)}
-        assert prov[(z0, 0)] == []
-        assert prov[(z0, 1)] == [(z0, 0)]
-        assert prov[(z0, 2)] == [(z0, 0), (z0, 1)]
-        assert prov[(z0, 3)] == [(z0, 0), (z0, 2)]
+        assert engine.provenance[(z0, 0)] == []
+        assert prov == {(z0, 1): [(z0, 0)],
+                        (z0, 2): [(z0, 0), (z0, 1)],
+                        (z0, 3): [(z0, 0), (z0, 2)]}
 
     def test_anchor_mask_kept_verbatim(self):
-        vol = smooth_volume(3, 2)
-        seed = disc_seed()
-        masks, _ = propagate_temporal(vol, seed, FAST)
-        assert np.array_equal(masks[(1, 0)], seed)
-        assert masks[(1, 1)].shape == (48, 48)
+        engine = seeded_engine(smooth_volume(3, 2))
+        anchor_soft = engine.soft[(1, 0)].copy()
+        engine.run_temporal_pass()
+        assert np.array_equal(engine.seed_labels, disc_seed())
+        assert np.array_equal(engine.soft[(1, 0)], anchor_soft)
+        assert engine.soft_to_labels(engine.soft[(1, 1)]).shape == (48, 48)
 
 
 class TestRun4d:
@@ -305,55 +317,45 @@ class TestContinuityModes:
 
 class TestPropagateZ:
     def test_anchor_phase_pass(self):
-        vol = smooth_volume(3, 2)
-        seed = disc_seed()
-        masks, prov = propagate_z(vol, 0, "apex", {(1, 0): seed}, FAST)
-        assert set(masks) == {(2, 0)}
-        assert prov[(2, 0)] == [(1, 0)]
-        assert masks[(2, 0)].dtype == np.uint8
+        engine = seeded_engine(smooth_volume(3, 2))
+        prov = new_frames(engine, lambda: engine.run_z_pass(0, "apex", True))
+        assert prov == {(2, 0): [(1, 0)]}
+        assert engine.soft_to_labels(engine.soft[(2, 0)]).dtype == np.uint8
 
     def test_later_phase_needs_apex_history(self):
-        vol = smooth_volume(3, 2)
-        seed = disc_seed()
-        temporal, _ = propagate_temporal(vol, seed, FAST)
-        prior = {(1, 0): seed, (1, 1): temporal[(1, 1)]}
-        # continuity "both" wants (2, 0) in the apex bank, so it must be given
+        engine = seeded_engine(smooth_volume(3, 2))
+        engine.run_temporal_pass()
+        # continuity "both" wants (2, 0) in the apex bank, so it must exist
         with pytest.raises(SchedulingError):
-            propagate_z(vol, 1, "apex", prior, FAST)
-        masks0, _ = propagate_z(vol, 0, "apex", {(1, 0): seed}, FAST)
-        prior[(2, 0)] = masks0[(2, 0)]
-        masks, prov = propagate_z(vol, 1, "apex", prior, FAST)
-        assert prov[(2, 1)] == [(1, 0), (1, 1), (2, 0)]
+            engine.run_z_pass(1, "apex", allow_apex_history=True)
+        engine.run_z_pass(0, "apex", allow_apex_history=True)
+        prov = new_frames(engine, lambda: engine.run_z_pass(1, "apex", True))
+        assert prov == {(2, 1): [(1, 0), (1, 1), (2, 0)]}
 
     def test_spatial_only_pass_skips_history(self):
-        vol = smooth_volume(3, 2)
-        seed = disc_seed()
-        cfg = PropagationConfig(patch=6, k=2, scales=(4,),
-                                continuity_mode="spatial-only")
-        temporal, _ = propagate_temporal(vol, seed, cfg)
-        prior = {(1, 0): seed, (1, 1): temporal[(1, 1)]}
-        masks, prov = propagate_z(vol, 1, "apex", prior, cfg)
-        assert prov[(2, 1)] == [(1, 0), (1, 1)]
+        engine = seeded_engine(smooth_volume(3, 2))
+        engine.run_temporal_pass()
+        prov = new_frames(engine, lambda: engine.run_z_pass(1, "apex", False))
+        assert prov == {(2, 1): [(1, 0), (1, 1)]}
 
     def test_missing_anchor_rejected(self):
-        vol = smooth_volume(3, 2)
+        engine = PropagationEngine(smooth_volume(3, 2), FAST)
         with pytest.raises(SchedulingError):
-            propagate_z(vol, 1, "apex", {(1, 1): disc_seed()}, FAST)
+            engine.run_z_pass(0, "apex", allow_apex_history=True)
 
     def test_direction_validated(self):
-        vol = smooth_volume(3, 2)
-        engine = PropagationEngine(vol, FAST)
-        engine.seed_anchor(disc_seed())
+        engine = seeded_engine(smooth_volume(3, 2))
         with pytest.raises(ParameterError):
             engine.run_z_pass(0, "sideways", allow_apex_history=True)
 
     def test_matches_run_4d_on_anchor_phase(self):
-        # passes at t0 depend only on the exact one-hot seed, so the module
-        # function must reproduce the full scheduler frame for frame
+        # passes at t0 depend only on the exact one-hot seed, so they must
+        # reproduce the full scheduler frame for frame
         vol = smooth_volume(3, 2)
-        seed = disc_seed()
-        full = run_4d(vol, seed, FAST)
-        masks_b, _ = propagate_z(vol, 0, "base", {(1, 0): seed}, FAST)
-        masks_a, _ = propagate_z(vol, 0, "apex", {(1, 0): seed}, FAST)
-        assert np.array_equal(masks_b[(0, 0)], full.masks.labels[0, 0])
-        assert np.array_equal(masks_a[(2, 0)], full.masks.labels[2, 0])
+        full = run_4d(vol, disc_seed(), FAST)
+        engine = seeded_engine(vol)
+        engine.run_z_pass(0, "base", allow_apex_history=True)
+        engine.run_z_pass(0, "apex", allow_apex_history=True)
+        for z in (0, 2):
+            assert np.array_equal(engine.soft_to_labels(engine.soft[(z, 0)]),
+                                  full.masks.labels[z, 0])

@@ -5,14 +5,9 @@ import pytest
 
 from patchmem.errors import LayoutError, ParameterError, PyramidError
 from patchmem.grids import FeatureGrid
-from patchmem.matcher import OpCounter, plmm_forward
+from patchmem.matcher import OpCounter, TopKIndex, plmm_forward
 from patchmem.patcher import make_layout
-from patchmem.pyramid import (
-    FeaturePyramid,
-    ScalePair,
-    lift_topk,
-    match_multiscale,
-)
+from patchmem.pyramid import FeaturePyramid, lift_topk, match_multiscale
 
 
 def random_pyramid(rng, h4, w4, channels=3):
@@ -35,9 +30,12 @@ class TestPyramidTypes:
                            scale3=FeatureGrid(np.zeros((1, 12, 11))))
 
     def test_scale_pair_pins_double_patch(self):
-        assert ScalePair(6, 12).p3 == 12
-        with pytest.raises(ParameterError):
-            ScalePair(6, 10)
+        # same patch count at both scales, so only the patch size differs
+        topk = TopKIndex(ids=np.zeros((4, 1), dtype=np.intp), k=1)
+        layout4 = make_layout(9, 9, 6)
+        assert lift_topk(topk, layout4, make_layout(18, 18, 12)).k == 1
+        with pytest.raises(LayoutError, match="not twice"):
+            lift_topk(topk, layout4, make_layout(15, 15, 10))
 
 
 class TestLiftTopk:
