@@ -284,8 +284,6 @@ def _parse_bench_grid(path):
         if missing:
             raise ParameterError(
                 f"bench grid entry {i} is missing keys: {', '.join(missing)}")
-        if "scales" in row:
-            row = dict(row, scales=tuple(row["scales"]))
         configs.append(BenchConfig(**row))
     return configs
 

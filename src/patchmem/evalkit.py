@@ -137,12 +137,6 @@ class MetricsReport:
                          f"{hd:>9} {r.n_frames:7d} {r.n_excluded_hd:8d}")
         return "\n".join(lines)
 
-    def lookup(self, region, class_label):
-        for r in self.rows:
-            if r.region == region and r.class_label == class_label:
-                return r
-        raise KeyError((region, class_label))
-
 
 def _frame_hd_table(pred, truth, spacing, threads=1):
     """HD95 for every (z, t, label) frame, computed once and shared by the
@@ -368,7 +362,11 @@ def gen_phantom(spec=PhantomSpec()):
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """One complexity measurement point."""
+    """One complexity measurement point.
+
+    Every size is a positive int (bools rejected) and scales is a non-empty
+    list or tuple drawn from (3, 4); anything else raises ParameterError.
+    """
 
     t: int
     h: int
@@ -376,6 +374,19 @@ class BenchConfig:
     patch: int
     k: int
     scales: tuple = (4,)
+
+    def __post_init__(self):
+        for name in ("t", "h", "w", "patch", "k"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+        scales = self.scales
+        if (not isinstance(scales, (list, tuple)) or not scales
+                or any(isinstance(s, bool) or not isinstance(s, int) or s not in (3, 4)
+                       for s in scales)):
+            raise ParameterError(
+                f"scales must be a non-empty subset of (3, 4), got {scales!r}")
+        object.__setattr__(self, "scales", tuple(scales))
 
 
 @dataclass

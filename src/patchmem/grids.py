@@ -205,10 +205,6 @@ class SoftLabelMap:
     def width(self):
         return self.probabilities.shape[2]
 
-    def argmax_labels(self):
-        """Collapse to a hard (H, W) uint8 label map."""
-        return self.probabilities.argmax(axis=0).astype(np.uint8)
-
 
 def one_hot(labels, num_classes):
     """Expand an integer (H, W) label map into a SoftLabelMap.

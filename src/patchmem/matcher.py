@@ -8,9 +8,13 @@ with the resulting weights. Folded back together this gives a value map for
 the query frame at a fraction of the cost of all-pairs pixel matching, which
 ``dense_readout`` still provides as the reference path.
 
-Similarity is the negated squared Euclidean distance, so identical vectors
-score 0 and everything else is negative. Softmax rows are stabilized by
-subtracting the row maximum. The patch path computes its pixel logits as
+Similarity is the negated squared Euclidean distance, so in exact
+arithmetic identical vectors score 0 and everything else is negative. The
+scores are computed with the Gram expansion ``2 a.b - ||a||^2 - ||b||^2``,
+which rounds: an identical pair scores 0 only up to a few units of rounding
+of ``||a||^2``, of either sign, and swapping the two arguments can change
+the last bits of a score. Softmax rows are stabilized by subtracting the
+row maximum. The patch path computes its pixel logits as
 ``2 q.m - ||m||^2``, one GEMM per query patch: the dropped ``-||q||^2`` is
 constant along each softmax row, so the weights do not change.
 
@@ -35,6 +39,14 @@ from .patcher import PatchGrid, coverage_map, fold, make_layout, scatter_add, un
 _FAULT_FLIP_PIXEL_SIMILARITY = False
 
 
+# Byte budget of the pixel logits of one block of query patches. Gather,
+# logits, softmax and readout run block by block, so the largest
+# intermediate stays about the size of one core's L2 cache instead of
+# growing with the patch count; a query patch with more logits than this
+# forms a block of its own.
+_LOGIT_BLOCK_BYTES = 1 << 20
+
+
 def _set_pixel_similarity_fault(enabled):
     global _FAULT_FLIP_PIXEL_SIMILARITY
     _FAULT_FLIP_PIXEL_SIMILARITY = bool(enabled)
@@ -52,7 +64,10 @@ class OpCounter:
 class TopKIndex:
     """Per query patch, the flat indices of its K best memory patches.
 
-    ids[i] is sorted by descending score; ties go to the lower memory index.
+    ids[i] is sorted by descending computed score; scores that are exactly
+    equal go to the lower memory index. Scores equal only in exact arithmetic
+    (say, two identical memory patches) may differ by rounding, and then the
+    larger computed score comes first, whatever its index.
     """
 
     ids: np.ndarray
@@ -60,7 +75,11 @@ class TopKIndex:
 
 
 def _neg_sqdist(a, b):
-    """Pairwise -||a_i - b_j||^2 via the Gram expansion, (n, m) for (n,d),(m,d)."""
+    """Pairwise -||a_i - b_j||^2 via the Gram expansion, (n, m) for (n,d),(m,d).
+
+    Not exact: a_i == b_j can score a tiny nonzero value, and
+    _neg_sqdist(a, b) need not equal _neg_sqdist(b, a).T bit for bit.
+    """
     aa = (a * a).sum(axis=1)
     bb = (b * b).sum(axis=1)
     return 2.0 * (a @ b.T) - aa[:, None] - bb[None, :]
@@ -112,8 +131,8 @@ def patch_affinity(query, memory, counter=None):
 def topk_select(scores, k):
     """Pick the K highest-scoring memory patches per row of (N, T*N) scores.
 
-    Ties are broken toward the lower memory index; rows come back sorted by
-    descending score. k must lie in 1..T*N.
+    Exactly equal scores are broken toward the lower memory index; rows come
+    back sorted by descending score. k must lie in 1..T*N.
     """
     total = scores.shape[1]
     if k < 1 or k > total:
@@ -196,22 +215,28 @@ def plmm_forward(q_key, mem_keys, mem_values, patch, k,
     val_pix = np.concatenate(val_pix_blocks, axis=0)
 
     ids = topk.ids
-    m_sel = key_pix[ids].reshape(n, kk * p * p, c_k)
-    v_sel = val_pix[ids].reshape(n, kk * p * p, c_v)
     q_pix = q_pg.data.transpose(0, 2, 3, 1).reshape(n, p * p, c_k)
-
     # -||q - m||^2 up to the row constant -||q||^2, batched over query
     # patches; the key norms are taken before the gather, which repeats keys
     key_sq = (key_pix * key_pix).sum(axis=2)
-    logits = np.matmul(2.0 * q_pix, m_sel.transpose(0, 2, 1))
-    logits -= key_sq[ids].reshape(n, 1, kk * p * p)
-    if _FAULT_FLIP_PIXEL_SIMILARITY:
-        logits = -logits
-    weights = _softmax_rows(logits)
+    row = kk * p * p
+    # with keep_cache one block spans every query patch, so the arrays the
+    # cache keeps from the loop's last pass are the whole-layout ones
+    block = n if keep_cache else max(1, _LOGIT_BLOCK_BYTES // (8 * p * p * row))
+    ro_pix = np.empty((n, p * p, c_v), dtype=np.float64)
+    for lo in range(0, n, block):
+        sel = ids[lo:lo + block]
+        m_sel = key_pix[sel].reshape(len(sel), row, c_k)
+        v_sel = val_pix[sel].reshape(len(sel), row, c_v)
+        logits = np.matmul(2.0 * q_pix[lo:lo + block], m_sel.transpose(0, 2, 1))
+        logits -= key_sq[sel].reshape(len(sel), 1, row)
+        if _FAULT_FLIP_PIXEL_SIMILARITY:
+            logits = -logits
+        weights = _softmax_rows(logits)
+        np.matmul(weights, v_sel, out=ro_pix[lo:lo + block])
     if counter is not None:
         counter.pixel_pairs += n * kk * (p * p) * (p * p)
 
-    ro_pix = np.matmul(weights, v_sel)
     ro_patches = PatchGrid(layout, ro_pix.transpose(0, 2, 1).reshape(n, c_v, p, p))
     out = fold(ro_patches)
 

@@ -20,13 +20,24 @@ history) can be ablated independently via continuity_mode.
 Frames are resampled to an admissible working resolution before matching
 (dims divisible by 16 whose stride-16 grid the patch size tiles exactly);
 predicted masks are resampled back to the input resolution. Predicted
-frames re-enter memory through their soft (pre-argmax) maps; the anchor
-always contributes its exact one-hot seed.
+frames re-enter memory through their soft (pre-argmax) maps, pooled to the
+two matching strides; the anchor always contributes its exact one-hot seed.
+
+Because the bank policy is fixed, the whole schedule is planned before the
+first match (``plan_visits``), and the plan says when each frame is used
+for the last time. The engine evicts on that count: a frame's key pyramid
+is freed after its last use as query or memory, and its value pyramid
+after its last use as memory, or never pooled when no bank holds it. The
+working image is encoded and dropped, and a segmented frame's soft map is
+dropped once its labels are in the output volume. Peak memory then grows
+with the frames the policy keeps live (about T + 4 on a nine-slice grid in
+the default mode), not with Z x T.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,8 +211,67 @@ def _is_admissible(side, patch):
     return grid >= patch and (grid - patch) % (patch // 2) == 0
 
 
+def plan_visits(partition, z0, t0, t_count, apex_t_max, continuity_mode):
+    """The schedule: every frame after the anchor (z0, t0), in visit order.
+
+    Returns a list of (query, bank ids) pairs; each bank lists its memory
+    frames anchor first, duplicates dropped. The plan depends only on the
+    grid shape and the settings, never on image content:
+
+    * "both": the temporal chain along z0, then per phase (ascending) one
+      sweep toward the base and one toward the apex, with same-slice history
+      in apex banks (up to apex_t_max frames in total).
+    * "spatial-only": the same visits, but apex banks drop the history.
+    * "temporal-only": one sweep at t0, then each slice's own chain in time,
+      anchored at its own t0 frame.
+    """
+    z_count = partition.z_count
+    plan = []
+
+    def visit(query, ids):
+        plan.append((query, list(dict.fromkeys(ids))))
+
+    def chain(z):
+        for t in range(t0 + 1, t_count):
+            visit((z, t), [(z, t0), (z, t - 1)])
+
+    def sweep(tau, history):
+        for step in (-1, 1):
+            z = z0 + step
+            while 0 <= z < z_count:
+                ids = [(z0, t0), (z - step, tau)]
+                if history and partition.region_of(z) == REGION_APEX:
+                    ids += [(z, t) for t in range(tau - 1, t0 - 1, -1)][:apex_t_max - 2]
+                visit((z, tau), ids)
+                z += step
+
+    if continuity_mode == "temporal-only":
+        sweep(t0, history=False)
+        for z in range(z_count):
+            chain(z)
+    else:
+        chain(z0)
+        for tau in range(t0, t_count):
+            sweep(tau, history=continuity_mode == "both")
+    return plan
+
+
+def _release(fids, uses, cache):
+    """Count one use of each frame; drop its cache entry after the last."""
+    for fid in fids:
+        uses[fid] -= 1
+        if uses[fid] <= 0:
+            cache.pop(fid, None)
+
+
 class PropagationEngine:
-    """Stateful scheduler: per-frame caches, bank assembly, one-frame segmentation."""
+    """Runs the plan one frame at a time, keeping only state a later step needs.
+
+    A frame's key pyramid lives from its first use to its last planned use as
+    query or memory; its value pyramid from its segmentation to its last
+    planned use as memory. Labels go to the output volume at input
+    resolution as soon as a frame is segmented.
+    """
 
     def __init__(self, volume, cfg):
         if not isinstance(volume, CineVolume):
@@ -229,36 +299,37 @@ class PropagationEngine:
             self.work_h = working_side_for(volume.height, cfg.patch)
             self.work_w = working_side_for(volume.width, cfg.patch)
 
-        self._frames = {}
+        self.plan = plan_visits(self.partition, self.z0, self.t0, volume.t_count,
+                                cfg.apex_t_max, cfg.continuity_mode)
+        self._key_uses = Counter()
+        self._value_uses = Counter()
+        for query, ids in self.plan:
+            self._key_uses.update([query, *ids])
+            self._value_uses.update(ids)
         self._keys = {}
         self._values = {}
-        self.soft = {}
-        self.provenance = {}
-        self.order = []
-
-    # frame-level caches ---------------------------------------------------
-
-    def work_frame(self, z, t):
-        fid = (z, t)
-        if fid not in self._frames:
-            img = resize_bilinear(self.volume.frame(z, t), self.work_h, self.work_w)
-            self._frames[fid] = np.clip(img, 0.0, 1.0)
-        return self._frames[fid]
+        self.masks = np.zeros((z, volume.t_count, volume.height, volume.width),
+                              dtype=np.uint8)
+        self.provenance = {}  # in segmentation order
 
     def keys_of(self, z, t):
         fid = (z, t)
         if fid not in self._keys:
-            self._keys[fid] = encode_key(self.work_frame(z, t), self.cfg.encoder)
+            img = resize_bilinear(self.volume.frame(z, t), self.work_h, self.work_w)
+            np.clip(img, 0.0, 1.0, out=img)
+            self._keys[fid] = encode_key(img, self.cfg.encoder)
         return self._keys[fid]
 
-    def values_of(self, z, t):
-        fid = (z, t)
-        if fid not in self._values:
-            if fid not in self.soft:
-                raise SchedulingError(
-                    f"frame {fid} has no mask yet; cannot serve as memory")
-            self._values[fid] = encode_value(SoftLabelMap(self.soft[fid]))
-        return self._values[fid]
+    def _finish(self, fid, labels, soft, provenance):
+        """Record a segmented frame; pool its values only if a bank needs them."""
+        self.masks[fid] = labels
+        self.provenance[fid] = provenance
+        if self._value_uses[fid] > 0:
+            self._values[fid] = encode_value(soft)
+
+    def _check_unsegmented(self, fid):
+        if fid in self.provenance:
+            raise SchedulingError(f"frame {fid} was already segmented")
 
     # seeding --------------------------------------------------------------
 
@@ -271,35 +342,37 @@ class PropagationEngine:
                 f"({self.volume.height}, {self.volume.width})")
         if not np.issubdtype(seed_labels.dtype, np.integer):
             raise LabelError("seed mask must be integer-typed")
-        self.seed_labels = seed_labels.astype(np.uint8)
+        fid = (self.z0, self.t0)
+        self._check_unsegmented(fid)
         soft = one_hot(seed_labels, num_classes).probabilities
         work = np.clip(resize_bilinear(soft, self.work_h, self.work_w), 0.0, 1.0)
         work /= np.maximum(work.sum(axis=0, keepdims=True), 1e-12)
-        self.install_soft(self.z0, self.t0, work, provenance=[])
-
-    def install_soft(self, z, t, soft_work, provenance):
-        fid = (z, t)
-        if fid in self.soft:
-            raise SchedulingError(f"frame {fid} was already segmented")
-        self.soft[fid] = soft_work
-        self.provenance[fid] = list(provenance)
-        self.order.append(fid)
+        self._finish(fid, seed_labels, SoftLabelMap(work), provenance=[])
 
     # bank assembly and matching --------------------------------------------
 
     def build_bank(self, frame_ids):
-        """Encode the listed frames, duplicates dropped and order kept."""
-        return [BankEntry(z=z, t=t, keys=self.keys_of(z, t), values=self.values_of(z, t))
-                for z, t in dict.fromkeys(frame_ids)]
+        """Key and value pyramids of the listed frames, in order."""
+        bank = []
+        for z, t in frame_ids:
+            if (z, t) not in self._values:
+                raise SchedulingError(
+                    f"frame {(z, t)} has no mask yet or no planned use left; "
+                    "cannot serve as memory")
+            bank.append(BankEntry(z=z, t=t, keys=self.keys_of(z, t),
+                                  values=self._values[(z, t)]))
+        return bank
 
     def segment_frame(self, query, bank):
         """Segment one frame against an assembled bank (a list of BankEntry).
 
-        Returns (hard labels, soft map), both at working resolution, and
-        records the result plus provenance in the engine state.
+        Writes its labels at input resolution to the output volume, records
+        its provenance, and frees every pyramid this step used for the last
+        time.
         """
         if not bank:
             raise StateError(f"empty memory bank for query {query}")
+        self._check_unsegmented(query)
         z, t = query
         cfg = self.cfg
         q_keys = self.keys_of(z, t)
@@ -328,65 +401,24 @@ class PropagationEngine:
                                            k=k_eff).readout
 
         soft = decode(readouts.get(3), readouts.get(4))
-        self.install_soft(z, t, soft.probabilities, provenance=[e.frame_id for e in bank])
-        return soft.argmax_labels(), soft
-
-    # passes -----------------------------------------------------------------
-
-    def temporal_bank_ids(self, t):
-        return [(self.z0, self.t0), (self.z0, t - 1)]
-
-    def z_bank_ids(self, z, tau, step, allow_apex_history):
-        """Bank frame ids for a z-pass query at slice z, phase tau."""
-        z_adj = z - step  # one step back toward z0
-        ids = [(self.z0, self.t0), (z_adj, tau)]
-        if allow_apex_history and self.partition.region_of(z) == REGION_APEX:
-            t_hist = tau - 1
-            while t_hist >= self.t0 and len(ids) < self.cfg.apex_t_max:
-                ids.append((z, t_hist))
-                t_hist -= 1
-        return ids
-
-    def run_temporal_pass(self):
-        for t in range(self.t0 + 1, self.volume.t_count):
-            self.segment_frame((self.z0, t), self.build_bank(self.temporal_bank_ids(t)))
-
-    def run_z_pass(self, tau, direction, allow_apex_history):
-        if direction not in ("base", "apex"):
-            raise ParameterError(f"direction must be 'base' or 'apex', got {direction!r}")
-        step = -1 if direction == "base" else 1
-        z = self.z0 + step
-        while 0 <= z < self.volume.z_count:
-            bank = self.build_bank(self.z_bank_ids(z, tau, step, allow_apex_history))
-            self.segment_frame((z, tau), bank)
-            z += step
+        full = resize_bilinear(soft.probabilities, self.volume.height, self.volume.width)
+        np.clip(full, 0.0, 1.0, out=full)
+        full /= np.maximum(full.sum(axis=0, keepdims=True), 1e-12)
+        ids = [e.frame_id for e in bank]
+        self._finish(query, full.argmax(axis=0), soft, provenance=ids)
+        _release([query, *ids], self._key_uses, self._keys)
+        _release(ids, self._value_uses, self._values)
 
     # output -----------------------------------------------------------------
 
-    def soft_to_labels(self, soft_work):
-        """Resample a working-resolution soft map back and take the argmax."""
-        full = resize_bilinear(soft_work, self.volume.height, self.volume.width)
-        full = np.clip(full, 0.0, 1.0)
-        full /= np.maximum(full.sum(axis=0, keepdims=True), 1e-12)
-        return full.argmax(axis=0).astype(np.uint8)
-
     def collect_result(self):
-        z_count, t_count = self.volume.z_count, self.volume.t_count
-        expected = {(z, t) for z in range(z_count) for t in range(t_count)}
-        missing = expected - set(self.soft)
+        missing = self.volume.z_count * self.volume.t_count - len(self.provenance)
         if missing:
-            raise SchedulingError(f"{len(missing)} frames were never segmented")
-        masks = np.zeros((z_count, t_count, self.volume.height, self.volume.width),
-                         dtype=np.uint8)
-        for (z, t), soft_work in self.soft.items():
-            if (z, t) == (self.z0, self.t0):
-                masks[z, t] = self.seed_labels
-            else:
-                masks[z, t] = self.soft_to_labels(soft_work)
+            raise SchedulingError(f"{missing} frames were never segmented")
         return PropagationResult(
-            masks=LabelVolume(masks, spacing_mm=self.volume.spacing_mm),
+            masks=LabelVolume(self.masks, spacing_mm=self.volume.spacing_mm),
             provenance=dict(self.provenance),
-            order=list(self.order),
+            order=list(self.provenance),
             work_dims=(self.work_h, self.work_w),
             config=self.cfg,
         )
@@ -395,19 +427,8 @@ class PropagationEngine:
 def run_4d(volume, seed_labels, cfg=PropagationConfig()):
     """Propagate the anchor mask to every (z, t) frame.
 
-    The schedule depends on continuity_mode:
-
-    * "both" (default): temporal pass along z0, then per phase (ascending)
-      one pass toward the base and one toward the apex, with same-slice
-      history in apex banks.
-    * "spatial-only": identical schedule but apex banks drop the
-      same-slice history.
-    * "temporal-only": one spatial sweep at t0 gives every slice a starting
-      mask; each slice then propagates forward in time on its own, anchored
-      at its own t0 frame.
-
-    Every frame is segmented exactly once; the anchor keeps the seed mask
-    verbatim.
+    Runs the plan of ``plan_visits`` for cfg.continuity_mode. Every frame is
+    segmented exactly once; the anchor keeps the seed mask verbatim.
     """
     if cfg.t0 != 0:
         raise SchedulingError(
@@ -415,19 +436,6 @@ def run_4d(volume, seed_labels, cfg=PropagationConfig()):
             "requires t0 == 0")
     engine = PropagationEngine(volume, cfg)
     engine.seed_anchor(seed_labels)
-
-    if cfg.continuity_mode in ("both", "spatial-only"):
-        engine.run_temporal_pass()
-        allow_hist = cfg.continuity_mode == "both"
-        for tau in range(engine.t0, volume.t_count):
-            engine.run_z_pass(tau, "base", allow_apex_history=allow_hist)
-            engine.run_z_pass(tau, "apex", allow_apex_history=allow_hist)
-    else:  # temporal-only
-        engine.run_z_pass(engine.t0, "base", allow_apex_history=False)
-        engine.run_z_pass(engine.t0, "apex", allow_apex_history=False)
-        for z in range(volume.z_count):
-            for t in range(engine.t0 + 1, volume.t_count):
-                bank = engine.build_bank([(z, engine.t0), (z, t - 1)])
-                engine.segment_frame((z, t), bank)
-
+    for query, bank_ids in engine.plan:
+        engine.segment_frame(query, engine.build_bank(bank_ids))
     return engine.collect_result()

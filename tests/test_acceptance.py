@@ -43,10 +43,15 @@ def small_geometry(**overrides):
     return PhantomSpec(**base)
 
 
+def whole_avg(report):
+    """The whole-heart class-average row of a MetricsReport."""
+    (row,) = [r for r in report.rows if (r.region, r.class_label) == ("whole", "Avg")]
+    return row
+
+
 def whole_avg_dice(masks, truth):
     part = partition_regions(truth.z_count)
-    report = report_by_region(masks, truth, part)
-    return report.lookup("whole", "Avg").dice
+    return whole_avg(report_by_region(masks, truth, part)).dice
 
 
 def test_criterion_01_oracle_equivalence():
@@ -232,7 +237,7 @@ def test_criterion_08_ablation_structure(tmp_path):
         report = report_by_region(result.masks, truth, part, method=tag)
         out = tmp_path / f"ablation-{tag}.csv"
         report.to_csv(out)
-        observations.append((tag, report.lookup("whole", "Avg").dice))
+        observations.append((tag, whole_avg(report).dice))
 
     written = sorted(tmp_path.glob("ablation-*.csv"))
     rows_ok = all(len(p.read_text().strip().splitlines()) == 17

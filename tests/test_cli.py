@@ -476,6 +476,22 @@ class TestBenchCommand:
         grid.write_text(json.dumps([{"t": 1, "h": 12}]))
         assert main(["bench", "--grid-json", str(grid)]) == 1
 
+    @pytest.mark.parametrize("bad", [
+        {"t": "a"},
+        {"scales": 5},
+        {"scales": None},
+        {"scales": [7]},
+        {"t": True},
+        {"h": 24.5},
+        {"h": -24},
+    ], ids=["t-str", "scales-int", "scales-null", "scales-7", "t-bool", "h-float", "h-neg"])
+    def test_grid_values_are_checked(self, tmp_path, capsys, bad):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([dict({"t": 1, "h": 24, "w": 24, "patch": 6, "k": 2},
+                                         **bad)]))
+        assert main(["bench", "--grid-json", str(grid), "--reps", "1"]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_threads_flag_exits_one(self):
         with pytest.raises(SystemExit) as err:
             main(["bench", "--threads", "1"])

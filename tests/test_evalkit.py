@@ -21,6 +21,12 @@ from patchmem.grids import LabelVolume
 from patchmem.propagator import partition_regions
 
 
+def report_row(report, region, class_label):
+    """The one row of a MetricsReport for this region and class."""
+    (row,) = [r for r in report.rows if (r.region, r.class_label) == (region, class_label)]
+    return row
+
+
 def random_blob_pair(rng, h=24, w=24):
     """Two overlapping-ish random discs as label maps with class 1."""
     def blob():
@@ -185,10 +191,10 @@ class TestReportByRegion:
         wiped[wiped == 3] = 0
         report = report_by_region(
             LabelVolume(wiped, spacing_mm=truth.spacing_mm), truth, part)
-        assert report.lookup("whole", "RV").dice == 0.0
-        assert report.lookup("whole", "LV").dice == 1.0
+        assert report_row(report, "whole", "RV").dice == 0.0
+        assert report_row(report, "whole", "LV").dice == 1.0
         # RV frames all lose their HD since the predicted boundary is gone
-        rv = report.lookup("whole", "RV")
+        rv = report_row(report, "whole", "RV")
         assert rv.hd95_mm is None
         assert rv.n_excluded_hd == rv.n_frames
 
@@ -199,8 +205,8 @@ class TestReportByRegion:
         report = report_by_region(
             LabelVolume(wiped, spacing_mm=truth.spacing_mm), truth, part)
         for region in ("basal", "middle", "apex", "whole"):
-            rows = [report.lookup(region, c) for c in ("LV", "Myo", "RV")]
-            avg = report.lookup(region, "Avg")
+            rows = [report_row(report, region, c) for c in ("LV", "Myo", "RV")]
+            avg = report_row(report, region, "Avg")
             assert avg.dice == pytest.approx(np.mean([r.dice for r in rows]))
             defined = [r.hd95_mm for r in rows if r.hd95_mm is not None]
             assert avg.hd95_mm == pytest.approx(np.mean(defined))

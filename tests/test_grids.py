@@ -139,7 +139,7 @@ class TestSoftLabelMap:
         labels = rng.integers(0, 4, size=(10, 12)).astype(np.uint8)
         soft = one_hot(labels, num_classes=3)
         assert soft.probabilities.shape == (4, 10, 12)
-        assert np.array_equal(soft.argmax_labels(), labels)
+        assert np.array_equal(soft.probabilities.argmax(axis=0), labels)
 
     def test_rows_must_normalize(self):
         probs = np.zeros((2, 3, 3))

@@ -150,6 +150,15 @@ class TestPatchAffinity:
         aff = patch_affinity(unfold(q, layout), [unfold(q, layout)])
         assert np.allclose(np.diag(aff), 0.0, atol=0.0)
 
+    def test_self_scores_are_zero_up_to_rounding(self):
+        # the Gram expansion is exact only in exact arithmetic; what holds is
+        # a bound relative to the squared norm, as the module docstring says
+        rng = np.random.default_rng(25)
+        for d in range(1, 200):
+            a = rng.standard_normal((1, d))
+            score = matcher._neg_sqdist(a, a)[0, 0]
+            assert abs(score) <= 16 * np.finfo(float).eps * (a * a).sum()
+
 
 class TestTopKSelect:
     def test_highest_score_wins(self):
@@ -319,6 +328,29 @@ class TestPlmmForward:
             res = plmm_forward(q, mk, mv, patch=6, k=t)
             ref = dense_readout(q, mk, mv)
             assert np.abs(res.readout.data - ref.data).max() <= 1e-6
+
+    @pytest.mark.parametrize("patches_per_block", [None, 4])
+    def test_blocks_equal_one_block_bitwise(self, monkeypatch, patches_per_block):
+        # scale 3 at working side 576: N = 121 query patches of P = 12; the
+        # default budget holds one patch's logits, 4 does not divide 121
+        rng = np.random.default_rng(43)
+        q, mk, mv = random_maps(rng, t=3, h=72, w=72, c_key=64, c_val=4)
+        logit_bytes = 8 * 144 * 4 * 144
+        if patches_per_block is not None:
+            monkeypatch.setattr(matcher, "_LOGIT_BLOCK_BYTES",
+                                patches_per_block * logit_bytes)
+        assert matcher._LOGIT_BLOCK_BYTES // logit_bytes < 121
+        counter = OpCounter()
+        blocked = plmm_forward(q, mk, mv, patch=12, k=4, counter=counter)
+        assert counter.pixel_pairs == 121 * 4 * 144 * 144
+        cached = plmm_forward(q, mk, mv, patch=12, k=4, keep_cache=True)
+        assert cached.cache["weights"].shape == (121, 144, 4 * 144)
+        assert cached.cache["m_sel"].shape == (121, 4 * 144, 64)
+        assert np.array_equal(blocked.topk.ids, cached.topk.ids)
+        assert np.array_equal(blocked.readout.data, cached.readout.data)
+        monkeypatch.setattr(matcher, "_LOGIT_BLOCK_BYTES", 1 << 62)
+        whole = plmm_forward(q, mk, mv, patch=12, k=4)
+        assert np.array_equal(blocked.readout.data, whole.readout.data)
 
     def test_counters_closed_form(self):
         rng = np.random.default_rng(33)

@@ -13,6 +13,7 @@ from patchmem.errors import (
     StateError,
 )
 from patchmem.grids import CineVolume
+from patchmem import propagator
 from patchmem.propagator import (
     PropagationConfig,
     PropagationEngine,
@@ -49,11 +50,18 @@ def seeded_engine(vol, cfg=FAST):
     return engine
 
 
-def new_frames(engine, run):
-    """Frame ids a pass segments, with their provenance."""
-    before = set(engine.soft)
-    run()
-    return {fid: engine.provenance[fid] for fid in set(engine.soft) - before}
+def run_steps(engine, steps):
+    """Segment the given plan steps in order; their provenance by frame."""
+    for query, ids in steps:
+        engine.segment_frame(query, engine.build_bank(ids))
+    return {query: engine.provenance[query] for query, _ in steps}
+
+
+def phase_sweep(engine, tau, direction):
+    """The plan steps of one sweep at phase tau, in visit order."""
+    step = -1 if direction == "base" else 1
+    return [(q, ids) for q, ids in engine.plan
+            if q[1] == tau and (q[0] - engine.z0) * step > 0]
 
 
 class TestPartition:
@@ -92,30 +100,31 @@ class TestPartition:
 
 
 class TestMemoryBank:
-    """Banks are lists of BankEntry; their caps are set where ids are made."""
+    """Banks are planned frame ids; their caps are set where the plan makes them."""
 
     def test_anchor_survives_eviction(self):
-        engine = seeded_engine(smooth_volume(3, 5))
-        assert engine.z_bank_ids(2, 4, 1, allow_apex_history=True)[0] == (1, 0)
-        assert engine.temporal_bank_ids(4)[0] == (1, 0)
+        plan = dict(seeded_engine(smooth_volume(3, 5)).plan)
+        assert plan[(2, 4)][0] == (1, 0)
+        assert plan[(1, 4)][0] == (1, 0)
 
     def test_eviction_is_fifo_after_anchor(self):
         # the apex history keeps the newest phases of the slice
         engine = seeded_engine(smooth_volume(3, 5),
                                PropagationConfig(patch=6, k=2, scales=(4,), apex_t_max=4))
-        assert engine.z_bank_ids(2, 4, 1, allow_apex_history=True) == [
-            (1, 0), (1, 4), (2, 3), (2, 2)]
+        assert dict(engine.plan)[(2, 4)] == [(1, 0), (1, 4), (2, 3), (2, 2)]
 
     def test_duplicates_ignored(self):
+        # at the anchor phase the adjacent slice of z0 +- 1 is the anchor itself
         engine = seeded_engine(smooth_volume(3, 2))
-        bank = engine.build_bank([(1, 0), (1, 0)])
-        assert [e.frame_id for e in bank] == [(1, 0)]
+        plan = dict(engine.plan)
+        assert plan[(0, 0)] == plan[(2, 0)] == [(1, 0)]
+        assert [e.frame_id for e in engine.build_bank(plan[(0, 0)])] == [(1, 0)]
 
     def test_capacity_one_cannot_evict(self):
         # at the smallest cap, 2, an apex bank has no room for history
         engine = seeded_engine(smooth_volume(3, 5),
                                PropagationConfig(patch=6, k=2, scales=(4,), apex_t_max=2))
-        assert engine.z_bank_ids(2, 4, 1, allow_apex_history=True) == [(1, 0), (1, 4)]
+        assert dict(engine.plan)[(2, 4)] == [(1, 0), (1, 4)]
 
     def test_capacity_must_be_positive(self):
         for cap in (0, 1):
@@ -125,7 +134,7 @@ class TestMemoryBank:
     def test_first_temporal_bank_holds_one_frame(self):
         # at t = 1 the previous phase is the anchor itself
         engine = seeded_engine(smooth_volume(3, 2))
-        bank = engine.build_bank(engine.temporal_bank_ids(1))
+        bank = engine.build_bank(dict(engine.plan)[(1, 1)])
         assert [e.frame_id for e in bank] == [(1, 0)]
 
 
@@ -203,14 +212,17 @@ class TestEngineGuards:
         engine = PropagationEngine(smooth_volume(3, 2), FAST)
         engine.seed_anchor(disc_seed())
         with pytest.raises(SchedulingError):
-            engine.install_soft(engine.z0, engine.t0,
-                                np.full((4, 96, 96), 0.25), provenance=[])
+            engine.seed_anchor(disc_seed())
+        query, ids = engine.plan[0]
+        run_steps(engine, [(query, ids)])
+        with pytest.raises(SchedulingError):
+            engine.segment_frame(query, engine.build_bank([(1, 0)]))
 
     def test_memory_requires_a_mask(self):
         engine = PropagationEngine(smooth_volume(3, 2), FAST)
         engine.seed_anchor(disc_seed())
         with pytest.raises(SchedulingError):
-            engine.values_of(0, 1)
+            engine.build_bank([(0, 1)])
 
     def test_empty_bank_rejected(self):
         engine = PropagationEngine(smooth_volume(3, 2), FAST)
@@ -222,8 +234,8 @@ class TestEngineGuards:
 class TestTemporalPass:
     def test_provenance_chain(self):
         engine = seeded_engine(smooth_volume(3, 4))
-        prov = new_frames(engine, engine.run_temporal_pass)
         z0 = 1
+        prov = run_steps(engine, engine.plan[:3])
         assert engine.provenance[(z0, 0)] == []
         assert prov == {(z0, 1): [(z0, 0)],
                         (z0, 2): [(z0, 0), (z0, 1)],
@@ -231,11 +243,12 @@ class TestTemporalPass:
 
     def test_anchor_mask_kept_verbatim(self):
         engine = seeded_engine(smooth_volume(3, 2))
-        anchor_soft = engine.soft[(1, 0)].copy()
-        engine.run_temporal_pass()
-        assert np.array_equal(engine.seed_labels, disc_seed())
-        assert np.array_equal(engine.soft[(1, 0)], anchor_soft)
-        assert engine.soft_to_labels(engine.soft[(1, 1)]).shape == (48, 48)
+        anchor_values = engine.build_bank([(1, 0)])[0].values.scale4.data.copy()
+        run_steps(engine, engine.plan[:1])
+        assert np.array_equal(engine.masks[1, 0], disc_seed())
+        assert np.array_equal(engine.build_bank([(1, 0)])[0].values.scale4.data,
+                              anchor_values)
+        assert engine.masks[1, 1].shape == (48, 48)
 
 
 class TestRun4d:
@@ -318,44 +331,111 @@ class TestContinuityModes:
 class TestPropagateZ:
     def test_anchor_phase_pass(self):
         engine = seeded_engine(smooth_volume(3, 2))
-        prov = new_frames(engine, lambda: engine.run_z_pass(0, "apex", True))
+        prov = run_steps(engine, phase_sweep(engine, 0, "apex"))
         assert prov == {(2, 0): [(1, 0)]}
-        assert engine.soft_to_labels(engine.soft[(2, 0)]).dtype == np.uint8
+        assert engine.masks.dtype == np.uint8
 
     def test_later_phase_needs_apex_history(self):
         engine = seeded_engine(smooth_volume(3, 2))
-        engine.run_temporal_pass()
+        run_steps(engine, engine.plan[:1])  # the temporal chain
         # continuity "both" wants (2, 0) in the apex bank, so it must exist
         with pytest.raises(SchedulingError):
-            engine.run_z_pass(1, "apex", allow_apex_history=True)
-        engine.run_z_pass(0, "apex", allow_apex_history=True)
-        prov = new_frames(engine, lambda: engine.run_z_pass(1, "apex", True))
+            run_steps(engine, phase_sweep(engine, 1, "apex"))
+        run_steps(engine, phase_sweep(engine, 0, "apex"))
+        prov = run_steps(engine, phase_sweep(engine, 1, "apex"))
         assert prov == {(2, 1): [(1, 0), (1, 1), (2, 0)]}
 
     def test_spatial_only_pass_skips_history(self):
-        engine = seeded_engine(smooth_volume(3, 2))
-        engine.run_temporal_pass()
-        prov = new_frames(engine, lambda: engine.run_z_pass(1, "apex", False))
+        engine = seeded_engine(smooth_volume(3, 2), PropagationConfig(
+            patch=6, k=2, scales=(4,), continuity_mode="spatial-only"))
+        run_steps(engine, engine.plan[:1])
+        prov = run_steps(engine, phase_sweep(engine, 1, "apex"))
         assert prov == {(2, 1): [(1, 0), (1, 1)]}
 
     def test_missing_anchor_rejected(self):
         engine = PropagationEngine(smooth_volume(3, 2), FAST)
         with pytest.raises(SchedulingError):
-            engine.run_z_pass(0, "apex", allow_apex_history=True)
-
-    def test_direction_validated(self):
-        engine = seeded_engine(smooth_volume(3, 2))
-        with pytest.raises(ParameterError):
-            engine.run_z_pass(0, "sideways", allow_apex_history=True)
+            run_steps(engine, phase_sweep(engine, 0, "apex"))
 
     def test_matches_run_4d_on_anchor_phase(self):
-        # passes at t0 depend only on the exact one-hot seed, so they must
+        # sweeps at t0 depend only on the exact one-hot seed, so they must
         # reproduce the full scheduler frame for frame
         vol = smooth_volume(3, 2)
         full = run_4d(vol, disc_seed(), FAST)
         engine = seeded_engine(vol)
-        engine.run_z_pass(0, "base", allow_apex_history=True)
-        engine.run_z_pass(0, "apex", allow_apex_history=True)
+        run_steps(engine, phase_sweep(engine, 0, "base") + phase_sweep(engine, 0, "apex"))
         for z in (0, 2):
-            assert np.array_equal(engine.soft_to_labels(engine.soft[(z, 0)]),
-                                  full.masks.labels[z, 0])
+            assert np.array_equal(engine.masks[z, 0], full.masks.labels[z, 0])
+
+
+class TestPlan:
+    MODES = ("both", "spatial-only", "temporal-only")
+
+    def test_visit_order_per_mode(self):
+        def order(mode):
+            engine = PropagationEngine(smooth_volume(3, 3), PropagationConfig(
+                patch=6, k=2, scales=(4,), continuity_mode=mode))
+            return [q for q, _ in engine.plan]
+
+        chain = [(1, 1), (1, 2)]
+        sweeps = [(0, 0), (2, 0), (0, 1), (2, 1), (0, 2), (2, 2)]
+        assert order("both") == order("spatial-only") == chain + sweeps
+        assert order("temporal-only") == [(0, 0), (2, 0),
+                                          (0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2)]
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("apex_t_max", [2, 3, 4])
+    def test_each_pyramid_is_encoded_once(self, monkeypatch, mode, apex_t_max):
+        calls = {"key": 0, "value": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(propagator, "encode_key", counted("key", propagator.encode_key))
+        monkeypatch.setattr(propagator, "encode_value",
+                            counted("value", propagator.encode_value))
+        cfg = PropagationConfig(patch=6, k=2, scales=(4,), apex_t_max=apex_t_max,
+                                continuity_mode=mode)
+        result = run_4d(smooth_volume(5, 4), disc_seed(), cfg)
+        memory = {fid for bank in result.provenance.values() for fid in bank}
+        assert calls == {"key": 5 * 4, "value": len(memory)}
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_nothing_left_after_run(self, monkeypatch, mode):
+        engines = []
+        collect = PropagationEngine.collect_result
+
+        def keep(self):
+            engines.append(self)
+            return collect(self)
+
+        monkeypatch.setattr(PropagationEngine, "collect_result", keep)
+        run_4d(smooth_volume(5, 3), disc_seed(),
+               PropagationConfig(patch=6, k=2, scales=(4,), continuity_mode=mode))
+        (engine,) = engines
+        assert engine._keys == {} and engine._values == {}
+        # the label volume is the only array the engine holds
+        arrays = [name for name, v in vars(engine).items() if isinstance(v, np.ndarray)]
+        assert arrays == ["masks"]
+
+    @pytest.mark.parametrize("t_count", [4, 8])
+    @pytest.mark.parametrize("mode,peak", [
+        ("both", lambda z, t: t + 4),
+        ("spatial-only", lambda z, t: t + 1),
+        ("temporal-only", lambda z, t: z + 1),
+    ])
+    def test_live_pyramids_bounded_by_policy(self, monkeypatch, t_count, mode, peak):
+        live = []
+        segment = PropagationEngine.segment_frame
+
+        def count_live(self, query, bank):
+            segment(self, query, bank)
+            live.append(len(set(self._keys) | set(self._values)))
+
+        monkeypatch.setattr(PropagationEngine, "segment_frame", count_live)
+        run_4d(smooth_volume(9, t_count), disc_seed(),
+               PropagationConfig(patch=6, k=2, scales=(4,), continuity_mode=mode))
+        assert max(live) == peak(9, t_count)

@@ -1,5 +1,5 @@
-"""Every public module-level function and class in src/patchmem has a caller
-in src/patchmem.
+"""Every public module-level function and class in src/patchmem, and every
+public method of a public class, has a caller in src/patchmem.
 
 A name that only tests reach is a test helper and belongs in tests/. The
 check is by name: a load of the bare name or an attribute of that name
@@ -15,17 +15,31 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "patchmem"
 EXEMPT = {("cli", "main")}
 
 
+def _public(node):
+    return (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_"))
+
+
 def _definitions_and_uses():
     defs = []
     uses = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         own = {}
+
+        def define(node, label):
+            defs.append((path.stem, label))
+            for n in ast.walk(node):
+                own.setdefault(id(n), set()).add(node.name)
+
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                defs.append((path.stem, node.name))
-                own.update((id(n), node.name) for n in ast.walk(node))
+            if not _public(node):
+                continue
+            define(node, node.name)
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if _public(method):
+                        define(method, f"{node.name}.{method.name}")
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 name = node.id
@@ -33,7 +47,7 @@ def _definitions_and_uses():
                 name = node.attr
             else:
                 continue
-            if own.get(id(node)) != name:
+            if name not in own.get(id(node), ()):
                 uses.append(name)
     return defs, set(uses)
 
@@ -41,6 +55,6 @@ def _definitions_and_uses():
 def test_every_public_definition_is_used_in_the_package():
     defs, uses = _definitions_and_uses()
     assert defs, f"no definitions found under {PACKAGE}"
-    unused = [f"{module}.{name}" for module, name in defs
-              if (module, name) not in EXEMPT and name not in uses]
+    unused = [f"{module}.{label}" for module, label in defs
+              if (module, label) not in EXEMPT and label.rsplit(".", 1)[-1] not in uses]
     assert not unused, f"public names with no caller in src/patchmem: {unused}"
