@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -96,18 +97,23 @@ def _load_json_config(path):
     return loaded
 
 
-def _merged(file_cfg, overrides, allowed, what):
-    unknown = sorted(set(file_cfg) - allowed)
-    if unknown:
-        raise ParameterError(f"unknown {what} config keys: {', '.join(unknown)}")
-    merged = dict(file_cfg)
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
-    return merged
+def _merged(file_cfg, overrides):
+    """The config file's entries with every flag that was given on top."""
+    return {**file_cfg, **{k: v for k, v in overrides.items() if v is not None}}
 
 
-_PHANTOM_KEYS = frozenset(f.name for f in PhantomSpec.__dataclass_fields__.values())
+def _from_json(cls, values, what):
+    """A config dataclass from a JSON object; its fields name the keys it takes."""
+    if not isinstance(values, dict):
+        raise ParameterError(f"{what} must be a JSON object")
+    fields = dataclasses.fields(cls)
+    unknown = set(values) - {f.name for f in fields}
+    missing = {f.name for f in fields if f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING} - set(values)
+    for problem, keys in (("unknown", unknown), ("missing", missing)):
+        if keys:
+            raise ParameterError(f"{problem} {what} keys: {', '.join(sorted(keys))}")
+    return cls(**values)
 
 
 def _echo(payload):
@@ -118,24 +124,17 @@ def cmd_phantom(args):
     file_cfg = _load_json_config(args.spec_json) if args.spec_json else {}
     overrides = {
         "z_count": args.z, "t_count": args.t,
-        "height": args.height, "width": args.width,
+        "height": args.height, "width": args.width, "spacing_mm": args.spacing,
         "lv_radius_px": args.lv_radius, "myo_thickness_px": args.myo_thickness,
         "rv_offset_px": args.rv_offset,
         "contraction_frac": args.contraction,
         "longaxis_shorten_frac": args.shortening,
         "noise_sigma": args.noise, "seed": args.seed,
     }
-    if args.spacing is not None:
-        overrides["spacing_mm"] = tuple(args.spacing)
     if args.distractor is not None:
         overrides["distractor"] = args.distractor == "on"
-    merged = _merged(file_cfg, overrides, _PHANTOM_KEYS, "phantom")
-    if isinstance(merged.get("spacing_mm"), list):
-        merged["spacing_mm"] = tuple(merged["spacing_mm"])
-    spec = PhantomSpec(**merged)
-    _echo({"command": "phantom",
-           "spec": {k: (list(v) if isinstance(v, tuple) else v)
-                    for k, v in spec.__dict__.items()},
+    spec = _from_json(PhantomSpec, _merged(file_cfg, overrides), "phantom config")
+    _echo({"command": "phantom", "spec": dataclasses.asdict(spec),
            "out_volume": args.out_volume, "out_truth": args.out_truth})
     volume, truth = gen_phantom(spec)
     save_container(volume, args.out_volume)
@@ -143,47 +142,6 @@ def cmd_phantom(args):
     print(f"phantom written: Z={spec.z_count} T={spec.t_count} "
           f"H={spec.height} W={spec.width} seed={spec.seed}")
     return EXIT_OK
-
-
-_PROPAGATE_KEYS = frozenset({
-    "z0", "t0", "patch", "k", "scales", "region_fractions", "apex_t_max",
-    "continuity_mode", "matcher", "working_side", "encoder",
-})
-_ENCODER_KEYS = frozenset(
-    f.name for f in EncoderConfig.__dataclass_fields__.values())
-
-
-def _build_propagation_config(merged):
-    enc_cfg = merged.pop("encoder", {})
-    if not isinstance(enc_cfg, dict):
-        raise ParameterError("encoder config must be a JSON object")
-    unknown = sorted(set(enc_cfg) - _ENCODER_KEYS)
-    if unknown:
-        raise ParameterError(f"unknown encoder config keys: {', '.join(unknown)}")
-    if "blur_sigmas" in enc_cfg:
-        enc_cfg["blur_sigmas"] = tuple(enc_cfg["blur_sigmas"])
-    if "scales" in merged:
-        merged["scales"] = tuple(merged["scales"])
-    if "region_fractions" in merged:
-        merged["region_fractions"] = tuple(merged["region_fractions"])
-    return PropagationConfig(encoder=EncoderConfig(**enc_cfg), **merged)
-
-
-def _config_payload(cfg):
-    enc = cfg.encoder
-    return {
-        "z0": cfg.z0, "t0": cfg.t0, "patch": cfg.patch, "k": cfg.k,
-        "scales": list(cfg.scales),
-        "region_fractions": list(cfg.region_fractions),
-        "apex_t_max": cfg.apex_t_max, "continuity_mode": cfg.continuity_mode,
-        "matcher": cfg.matcher, "working_side": cfg.working_side,
-        "encoder": {
-            "key_channels": enc.key_channels,
-            "blur_sigmas": list(enc.blur_sigmas),
-            "include_coords": enc.include_coords,
-            "projection_seed": enc.projection_seed,
-        },
-    }
 
 
 def cmd_propagate(args):
@@ -200,25 +158,23 @@ def cmd_propagate(args):
 
     file_cfg = _load_json_config(args.config) if args.config else {}
     overrides = {
-        "z0": args.z0, "t0": args.t0, "patch": args.patch, "k": args.k,
+        "z0": args.z0, "patch": args.patch, "k": args.k, "scales": args.scales,
         "apex_t_max": args.apex_t_max, "continuity_mode": args.continuity,
         "matcher": args.matcher, "working_side": args.working_side,
     }
-    if args.scales is not None:
-        overrides["scales"] = tuple(int(s) for s in args.scales.split(","))
-    if args.basal_frac is not None or args.apex_frac is not None:
-        fractions = list(file_cfg.get("region_fractions", (1.0 / 3.0, 1.0 / 3.0)))
-        if args.basal_frac is not None:
-            fractions[0] = args.basal_frac
-        if args.apex_frac is not None:
-            fractions[1] = args.apex_frac
-        overrides["region_fractions"] = tuple(fractions)
-    merged = _merged(file_cfg, overrides, _PROPAGATE_KEYS, "propagate")
+    merged = _merged(file_cfg, overrides)
+    merged["encoder"] = _from_json(EncoderConfig, merged.get("encoder", {}),
+                                   "encoder config")
     if merged.get("z0") is None:
         merged["z0"] = volume.z_count // 2
-    cfg = _build_propagation_config(merged)
+    cfg = _from_json(PropagationConfig, merged, "propagate config")
+    if args.basal_frac is not None or args.apex_frac is not None:
+        basal, apex = cfg.region_fractions
+        cfg = dataclasses.replace(cfg, region_fractions=(
+            basal if args.basal_frac is None else args.basal_frac,
+            apex if args.apex_frac is None else args.apex_frac))
 
-    _echo({"command": "propagate", "config": _config_payload(cfg),
+    _echo({"command": "propagate", "config": dataclasses.asdict(cfg),
            "volume": args.volume, "seed_mask": args.seed_mask,
            "out_masks": args.out_masks,
            "out_provenance": args.out_provenance})
@@ -271,29 +227,15 @@ def _parse_bench_grid(path):
             raise ParameterError(f"grid file {path} is not valid JSON: {exc}")
     if not isinstance(rows, list) or not rows:
         raise ParameterError("bench grid must be a non-empty JSON array")
-    allowed = {"t", "h", "w", "patch", "k", "scales"}
-    configs = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise ParameterError(f"bench grid entry {i} must be an object")
-        unknown = sorted(set(row) - allowed)
-        if unknown:
-            raise ParameterError(
-                f"bench grid entry {i} has unknown keys: {', '.join(unknown)}")
-        missing = sorted({"t", "h", "w", "patch", "k"} - set(row))
-        if missing:
-            raise ParameterError(
-                f"bench grid entry {i} is missing keys: {', '.join(missing)}")
-        configs.append(BenchConfig(**row))
-    return configs
+    return [_from_json(BenchConfig, row, f"bench grid entry {i}")
+            for i, row in enumerate(rows)]
 
 
 def cmd_bench(args):
     configs = _parse_bench_grid(args.grid_json) if args.grid_json \
         else default_bench_grid()
     _echo({"command": "bench", "reps": args.reps,
-           "grid": [{"t": c.t, "h": c.h, "w": c.w, "patch": c.patch,
-                     "k": c.k, "scales": list(c.scales)} for c in configs],
+           "grid": [dataclasses.asdict(c) for c in configs],
            "out_csv": args.out_csv})
     report = check_complexity(configs, reps=args.reps)
     if args.out_csv:
@@ -326,6 +268,14 @@ def cmd_verify(args):
         print("all suites passed")
         return EXIT_OK
     return EXIT_VERIFY
+
+
+def _scale_list(text):
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def build_parser():
@@ -364,11 +314,13 @@ def build_parser():
     p.add_argument("--out-provenance")
     p.add_argument("--config", help="JSON config; flags override its entries")
     p.add_argument("--matcher", choices=["plmm", "dense"])
-    p.add_argument("--scales", help="comma-separated subset of 3,4")
+    p.add_argument("--scales", type=_scale_list,
+                   help="comma-separated subset of 3,4")
     p.add_argument("--patch", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--z0", type=int)
-    p.add_argument("--t0", type=int)
+    # the anchor is always phase 0; the flag stays so that callers may say so
+    p.add_argument("--t0", type=int, choices=[0])
     p.add_argument("--apex-t-max", type=int)
     p.add_argument("--continuity",
                    choices=["both", "spatial-only", "temporal-only"])

@@ -18,19 +18,17 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
-import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .errors import DataError, DimensionError, ParameterError, PhantomSpecError
-from .grids import CineVolume, FeatureGrid, LabelVolume, _checked_spacing
+from .errors import DataError, DimensionError, LayoutError, ParameterError, PhantomSpecError
+from .grids import CineVolume, FeatureGrid, LabelVolume, _checked_spacing, checked_fields
 from .matcher import OpCounter, dense_readout, plmm_forward
-from .patcher import make_layout
+from .patcher import layout_shape, make_layout
 from .pyramid import lift_topk
 
 CLASS_NAMES = {1: "LV", 2: "Myo", 3: "RV"}
@@ -218,9 +216,6 @@ def report_by_region(pred, truth, partition, method="plmm", threads=1):
     return MetricsReport(rows=rows)
 
 
-_SPEC_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
-
-
 @dataclass(frozen=True)
 class PhantomSpec:
     """Parameters of the analytic 4D phantom.
@@ -235,7 +230,7 @@ class PhantomSpec:
     t_count: int = 10
     height: int = 128
     width: int = 128
-    spacing_mm: tuple = (1.3, 1.3)
+    spacing_mm: tuple[float, float] = (1.3, 1.3)
     lv_radius_px: float = 20.0
     myo_thickness_px: float = 7.0
     rv_offset_px: float = 30.0
@@ -246,14 +241,7 @@ class PhantomSpec:
     seed: int = 7
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind = _SPEC_TYPES.get(f.type)
-            if kind is not None and (not isinstance(value, kind)
-                                     or (isinstance(value, bool) and kind is not bool)):
-                raise PhantomSpecError(f"{f.name} must be of type {f.type}, got {value!r}")
-            if kind is numbers.Real and not abs(value) <= sys.float_info.max:
-                raise PhantomSpecError(f"{f.name} must be finite, got {value!r}")
+        checked_fields(self, PhantomSpecError)
         _checked_spacing(self.spacing_mm)
         if self.z_count < 1 or self.t_count < 2:
             raise PhantomSpecError(
@@ -364,8 +352,9 @@ def gen_phantom(spec=PhantomSpec()):
 class BenchConfig:
     """One complexity measurement point.
 
-    Every size is a positive int (bools rejected) and scales is a non-empty
-    list or tuple drawn from (3, 4); anything else raises ParameterError.
+    Every size is a positive int (bools rejected), the patch must tile the
+    (h, w) map, k must not exceed the t * N memory patches, and scales is a
+    non-empty list drawn from (3, 4); anything else raises ParameterError.
     """
 
     t: int
@@ -373,20 +362,24 @@ class BenchConfig:
     w: int
     patch: int
     k: int
-    scales: tuple = (4,)
+    scales: tuple[int, ...] = (4,)
 
     def __post_init__(self):
+        checked_fields(self, ParameterError)
         for name in ("t", "h", "w", "patch", "k"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ParameterError(f"{name} must be a positive integer, got {value!r}")
-        scales = self.scales
-        if (not isinstance(scales, (list, tuple)) or not scales
-                or any(isinstance(s, bool) or not isinstance(s, int) or s not in (3, 4)
-                       for s in scales)):
+            if getattr(self, name) < 1:
+                raise ParameterError(
+                    f"{name} must be a positive integer, got {getattr(self, name)}")
+        if not self.scales or any(s not in (3, 4) for s in self.scales):
             raise ParameterError(
-                f"scales must be a non-empty subset of (3, 4), got {scales!r}")
-        object.__setattr__(self, "scales", tuple(scales))
+                f"scales must be a non-empty subset of (3, 4), got {self.scales!r}")
+        try:
+            n_h, n_w = layout_shape(self.h, self.w, self.patch)
+        except LayoutError as exc:
+            raise ParameterError(str(exc)) from None
+        if self.k > self.t * n_h * n_w:
+            raise ParameterError(
+                f"k must be at most T*N = {self.t * n_h * n_w}, got {self.k}")
 
 
 @dataclass
@@ -482,9 +475,6 @@ def check_complexity(configs=None, reps=5, c_key=8, c_val=4, seed=0):
     for cfg in configs:
         layout = make_layout(cfg.h, cfg.w, cfg.patch)
         n = layout.n_patches
-        if cfg.k > cfg.t * n:
-            raise ParameterError(
-                f"config {cfg} has k > T*N ({cfg.k} > {cfg.t * n})")
         q4 = FeatureGrid(rng.standard_normal((c_key, cfg.h, cfg.w)))
         mk4 = [FeatureGrid(rng.standard_normal((c_key, cfg.h, cfg.w)))
                for _ in range(cfg.t)]

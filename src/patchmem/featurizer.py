@@ -4,10 +4,10 @@ The key pathway turns one grayscale frame into a two-scale pyramid of
 compact feature grids. The channel bank is deliberately simple and fully
 deterministic: the raw intensity, Gaussian blurs at a few widths, a
 finite-difference gradient magnitude, a 3x3 local standard deviation, and
-(by default) normalized row/column coordinates. The bank is average-pooled
-to strides 8 and 16, standardized per channel per frame, and projected to a
-fixed channel count with a seeded random linear map shared by all frames
-and both scales.
+normalized row/column coordinates. The bank is average-pooled to strides 8
+and 16, standardized per channel per frame, and projected to a fixed
+channel count with a seeded random linear map shared by all frames and
+both scales.
 
 The value pathway carries class probabilities: a soft label map is
 area-averaged to the same two strides. Decoding reverses that with bilinear
@@ -22,12 +22,16 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DimensionError, ParameterError
-from .grids import FeatureGrid, SoftLabelMap, downsample_avg, resize_bilinear
+from .grids import FeatureGrid, SoftLabelMap, checked_fields, downsample_avg, resize_bilinear
 from .pyramid import FeaturePyramid
 
 STRIDE_SCALE4 = 16
 STRIDE_SCALE3 = 8
 _VAR_CLAMP = 1e-6
+BLUR_SIGMAS = (1.0, 2.0, 4.0)
+# intensity, the blurs, gradient magnitude, local std, row and column
+RAW_CHANNELS = 3 + len(BLUR_SIGMAS) + 2
+PROJECTION_SEED = 1234
 
 
 @dataclass(frozen=True)
@@ -36,39 +40,27 @@ class EncoderConfig:
 
     Attributes:
         key_channels: output channel count after projection.
-        blur_sigmas: Gaussian blur widths in the channel bank.
-        include_coords: append normalized row/col coordinate channels.
-        projection_seed: seed of the fixed random projection.
     """
 
     key_channels: int = 32
-    blur_sigmas: tuple = (1.0, 2.0, 4.0)
-    include_coords: bool = True
-    projection_seed: int = 1234
 
     def __post_init__(self):
+        checked_fields(self, ParameterError)
         if self.key_channels < 1:
-            raise ParameterError("key_channels must be positive")
-        if any(s <= 0 for s in self.blur_sigmas):
-            raise ParameterError("blur sigmas must be positive")
-
-    @property
-    def raw_channels(self):
-        return 3 + len(self.blur_sigmas) + (2 if self.include_coords else 0)
+            raise ParameterError(
+                f"key_channels must be positive, got {self.key_channels}")
 
 
-def raw_feature_bank(image, cfg):
+def raw_feature_bank(image):
     """Compute the unprojected channel bank for one frame.
 
     Args:
         image: (H, W) array with values in [0, 1].
-        cfg: EncoderConfig.
 
     Returns:
-        (C_raw, H, W) float64 array. Channels in order: intensity, one
-        Gaussian blur per entry of cfg.blur_sigmas, gradient magnitude,
-        3x3 local standard deviation, then (with include_coords) the row
-        and column coordinates.
+        (RAW_CHANNELS, H, W) float64 array. Channels in order: intensity,
+        one Gaussian blur per entry of BLUR_SIGMAS, gradient magnitude,
+        3x3 local standard deviation, then the row and column coordinates.
     """
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
@@ -78,7 +70,7 @@ def raw_feature_bank(image, cfg):
         raise DimensionError("frame too small to featurize")
 
     channels = [image]
-    for sigma in cfg.blur_sigmas:
+    for sigma in BLUR_SIGMAS:
         channels.append(ndimage.gaussian_filter(image, sigma=sigma, mode="reflect"))
 
     gy, gx = np.gradient(image)
@@ -88,19 +80,18 @@ def raw_feature_bank(image, cfg):
     mean_sq = ndimage.uniform_filter(image * image, size=3, mode="reflect")
     channels.append(np.sqrt(np.maximum(mean_sq - mean * mean, 0.0)))
 
-    if cfg.include_coords:
-        rows = np.repeat(np.arange(h, dtype=np.float64)[:, None], w, axis=1) / (h - 1)
-        cols = np.repeat(np.arange(w, dtype=np.float64)[None, :], h, axis=0) / (w - 1)
-        channels.append(rows)
-        channels.append(cols)
+    rows = np.repeat(np.arange(h, dtype=np.float64)[:, None], w, axis=1) / (h - 1)
+    cols = np.repeat(np.arange(w, dtype=np.float64)[None, :], h, axis=0) / (w - 1)
+    channels.append(rows)
+    channels.append(cols)
     return np.stack(channels, axis=0)
 
 
-def projection_matrix(cfg):
+def projection_matrix(key_channels):
     """The fixed random projection shared by every frame and both scales."""
-    rng = np.random.default_rng(cfg.projection_seed)
-    mat = rng.standard_normal((cfg.key_channels, cfg.raw_channels))
-    return mat / np.sqrt(cfg.raw_channels)
+    rng = np.random.default_rng(PROJECTION_SEED)
+    mat = rng.standard_normal((key_channels, RAW_CHANNELS))
+    return mat / np.sqrt(RAW_CHANNELS)
 
 
 def _standardize(grid):
@@ -117,12 +108,12 @@ def encode_key(image, cfg=EncoderConfig()):
     The frame dims must be divisible by 16. Identical inputs produce
     bit-identical outputs.
     """
-    bank = raw_feature_bank(image, cfg)
+    bank = raw_feature_bank(image)
     h, w = bank.shape[1], bank.shape[2]
     if h % STRIDE_SCALE4 or w % STRIDE_SCALE4:
         raise DimensionError(
             f"frame dims ({h}, {w}) must be divisible by {STRIDE_SCALE4}")
-    proj = projection_matrix(cfg)
+    proj = projection_matrix(cfg.key_channels)
     grids = {}
     for name, stride in (("scale4", STRIDE_SCALE4), ("scale3", STRIDE_SCALE3)):
         pooled = downsample_avg(bank, stride)

@@ -18,10 +18,12 @@ volumes additionally carry a ``labels`` legend.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import numbers
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +84,60 @@ def _checked_spacing(spacing_mm):
         raise ParameterError(
             f"spacing must be two finite, positive numbers, got {spacing_mm!r}")
     return float(pair[0]), float(pair[1])
+
+
+_WORDS = {int: ("an integer", "integers"), float: ("a finite number", "finite numbers"),
+          bool: ("true or false", "booleans"), str: ("a string", "strings")}
+
+
+def _conformed(value, hint):
+    """value, with lists stored as tuples; ValueError if it lacks the annotated type."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (tuple, list)):
+            raise ValueError
+        kinds = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(value) != len(kinds):
+            raise ValueError
+        return tuple(_conformed(v, k) for v, k in zip(value, kinds))
+    if type(None) in args:
+        return None if value is None else _conformed(value, args[0])
+    if hint is float:
+        ok = isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, numbers.Integral if hint is int else hint)
+    if not ok or (isinstance(value, bool) and hint is not bool):
+        raise ValueError
+    return value
+
+
+def _described(hint):
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        count = "" if args[-1] is Ellipsis else f"{len(args)} "
+        return f"a list of {count}{_WORDS[args[0]][1]}"
+    if type(None) in args:
+        return f"{_described(args[0])} or null"
+    return _WORDS[hint][0] if hint in _WORDS else f"of type {hint.__name__}"
+
+
+def checked_fields(obj, error):
+    """Check every field of a dataclass instance against its annotation.
+
+    Annotations may be int, float, bool, str, a class, ``X | None``,
+    ``tuple[X, ...]`` or ``tuple[X, X]``. Booleans are not integers or reals
+    here, reals must be finite, and lists are stored back as tuples (frozen
+    dataclasses included). A mismatch raises ``error`` naming the field.
+    """
+    hints = typing.get_type_hints(type(obj))
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        try:
+            checked = _conformed(value, hints[f.name])
+        except ValueError:
+            raise error(f"{f.name} must be {_described(hints[f.name])}, "
+                        f"got {value!r}") from None
+        object.__setattr__(obj, f.name, checked)
 
 
 class CineVolume:

@@ -39,8 +39,8 @@ class PatchLayout:
         return self.n_h * self.n_w
 
 
-def make_layout(map_h, map_w, patch):
-    """Build the patch layout for a map, or raise LayoutError.
+def layout_shape(map_h, map_w, patch):
+    """Patch counts (n_h, n_w) of a map's layout, or raise LayoutError.
 
     Requires an even patch size no larger than either map dim, and map dims
     that the stride tiles exactly: (dim - P) % (P / 2) == 0.
@@ -59,8 +59,13 @@ def make_layout(map_h, map_w, patch):
     if (map_w - patch) % stride != 0:
         raise LayoutError(
             f"width {map_w} is not tileable by patch {patch} stride {stride}")
-    n_h = (map_h - patch) // stride + 1
-    n_w = (map_w - patch) // stride + 1
+    return (map_h - patch) // stride + 1, (map_w - patch) // stride + 1
+
+
+def make_layout(map_h, map_w, patch):
+    """Build the patch layout for a map under the rules of layout_shape."""
+    n_h, n_w = layout_shape(map_h, map_w, patch)
+    stride = patch // 2
     rows = np.repeat(np.arange(n_h) * stride, n_w)
     cols = np.tile(np.arange(n_w) * stride, n_h)
     origins = np.stack([rows, cols], axis=1).astype(np.intp)

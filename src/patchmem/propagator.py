@@ -1,18 +1,19 @@
 """4D mask propagation over a cine volume.
 
-One annotated frame (the anchor: middle slice z0 at phase t0) is pushed
-through the whole (Z, T) grid with small, region-dependent memory banks:
+One annotated frame (the anchor: middle slice z0 at phase 0) is pushed
+through the whole (Z, T) grid with small, region-dependent memory banks,
+one phase tau at a time in ascending order:
 
-* temporal pass: the anchor's slice is propagated forward in time; each
-  query at (z0, t) matches against the anchor and the previous phase
-  (z0, t-1), never more than two frames.
-* spatial passes: for each phase tau in ascending order, slices are
-  segmented outward from z0 toward the base and toward the apex. Basal and
-  middle queries match against the anchor plus the adjacent slice one step
-  closer to z0 at the same phase. Apex queries additionally see their own
-  slice at earlier phases (tau-1, tau-2, ...), up to apex_t_max entries in
-  total, because apical anatomy can vanish through the cycle and the
-  adjacent slice alone is a weak guide there.
+* temporal step: the anchor's slice advances to phase tau; the query at
+  (z0, tau) matches against the anchor and the previous phase
+  (z0, tau-1), never more than two frames.
+* spatial sweeps: slices of phase tau are segmented outward from z0 toward
+  the base and toward the apex. Basal and middle queries match against the
+  anchor plus the adjacent slice one step closer to z0 at the same phase.
+  Apex queries additionally see their own slice at earlier phases (tau-1,
+  tau-2, ...), up to apex_t_max entries in total, because apical anatomy
+  can vanish through the cycle and the adjacent slice alone is a weak
+  guide there.
 
 Slice continuity (the z chain) and temporal continuity (the same-slice
 history) can be ablated independently via continuity_mode.
@@ -29,9 +30,9 @@ for the last time. The engine evicts on that count: a frame's key pyramid
 is freed after its last use as query or memory, and its value pyramid
 after its last use as memory, or never pooled when no bank holds it. The
 working image is encoded and dropped, and a segmented frame's soft map is
-dropped once its labels are in the output volume. Peak memory then grows
-with the frames the policy keeps live (about T + 4 on a nine-slice grid in
-the default mode), not with Z x T.
+dropped once its labels are in the output volume. Peak memory then follows
+the frames the policy keeps live (at most six on a nine-slice grid in the
+default mode, whatever T), not Z x T.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .errors import (
     StateError,
 )
 from .featurizer import EncoderConfig, decode, encode_key, encode_value
-from .grids import CineVolume, LabelVolume, SoftLabelMap, one_hot, resize_bilinear
+from .grids import CineVolume, LabelVolume, SoftLabelMap, checked_fields, one_hot, resize_bilinear
 from .matcher import dense_readout, plmm_forward
 from .patcher import make_layout
 from .pyramid import match_multiscale
@@ -126,10 +127,8 @@ class PropagationConfig:
     """Knobs of the 4D scheduler and its matcher.
 
     Attributes:
-        z0: annotated slice; defaults to Z // 2, must fall in the middle
-            region.
-        t0: annotated phase; the scheduler propagates forward only, so a
-            full run requires t0 == 0.
+        z0: annotated slice at phase 0; defaults to Z // 2, must fall in
+            the middle region.
         patch: scale-4 patch size P; scale 3 uses 2 * P.
         k: memory patches kept per query patch (clamped to the bank's
             total patch count when memory is small).
@@ -146,11 +145,10 @@ class PropagationConfig:
     """
 
     z0: int | None = None
-    t0: int = 0
     patch: int = 6
     k: int = 4
-    scales: tuple = (3, 4)
-    region_fractions: tuple = (1.0 / 3.0, 1.0 / 3.0)
+    scales: tuple[int, ...] = (3, 4)
+    region_fractions: tuple[float, float] = (1.0 / 3.0, 1.0 / 3.0)
     apex_t_max: int = 3
     continuity_mode: str = "both"
     matcher: str = "plmm"
@@ -158,6 +156,7 @@ class PropagationConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
 
     def __post_init__(self):
+        checked_fields(self, ParameterError)
         if self.patch < 2 or self.patch % 2:
             raise ParameterError(f"patch must be even and >= 2, got {self.patch}")
         if self.k < 1:
@@ -172,8 +171,6 @@ class PropagationConfig:
             raise ParameterError(f"unknown continuity mode {self.continuity_mode!r}")
         if self.matcher not in ("plmm", "dense"):
             raise ParameterError(f"unknown matcher {self.matcher!r}")
-        if self.t0 < 0:
-            raise ParameterError(f"t0 must be >= 0, got {self.t0}")
 
 
 @dataclass
@@ -211,19 +208,19 @@ def _is_admissible(side, patch):
     return grid >= patch and (grid - patch) % (patch // 2) == 0
 
 
-def plan_visits(partition, z0, t0, t_count, apex_t_max, continuity_mode):
-    """The schedule: every frame after the anchor (z0, t0), in visit order.
+def plan_visits(partition, z0, t_count, apex_t_max, continuity_mode):
+    """The schedule: every frame after the anchor (z0, 0), in visit order.
 
     Returns a list of (query, bank ids) pairs; each bank lists its memory
     frames anchor first, duplicates dropped. The plan depends only on the
     grid shape and the settings, never on image content:
 
-    * "both": the temporal chain along z0, then per phase (ascending) one
-      sweep toward the base and one toward the apex, with same-slice history
-      in apex banks (up to apex_t_max frames in total).
+    * "both": phase by phase (ascending), the temporal step to (z0, tau),
+      then one sweep toward the base and one toward the apex, with
+      same-slice history in apex banks (up to apex_t_max frames in total).
     * "spatial-only": the same visits, but apex banks drop the history.
-    * "temporal-only": one sweep at t0, then each slice's own chain in time,
-      anchored at its own t0 frame.
+    * "temporal-only": one sweep at phase 0, then slice by slice each
+      slice's own chain in time, anchored at its phase-0 frame.
     """
     z_count = partition.z_count
     plan = []
@@ -231,27 +228,28 @@ def plan_visits(partition, z0, t0, t_count, apex_t_max, continuity_mode):
     def visit(query, ids):
         plan.append((query, list(dict.fromkeys(ids))))
 
-    def chain(z):
-        for t in range(t0 + 1, t_count):
-            visit((z, t), [(z, t0), (z, t - 1)])
+    def chain(z, t):
+        visit((z, t), [(z, 0), (z, t - 1)])
 
     def sweep(tau, history):
         for step in (-1, 1):
             z = z0 + step
             while 0 <= z < z_count:
-                ids = [(z0, t0), (z - step, tau)]
+                ids = [(z0, 0), (z - step, tau)]
                 if history and partition.region_of(z) == REGION_APEX:
-                    ids += [(z, t) for t in range(tau - 1, t0 - 1, -1)][:apex_t_max - 2]
+                    ids += [(z, t) for t in range(tau - 1, -1, -1)][:apex_t_max - 2]
                 visit((z, tau), ids)
                 z += step
 
     if continuity_mode == "temporal-only":
-        sweep(t0, history=False)
+        sweep(0, history=False)
         for z in range(z_count):
-            chain(z)
+            for t in range(1, t_count):
+                chain(z, t)
     else:
-        chain(z0)
-        for tau in range(t0, t_count):
+        for tau in range(t_count):
+            if tau:
+                chain(z0, tau)
             sweep(tau, history=continuity_mode == "both")
     return plan
 
@@ -285,9 +283,6 @@ class PropagationEngine:
             raise PartitionError(
                 f"z0={self.z0} is not a middle-region slice "
                 f"(middle = {self.partition.middle})")
-        if not 0 <= cfg.t0 < volume.t_count:
-            raise ParameterError(f"t0={cfg.t0} outside 0..{volume.t_count - 1}")
-        self.t0 = cfg.t0
 
         if cfg.working_side is not None:
             if not _is_admissible(cfg.working_side, cfg.patch):
@@ -299,7 +294,7 @@ class PropagationEngine:
             self.work_h = working_side_for(volume.height, cfg.patch)
             self.work_w = working_side_for(volume.width, cfg.patch)
 
-        self.plan = plan_visits(self.partition, self.z0, self.t0, volume.t_count,
+        self.plan = plan_visits(self.partition, self.z0, volume.t_count,
                                 cfg.apex_t_max, cfg.continuity_mode)
         self._key_uses = Counter()
         self._value_uses = Counter()
@@ -334,7 +329,7 @@ class PropagationEngine:
     # seeding --------------------------------------------------------------
 
     def seed_anchor(self, seed_labels, num_classes=3):
-        """Install the annotated mask at (z0, t0)."""
+        """Install the annotated mask at (z0, 0)."""
         seed_labels = np.asarray(seed_labels)
         if seed_labels.shape != (self.volume.height, self.volume.width):
             raise DimensionError(
@@ -342,7 +337,7 @@ class PropagationEngine:
                 f"({self.volume.height}, {self.volume.width})")
         if not np.issubdtype(seed_labels.dtype, np.integer):
             raise LabelError("seed mask must be integer-typed")
-        fid = (self.z0, self.t0)
+        fid = (self.z0, 0)
         self._check_unsegmented(fid)
         soft = one_hot(seed_labels, num_classes).probabilities
         work = np.clip(resize_bilinear(soft, self.work_h, self.work_w), 0.0, 1.0)
@@ -430,10 +425,6 @@ def run_4d(volume, seed_labels, cfg=PropagationConfig()):
     Runs the plan of ``plan_visits`` for cfg.continuity_mode. Every frame is
     segmented exactly once; the anchor keeps the seed mask verbatim.
     """
-    if cfg.t0 != 0:
-        raise SchedulingError(
-            "run_4d propagates forward in time only, so full coverage "
-            "requires t0 == 0")
     engine = PropagationEngine(volume, cfg)
     engine.seed_anchor(seed_labels)
     for query, bank_ids in engine.plan:

@@ -1,15 +1,23 @@
 """End-to-end command-line behavior, run in process through main()."""
 
+import argparse
+import copy
+import dataclasses
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from patchmem.cli import main
+from patchmem import cli
+from patchmem.cli import build_parser, main
+from patchmem.evalkit import BenchConfig, ComplexityReport
+from patchmem.featurizer import EncoderConfig
 from patchmem.grids import MAGIC, LabelVolume, load_container, save_container
+from patchmem.propagator import PropagationConfig
 
 
 def echoed_json(capsys):
@@ -136,6 +144,27 @@ def save_seed(tmp_path, truth_path):
     return seed
 
 
+@pytest.fixture(scope="module")
+def small_study(tmp_path_factory):
+    """A 3 x 2 x 48 x 48 phantom volume and the seed mask at its anchor."""
+    path = tmp_path_factory.mktemp("study")
+    vol, truth = make_phantom(path)
+    return vol, save_seed(path, truth)
+
+
+@pytest.fixture
+def no_propagation(monkeypatch):
+    """Replace cli.run_4d by an all-background result, so that a test runs
+    config handling only and allocates nothing a config asks for."""
+    def fake_run_4d(volume, seed, cfg):
+        assert isinstance(cfg, PropagationConfig)
+        labels = np.zeros(volume.intensities.shape, dtype=np.uint8)
+        return SimpleNamespace(masks=LabelVolume(labels), provenance={}, order=[],
+                               work_dims=(volume.height, volume.width))
+
+    monkeypatch.setattr(cli, "run_4d", fake_run_4d)
+
+
 class TestPropagateCommand:
     def test_full_run_with_provenance(self, tmp_path, capsys):
         vol, truth = make_phantom(tmp_path, capsys)
@@ -165,8 +194,8 @@ class TestPropagateCommand:
                    "--out-masks", str(masks_a), *PROPAGATE_FLAGS])
         assert rc == 0
         payload, _ = echoed_json(capsys)
-        assert sorted(payload["config"]["encoder"]) == [
-            "blur_sigmas", "include_coords", "key_channels", "projection_seed"]
+        assert payload["config"]["encoder"] == {"key_channels": 32}
+        assert "t0" not in payload["config"]
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(payload["config"]))
         masks_b = tmp_path / "b.cgrid"
@@ -228,6 +257,88 @@ class TestPropagateCommand:
             main(["propagate", "--volume", "v", "--seed-mask", "s",
                   "--out-masks", str(tmp_path / "m.cgrid"), "--threads", "1"])
         assert err.value.code == 1
+
+    def test_t0_takes_only_the_anchor_phase(self, tmp_path, small_study, no_propagation):
+        vol, seed = small_study
+        argv = ["propagate", "--volume", str(vol), "--seed-mask", str(seed),
+                "--out-masks", str(tmp_path / "m.cgrid")]
+        assert main(argv + ["--t0", "0"]) == 0
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--t0", "1"])
+        assert err.value.code == 1
+
+    def test_scales_flag_must_list_integers(self, tmp_path, capsys, small_study):
+        vol, seed = small_study
+        with pytest.raises(SystemExit) as err:
+            main(["propagate", "--volume", str(vol), "--seed-mask", str(seed),
+                  "--out-masks", str(tmp_path / "m.cgrid"), "--scales", "3,a"])
+        assert err.value.code == 1
+        assert "comma-separated integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry,flags", [(entry, []) for entry in [
+        {"k": "4"},
+        {"k": True},
+        {"scales": 3},
+        {"working_side": "288"},
+        {"region_fractions": [0.3]},
+        {"apex_t_max": 2.5},
+        {"patch": 6.0},
+        {"encoder": {"key_channels": "a"}},
+        {"encoder": {"key_channels": 2.5}},
+        {"encoder": {"blur_sigmas": 2}},
+        {"encoder": {"projection_seed": -1}},
+        {"encoder": {"include_coords": "no"}},
+    ]] + [({"region_fractions": [0.3]}, ["--apex-frac", "0.3"])])
+    def test_config_values_are_checked(self, tmp_path, capsys, small_study, entry, flags):
+        vol, seed = small_study
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(entry))
+        rc = main(["propagate", "--volume", str(vol), "--seed-mask", str(seed),
+                   "--out-masks", str(tmp_path / "m.cgrid"), "--config", str(cfg_file),
+                   *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "m.cgrid").exists()
+
+
+# propagate options that name files rather than settings
+PROPAGATE_FILE_FLAGS = {"--volume", "--seed-mask", "--out-masks", "--out-provenance",
+                        "--config"}
+# the anchor is always phase 0, so --t0 has a single value and no effect;
+# it is kept because callers pass --t0 0
+PROPAGATE_EXEMPT_FLAGS = {"--t0"}
+# a value other than the default for every flag that sets the config
+PROPAGATE_SETTING_FLAGS = {
+    "--matcher": "dense", "--scales": "3", "--patch": "4", "--k": "3",
+    "--z0": "0", "--apex-t-max": "4", "--continuity": "temporal-only",
+    "--basal-frac": "0.25", "--apex-frac": "0.25", "--working-side": "144",
+}
+
+
+class TestPropagateFlags:
+    """No propagate flag is parsed and then dropped: each one names a file,
+    or changes the echoed config."""
+
+    def test_every_flag_is_classified(self):
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        flags = {opt for action in sub.choices["propagate"]._actions
+                 for opt in action.option_strings if opt.startswith("--")} - {"--help"}
+        assert flags == (PROPAGATE_FILE_FLAGS | PROPAGATE_EXEMPT_FLAGS
+                         | set(PROPAGATE_SETTING_FLAGS))
+
+    @pytest.mark.parametrize("flag", sorted(PROPAGATE_SETTING_FLAGS))
+    def test_setting_flag_changes_echoed_config(self, tmp_path, capsys, small_study,
+                                                no_propagation, flag):
+        vol, seed = small_study
+        argv = ["propagate", "--volume", str(vol), "--seed-mask", str(seed),
+                "--out-masks", str(tmp_path / "m.cgrid")]
+        assert main(argv) == 0
+        default, _ = echoed_json(capsys)
+        assert main(argv + [flag, PROPAGATE_SETTING_FLAGS[flag]]) == 0
+        changed, _ = echoed_json(capsys)
+        assert changed["config"] != default["config"]
 
 
 class TestEvalCommand:
@@ -454,6 +565,60 @@ class TestLoaderFuzz:
             assert rc in (0, 2)
 
 
+@st.composite
+def fuzzed_json(draw, base, paths):
+    """base with up to three of its keys (paths into nested objects) each
+    replaced by any JSON value or removed."""
+    config = copy.deepcopy(base)
+    for path in draw(st.lists(st.sampled_from(paths), max_size=3)):
+        node = config
+        for name in path[:-1]:
+            node = node.get(name) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            continue
+        if draw(st.booleans()):
+            node[path[-1]] = draw(JSON_VALUES)
+        else:
+            node.pop(path[-1], None)
+    return config
+
+
+PROPAGATE_CONFIG = json.loads(json.dumps(dataclasses.asdict(PropagationConfig())))
+PROPAGATE_FIELDS = ([(f.name,) for f in dataclasses.fields(PropagationConfig)]
+                          + [("encoder", f.name) for f in dataclasses.fields(EncoderConfig)])
+BENCH_ENTRY = {"t": 1, "h": 12, "w": 12, "patch": 6, "k": 2, "scales": [4]}
+BENCH_FIELDS = [(f.name,) for f in dataclasses.fields(BenchConfig)]
+CONFIG_FUZZ = settings(max_examples=200, derandomize=True, deadline=None,
+                       suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                              HealthCheck.too_slow])
+
+
+class TestConfigFuzz:
+    """Any propagate, encoder or bench-grid value ends in exit 0 or 1, never a
+    traceback. The matching itself is stubbed out, so sizes a config asks for
+    are checked but never allocated."""
+
+    @CONFIG_FUZZ
+    @given(config=fuzzed_json(PROPAGATE_CONFIG, PROPAGATE_FIELDS))
+    def test_propagate_exits_zero_or_one(self, tmp_path, small_study, no_propagation,
+                                         config):
+        vol, seed = small_study
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(config))
+        rc = main(["propagate", "--volume", str(vol), "--seed-mask", str(seed),
+                   "--out-masks", str(tmp_path / "m.cgrid"), "--config", str(cfg_file)])
+        assert rc in (0, 1)
+
+    @CONFIG_FUZZ
+    @given(entry=fuzzed_json(BENCH_ENTRY, BENCH_FIELDS))
+    def test_bench_exits_zero_or_one(self, tmp_path, monkeypatch, entry):
+        monkeypatch.setattr(cli, "check_complexity",
+                            lambda configs, reps: ComplexityReport(rows=[]))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([entry]))
+        assert main(["bench", "--grid-json", str(grid), "--reps", "1"]) in (0, 1)
+
+
 class TestBenchCommand:
     def test_tiny_grid(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"
@@ -484,7 +649,10 @@ class TestBenchCommand:
         {"t": True},
         {"h": 24.5},
         {"h": -24},
-    ], ids=["t-str", "scales-int", "scales-null", "scales-7", "t-bool", "h-float", "h-neg"])
+        {"h": 25, "patch": 6},
+        {"h": 24, "w": 24, "patch": 30},
+    ], ids=["t-str", "scales-int", "scales-null", "scales-7", "t-bool", "h-float", "h-neg",
+            "h-untileable", "patch-too-large"])
     def test_grid_values_are_checked(self, tmp_path, capsys, bad):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps([dict({"t": 1, "h": 24, "w": 24, "patch": 6, "k": 2},

@@ -6,6 +6,7 @@ from scipy import ndimage
 
 from patchmem.errors import DimensionError, ParameterError
 from patchmem.featurizer import (
+    BLUR_SIGMAS,
     EncoderConfig,
     decode,
     encode_key,
@@ -16,14 +17,11 @@ from patchmem.featurizer import (
 from patchmem.grids import FeatureGrid, one_hot, resize_bilinear
 
 
-def raw_channel_names(cfg):
+def raw_channel_names():
     """Channel names of the raw bank, in the order raw_feature_bank stacks them."""
     names = ["intensity"]
-    names += [f"blur{int(s) if float(s).is_integer() else s}" for s in cfg.blur_sigmas]
-    names += ["gradmag", "localstd"]
-    if cfg.include_coords:
-        names += ["row", "col"]
-    return names
+    names += [f"blur{int(s) if float(s).is_integer() else s}" for s in BLUR_SIGMAS]
+    return names + ["gradmag", "localstd", "row", "col"]
 
 
 def checkerboard(h, w, cell=8):
@@ -33,17 +31,15 @@ def checkerboard(h, w, cell=8):
 
 class TestRawFeatureBank:
     def test_channel_names_and_count(self):
-        cfg = EncoderConfig()
-        names = raw_channel_names(cfg)
+        names = raw_channel_names()
         assert names == ["intensity", "blur1", "blur2", "blur4",
                          "gradmag", "localstd", "row", "col"]
-        bank = raw_feature_bank(checkerboard(32, 32), cfg)
+        bank = raw_feature_bank(checkerboard(32, 32))
         assert bank.shape == (8, 32, 32)
 
     def test_constant_image_channels(self):
-        cfg = EncoderConfig()
-        bank = raw_feature_bank(np.full((16, 16), 0.5), cfg)
-        names = raw_channel_names(cfg)
+        bank = raw_feature_bank(np.full((16, 16), 0.5))
+        names = raw_channel_names()
         assert np.allclose(bank[names.index("intensity")], 0.5)
         for blur in ("blur1", "blur2", "blur4"):
             assert np.allclose(bank[names.index(blur)], 0.5, atol=1e-12)
@@ -51,9 +47,8 @@ class TestRawFeatureBank:
         assert np.allclose(bank[names.index("localstd")], 0.0, atol=1e-9)
 
     def test_coordinate_channels_monotone(self):
-        cfg = EncoderConfig()
-        bank = raw_feature_bank(checkerboard(16, 24), cfg)
-        names = raw_channel_names(cfg)
+        bank = raw_feature_bank(checkerboard(16, 24))
+        names = raw_channel_names()
         rows = bank[names.index("row")]
         cols = bank[names.index("col")]
         assert rows[0, 0] == 0.0 and rows[-1, 0] == 1.0
@@ -61,16 +56,10 @@ class TestRawFeatureBank:
         assert (np.diff(cols, axis=1) > 0).all()
         assert np.allclose(np.diff(rows, axis=1), 0.0)
 
-    def test_coords_can_be_disabled(self):
-        cfg = EncoderConfig(include_coords=False)
-        bank = raw_feature_bank(checkerboard(16, 16), cfg)
-        assert bank.shape[0] == 6
-
     def test_blur_preserves_mass_roughly_and_smooths(self):
-        cfg = EncoderConfig()
         img = checkerboard(32, 32, cell=4)
-        bank = raw_feature_bank(img, cfg)
-        names = raw_channel_names(cfg)
+        bank = raw_feature_bank(img)
+        names = raw_channel_names()
         for blur, sigma in zip(("blur1", "blur2", "blur4"), (1, 2, 4)):
             ch = bank[names.index(blur)]
             assert ch.var() < img.var()
@@ -79,15 +68,21 @@ class TestRawFeatureBank:
                 < bank[names.index("blur1")].var())
 
     def test_horizontal_flip_commutes_on_symmetric_channels(self):
-        cfg = EncoderConfig()
         img = checkerboard(32, 48, cell=8) + 0.05 * np.random.default_rng(71).random((32, 48))
         img = np.clip(img, 0.0, 1.0)
-        bank_a = raw_feature_bank(img, cfg)
-        bank_b = raw_feature_bank(img[:, ::-1], cfg)
-        names = raw_channel_names(cfg)
+        bank_a = raw_feature_bank(img)
+        bank_b = raw_feature_bank(img[:, ::-1])
+        names = raw_channel_names()
         for name in ("intensity", "blur1", "blur2", "blur4", "gradmag", "localstd"):
             c = names.index(name)
             assert np.abs(bank_a[c, :, ::-1] - bank_b[c]).max() < 1e-6
+
+
+class TestEncoderConfig:
+    @pytest.mark.parametrize("value", [0, -1, "a", 2.5, True, None])
+    def test_key_channels_checked(self, value):
+        with pytest.raises(ParameterError, match="key_channels"):
+            EncoderConfig(key_channels=value)
 
 
 class TestEncodeKey:
@@ -102,12 +97,6 @@ class TestEncodeKey:
         b = encode_key(img)
         assert np.array_equal(a.scale4.data, b.scale4.data)
         assert np.array_equal(a.scale3.data, b.scale3.data)
-
-    def test_projection_seed_changes_output(self):
-        img = checkerboard(32, 32)
-        a = encode_key(img, EncoderConfig())
-        b = encode_key(img, EncoderConfig(projection_seed=99))
-        assert not np.allclose(a.scale4.data, b.scale4.data)
 
     def test_affine_intensity_invariance(self):
         # standardization cancels a positive affine intensity map, provided
@@ -125,8 +114,7 @@ class TestEncodeKey:
             encode_key(checkerboard(40, 32))
 
     def test_projection_matrix_shape_and_scaling(self):
-        cfg = EncoderConfig()
-        mat = projection_matrix(cfg)
+        mat = projection_matrix(EncoderConfig().key_channels)
         assert mat.shape == (32, 8)
         # rows have variance ~ 1/C_raw so squared distances gain ~ C_k/C_raw
         assert np.isclose(mat.var(), 1.0 / 8.0, rtol=0.2)

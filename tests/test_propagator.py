@@ -57,6 +57,11 @@ def run_steps(engine, steps):
     return {query: engine.provenance[query] for query, _ in steps}
 
 
+def temporal_chain(engine):
+    """The plan steps that advance the anchor's slice, in visit order."""
+    return [(q, ids) for q, ids in engine.plan if q[0] == engine.z0]
+
+
 def phase_sweep(engine, tau, direction):
     """The plan steps of one sweep at phase tau, in visit order."""
     step = -1 if direction == "base" else 1
@@ -147,6 +152,23 @@ class TestPropagationConfig:
     def test_scales_normalized(self):
         assert PropagationConfig(scales=(4, 3, 3)).scales == (3, 4)
 
+    def test_json_lists_stored_as_tuples(self):
+        cfg = PropagationConfig(scales=[4], region_fractions=[0.25, 0.5])
+        assert cfg.scales == (4,) and cfg.region_fractions == (0.25, 0.5)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"k": "4"}, "k must be an integer, got '4'"),
+        ({"region_fractions": [0.3]},
+         "region_fractions must be a list of 2 finite numbers, got [0.3]"),
+        ({"scales": [3, True]}, "scales must be a list of integers, got [3, True]"),
+        ({"working_side": 2.5}, "working_side must be an integer or null, got 2.5"),
+        ({"matcher": 1}, "matcher must be a string, got 1"),
+    ])
+    def test_type_errors_read_for_a_user(self, kwargs, message):
+        with pytest.raises(ParameterError) as err:
+            PropagationConfig(**kwargs)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("kwargs", [
         {"patch": 5},
         {"patch": 0},
@@ -156,7 +178,18 @@ class TestPropagationConfig:
         {"apex_t_max": 1},
         {"continuity_mode": "none"},
         {"matcher": "exact"},
-        {"t0": -1},
+        {"k": "4"},
+        {"k": True},
+        {"patch": 6.0},
+        {"scales": 3},
+        {"scales": (3, "4")},
+        {"region_fractions": (0.3,)},
+        {"region_fractions": (0.3, float("nan"))},
+        {"apex_t_max": 2.5},
+        {"working_side": "288"},
+        {"z0": 1.0},
+        {"continuity_mode": None},
+        {"encoder": {"key_channels": 64}},
     ])
     def test_invalid_settings(self, kwargs):
         with pytest.raises(ParameterError):
@@ -203,11 +236,6 @@ class TestEngineGuards:
         with pytest.raises(PartitionError):
             PropagationEngine(vol, PropagationConfig(z0=0, scales=(4,)))
 
-    def test_t0_out_of_range(self):
-        vol = smooth_volume(3, 2)
-        with pytest.raises(ParameterError):
-            PropagationEngine(vol, PropagationConfig(t0=5, scales=(4,)))
-
     def test_frame_cannot_be_segmented_twice(self):
         engine = PropagationEngine(smooth_volume(3, 2), FAST)
         engine.seed_anchor(disc_seed())
@@ -235,7 +263,7 @@ class TestTemporalPass:
     def test_provenance_chain(self):
         engine = seeded_engine(smooth_volume(3, 4))
         z0 = 1
-        prov = run_steps(engine, engine.plan[:3])
+        prov = run_steps(engine, temporal_chain(engine))
         assert engine.provenance[(z0, 0)] == []
         assert prov == {(z0, 1): [(z0, 0)],
                         (z0, 2): [(z0, 0), (z0, 1)],
@@ -244,7 +272,7 @@ class TestTemporalPass:
     def test_anchor_mask_kept_verbatim(self):
         engine = seeded_engine(smooth_volume(3, 2))
         anchor_values = engine.build_bank([(1, 0)])[0].values.scale4.data.copy()
-        run_steps(engine, engine.plan[:1])
+        run_steps(engine, temporal_chain(engine))
         assert np.array_equal(engine.masks[1, 0], disc_seed())
         assert np.array_equal(engine.build_bank([(1, 0)])[0].values.scale4.data,
                               anchor_values)
@@ -267,11 +295,6 @@ class TestRun4d:
         seed = disc_seed()
         result = run_4d(vol, seed, FAST)
         assert np.array_equal(result.masks.labels[1, 0], seed)
-
-    def test_requires_t0_zero(self):
-        vol = smooth_volume(3, 2)
-        with pytest.raises(SchedulingError):
-            run_4d(vol, disc_seed(), PropagationConfig(t0=1, scales=(4,)))
 
     def test_deterministic(self):
         vol = smooth_volume(3, 2)
@@ -329,6 +352,8 @@ class TestContinuityModes:
 
 
 class TestPropagateZ:
+    """The spatial sweeps of one phase, run step by step from the plan."""
+
     def test_anchor_phase_pass(self):
         engine = seeded_engine(smooth_volume(3, 2))
         prov = run_steps(engine, phase_sweep(engine, 0, "apex"))
@@ -337,7 +362,7 @@ class TestPropagateZ:
 
     def test_later_phase_needs_apex_history(self):
         engine = seeded_engine(smooth_volume(3, 2))
-        run_steps(engine, engine.plan[:1])  # the temporal chain
+        run_steps(engine, temporal_chain(engine))
         # continuity "both" wants (2, 0) in the apex bank, so it must exist
         with pytest.raises(SchedulingError):
             run_steps(engine, phase_sweep(engine, 1, "apex"))
@@ -348,7 +373,7 @@ class TestPropagateZ:
     def test_spatial_only_pass_skips_history(self):
         engine = seeded_engine(smooth_volume(3, 2), PropagationConfig(
             patch=6, k=2, scales=(4,), continuity_mode="spatial-only"))
-        run_steps(engine, engine.plan[:1])
+        run_steps(engine, temporal_chain(engine))
         prov = run_steps(engine, phase_sweep(engine, 1, "apex"))
         assert prov == {(2, 1): [(1, 0), (1, 1)]}
 
@@ -377,9 +402,9 @@ class TestPlan:
                 patch=6, k=2, scales=(4,), continuity_mode=mode))
             return [q for q, _ in engine.plan]
 
-        chain = [(1, 1), (1, 2)]
-        sweeps = [(0, 0), (2, 0), (0, 1), (2, 1), (0, 2), (2, 2)]
-        assert order("both") == order("spatial-only") == chain + sweeps
+        # phase by phase: the anchor slice's step, then both sweeps
+        assert order("both") == order("spatial-only") == [
+            (0, 0), (2, 0), (1, 1), (0, 1), (2, 1), (1, 2), (0, 2), (2, 2)]
         assert order("temporal-only") == [(0, 0), (2, 0),
                                           (0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2)]
 
@@ -421,10 +446,12 @@ class TestPlan:
         arrays = [name for name, v in vars(engine).items() if isinstance(v, np.ndarray)]
         assert arrays == ["masks"]
 
-    @pytest.mark.parametrize("t_count", [4, 8])
+    @pytest.mark.parametrize("t_count", [4, 8, 16])
+    # peak live frames as a function of (Z, T): phase-major plans hold a
+    # constant; temporal-only runs slice by slice beside the phase-0 sweep
     @pytest.mark.parametrize("mode,peak", [
-        ("both", lambda z, t: t + 4),
-        ("spatial-only", lambda z, t: t + 1),
+        ("both", lambda z, t: 6),
+        ("spatial-only", lambda z, t: 3),
         ("temporal-only", lambda z, t: z + 1),
     ])
     def test_live_pyramids_bounded_by_policy(self, monkeypatch, t_count, mode, peak):
