@@ -69,22 +69,21 @@ def raw_feature_bank(image):
     if h < 2 or w < 2:
         raise DimensionError("frame too small to featurize")
 
-    channels = [image]
-    for sigma in BLUR_SIGMAS:
-        channels.append(ndimage.gaussian_filter(image, sigma=sigma, mode="reflect"))
+    bank = np.empty((RAW_CHANNELS, h, w), dtype=np.float64)
+    bank[0] = image
+    for c, sigma in enumerate(BLUR_SIGMAS, start=1):
+        ndimage.gaussian_filter(image, sigma=sigma, mode="reflect", output=bank[c])
 
     gy, gx = np.gradient(image)
-    channels.append(np.sqrt(gy * gy + gx * gx))
+    np.sqrt(gy * gy + gx * gx, out=bank[-4])
 
     mean = ndimage.uniform_filter(image, size=3, mode="reflect")
     mean_sq = ndimage.uniform_filter(image * image, size=3, mode="reflect")
-    channels.append(np.sqrt(np.maximum(mean_sq - mean * mean, 0.0)))
+    np.sqrt(np.maximum(mean_sq - mean * mean, 0.0), out=bank[-3])
 
-    rows = np.repeat(np.arange(h, dtype=np.float64)[:, None], w, axis=1) / (h - 1)
-    cols = np.repeat(np.arange(w, dtype=np.float64)[None, :], h, axis=0) / (w - 1)
-    channels.append(rows)
-    channels.append(cols)
-    return np.stack(channels, axis=0)
+    bank[-2] = np.arange(h, dtype=np.float64)[:, None] / (h - 1)
+    bank[-1] = np.arange(w, dtype=np.float64)[None, :] / (w - 1)
+    return bank
 
 
 def projection_matrix(key_channels):

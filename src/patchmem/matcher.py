@@ -18,6 +18,13 @@ row maximum. The patch path computes its pixel logits as
 ``2 q.m - ||m||^2``, one GEMM per query patch: the dropped ``-||q||^2`` is
 constant along each softmax row, so the weights do not change.
 
+The pixel stage never cuts a map into overlapping patches, which would hold
+about four times the map's bytes. It lays the query and the memory maps out
+once per call as channels-last pixel rows and gathers each block of
+selected patches from them through a table of flat pixel indices (patch
+origin times W plus the in-patch offset). ``unfold`` serves only the patch
+affinity and the backward pass.
+
 ``OpCounter`` tracks exact comparison counts: a patch affinity over T memory
 frames of N patches adds T*N^2 patch pairs, pixel matching adds
 N*K*(P^2)^2 pixel pairs, and the dense path adds T*(H*W)^2.
@@ -82,7 +89,25 @@ def _neg_sqdist(a, b):
     """
     aa = (a * a).sum(axis=1)
     bb = (b * b).sum(axis=1)
-    return 2.0 * (a @ b.T) - aa[:, None] - bb[None, :]
+    # the operations of 2 a.b - aa - bb in their order, in one buffer
+    s = a @ b.T
+    s *= 2.0
+    s -= aa[:, None]
+    s -= bb[None, :]
+    return s
+
+
+def _pixel_rows(grids):
+    """(T*H*W, C) channels-last pixel rows of T same-size (C, H, W) grids.
+
+    Row t*H*W + y*W + x is the channel vector of grid t at (y, x), one
+    contiguous run of C values; each grid costs one grid-sized copy.
+    """
+    c, h, w = grids[0].data.shape
+    rows = np.empty((len(grids), h, w, c), dtype=np.float64)
+    for t, g in enumerate(grids):
+        rows[t] = g.data.transpose(1, 2, 0)
+    return rows.reshape(len(grids) * h * w, c)
 
 
 def _softmax_rows(logits):
@@ -183,20 +208,14 @@ def plmm_forward(q_key, mem_keys, mem_values, patch, k,
     c_v = mem_values[0].channels
     p = patch
 
-    q_pg = unfold(q_key, layout)
-    key_pgs = []
     for mk in mem_keys:
         if (mk.height, mk.width, mk.channels) != (q_key.height, q_key.width, c_k):
             raise DimensionError("memory key dims do not match the query key")
-        key_pgs.append(unfold(mk, layout))
-    val_pix_blocks = []
     for mv in mem_values:
         if (mv.height, mv.width) != (q_key.height, q_key.width):
             raise DimensionError("memory value dims do not match the query key")
         if mv.channels != c_v:
             raise DimensionError("memory value channel counts disagree")
-        vp = unfold(mv, layout)
-        val_pix_blocks.append(vp.data.transpose(0, 2, 3, 1).reshape(n, p * p, c_v))
 
     if topk_override is not None:
         topk = topk_override
@@ -206,19 +225,28 @@ def plmm_forward(q_key, mem_keys, mem_values, patch, k,
         if topk.ids.max() >= t * n or topk.ids.min() < 0:
             raise ParameterError("top-K table indexes outside this memory bank")
     else:
-        topk = topk_select(patch_affinity(q_pg, key_pgs, counter=counter), k)
+        topk = topk_select(patch_affinity(
+            unfold(q_key, layout), [unfold(mk, layout) for mk in mem_keys],
+            counter=counter), k)
     kk = topk.k
 
-    # pixel views: (T*N, P^2, C)
-    key_pix = np.concatenate(
-        [pg.data.transpose(0, 2, 3, 1).reshape(n, p * p, c_k) for pg in key_pgs], axis=0)
-    val_pix = np.concatenate(val_pix_blocks, axis=0)
-
-    ids = topk.ids
-    q_pix = q_pg.data.transpose(0, 2, 3, 1).reshape(n, p * p, c_k)
+    # the pixel stage gathers from channels-last rows, so no map is cut into
+    # overlapping patches: pix[i] holds the flat pixel indices of query
+    # patch i in row-major in-patch order, and memory patch t*N+i of the
+    # bank reads the same pixels shifted by t*H*W
+    hw = layout.map_h * layout.map_w
+    q_rows = _pixel_rows([q_key])
+    key_rows = _pixel_rows(mem_keys)
+    val_rows = _pixel_rows(mem_values)
     # -||q - m||^2 up to the row constant -||q||^2, batched over query
-    # patches; the key norms are taken before the gather, which repeats keys
-    key_sq = (key_pix * key_pix).sum(axis=2)
+    # patches; the key norms are taken before the gather, which repeats keys,
+    # and summed in channel order over the (C, H, W) maps, not pairwise
+    # along the rows, so they round as the per-patch norms of
+    # tests/test_matcher.py's unfold oracle do
+    key_sq = np.concatenate([(mk.data * mk.data).sum(axis=0).ravel() for mk in mem_keys])
+    offsets = (np.arange(p)[:, None] * layout.map_w + np.arange(p)).ravel()
+    pix = (layout.origins[:, 0] * layout.map_w + layout.origins[:, 1])[:, None] + offsets
+    ids = topk.ids
     row = kk * p * p
     # with keep_cache one block spans every query patch, so the arrays the
     # cache keeps from the loop's last pass are the whole-layout ones
@@ -226,10 +254,16 @@ def plmm_forward(q_key, mem_keys, mem_values, patch, k,
     ro_pix = np.empty((n, p * p, c_v), dtype=np.float64)
     for lo in range(0, n, block):
         sel = ids[lo:lo + block]
-        m_sel = key_pix[sel].reshape(len(sel), row, c_k)
-        v_sel = val_pix[sel].reshape(len(sel), row, c_v)
-        logits = np.matmul(2.0 * q_pix[lo:lo + block], m_sel.transpose(0, 2, 1))
-        logits -= key_sq[sel].reshape(len(sel), 1, row)
+        sel_pix = (((sel // n) * hw)[:, :, None] + pix[sel % n]).reshape(len(sel), row)
+        # the query operand is stored (patch, channel, pixel) and reaches the
+        # GEMM transposed, as in the unfold oracle: BLAS may round a small
+        # product differently for another operand order
+        q_pix = np.empty((len(sel), c_k, p * p), dtype=np.float64).transpose(0, 2, 1)
+        q_pix[...] = q_rows[pix[lo:lo + block]]
+        m_sel = key_rows[sel_pix]
+        v_sel = val_rows[sel_pix]
+        logits = np.matmul(2.0 * q_pix, m_sel.transpose(0, 2, 1))
+        logits -= key_sq[sel_pix].reshape(len(sel), 1, row)
         if _FAULT_FLIP_PIXEL_SIMILARITY:
             logits = -logits
         weights = _softmax_rows(logits)

@@ -29,6 +29,22 @@ def checkerboard(h, w, cell=8):
     return (((yy // cell) + (xx // cell)) % 2).astype(np.float64) * 0.8 + 0.1
 
 
+def stacked_feature_bank(image):
+    """raw_feature_bank as a list of channels joined by np.stack."""
+    h, w = image.shape
+    channels = [image]
+    for sigma in BLUR_SIGMAS:
+        channels.append(ndimage.gaussian_filter(image, sigma=sigma, mode="reflect"))
+    gy, gx = np.gradient(image)
+    channels.append(np.sqrt(gy * gy + gx * gx))
+    mean = ndimage.uniform_filter(image, size=3, mode="reflect")
+    mean_sq = ndimage.uniform_filter(image * image, size=3, mode="reflect")
+    channels.append(np.sqrt(np.maximum(mean_sq - mean * mean, 0.0)))
+    channels.append(np.repeat(np.arange(h, dtype=np.float64)[:, None], w, axis=1) / (h - 1))
+    channels.append(np.repeat(np.arange(w, dtype=np.float64)[None, :], h, axis=0) / (w - 1))
+    return np.stack(channels, axis=0)
+
+
 class TestRawFeatureBank:
     def test_channel_names_and_count(self):
         names = raw_channel_names()
@@ -36,6 +52,11 @@ class TestRawFeatureBank:
                          "gradmag", "localstd", "row", "col"]
         bank = raw_feature_bank(checkerboard(32, 32))
         assert bank.shape == (8, 32, 32)
+
+    @pytest.mark.parametrize("shape", [(288, 288), (576, 576), (20, 33)])
+    def test_bitwise_equal_to_stacked_channels(self, shape):
+        img = np.random.default_rng(shape[1]).random(shape)
+        assert np.array_equal(raw_feature_bank(img), stacked_feature_bank(img))
 
     def test_constant_image_channels(self):
         bank = raw_feature_bank(np.full((16, 16), 0.5))

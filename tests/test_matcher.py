@@ -5,7 +5,9 @@ The core check is a pure-loop reference implementation of the whole
 patch-matching forward pass, kept free of einsum and broadcasting so it
 cannot share a bug with the library code. ``pixel_match_weights`` and
 ``readout`` are per-patch oracles of the pixel stage: the full negated
-squared distance, one query patch at a time.
+squared distance, one query patch at a time. ``unfold_plmm_forward`` is the
+pixel stage as it ran on unfolded patches, the bitwise oracle of the
+channels-last gather.
 """
 
 import numpy as np
@@ -16,8 +18,11 @@ from patchmem.errors import DimensionError, ParameterError
 from patchmem.grids import FeatureGrid
 from patchmem.matcher import (
     OpCounter,
+    PlmmResult,
+    TopKIndex,
     dense_readout,
     patch_affinity,
+    plmm_backward,
     plmm_forward,
     topk_select,
 )
@@ -79,6 +84,43 @@ def loop_plmm_reference(q_key, mem_keys, mem_values, patch, k, topk_ids=None):
         oy, ox = qo
         acc[:, oy:oy + p, ox:ox + p] += out.T.reshape(c_v, p, p)
     return acc / cov
+
+
+def unfold_plmm_forward(q_key, mem_keys, mem_values, patch, k, topk_ids=None):
+    """plmm_forward on unfolded patches, in one block.
+
+    Every map is cut into overlapping patches; their (N, P^2, C) pixel views
+    are concatenated over the bank and the key norms are taken per patch
+    pixel. ``topk_ids`` stands in for the affinity and top-K stage. Returns
+    a PlmmResult whose cache is the one plmm_backward reads.
+    """
+    layout = make_layout(q_key.height, q_key.width, patch)
+    n, p, t = layout.n_patches, patch, len(mem_keys)
+    c_k, c_v = q_key.channels, mem_values[0].channels
+    q_pg = unfold(q_key, layout)
+    key_pgs = [unfold(m, layout) for m in mem_keys]
+    if topk_ids is None:
+        topk_ids = topk_select(patch_affinity(q_pg, key_pgs), k).ids
+
+    def pixel_view(pg, c):
+        return pg.data.transpose(0, 2, 3, 1).reshape(n, p * p, c)
+
+    key_pix = np.concatenate([pixel_view(pg, c_k) for pg in key_pgs], axis=0)
+    val_pix = np.concatenate([pixel_view(unfold(v, layout), c_v) for v in mem_values], axis=0)
+    q_pix = pixel_view(q_pg, c_k)
+    key_sq = (key_pix * key_pix).sum(axis=2)
+    row = topk_ids.shape[1] * p * p
+    m_sel = key_pix[topk_ids].reshape(n, row, c_k)
+    v_sel = val_pix[topk_ids].reshape(n, row, c_v)
+    logits = np.matmul(2.0 * q_pix, m_sel.transpose(0, 2, 1))
+    logits -= key_sq[topk_ids].reshape(n, 1, row)
+    weights = matcher._softmax_rows(logits)
+    ro_pix = np.matmul(weights, v_sel)
+    readout = fold(PatchGrid(layout, ro_pix.transpose(0, 2, 1).reshape(n, c_v, p, p)))
+    cache = {"layout": layout, "ids": topk_ids, "weights": weights, "q_pix": q_pix,
+             "m_sel": m_sel, "v_sel": v_sel, "t": t, "c_k": c_k, "c_v": c_v}
+    return PlmmResult(readout=readout, topk=TopKIndex(ids=topk_ids, k=topk_ids.shape[1]),
+                      cache=cache)
 
 
 def pixel_match_weights(q_patch, k_patches):
@@ -149,6 +191,17 @@ class TestPatchAffinity:
         layout = make_layout(9, 9, 6)
         aff = patch_affinity(unfold(q, layout), [unfold(q, layout)])
         assert np.allclose(np.diag(aff), 0.0, atol=0.0)
+
+    @pytest.mark.parametrize("n, m, d", [(324, 972, 64), (37, 101, 5), (1, 3, 1)])
+    def test_neg_sqdist_bitwise_equals_expression(self, n, m, d):
+        # the in-place logits run the expression's operations in its order
+        rng = np.random.default_rng(n + m)
+        a = rng.standard_normal((n, d))
+        b = rng.standard_normal((m, d))
+        aa = (a * a).sum(axis=1)
+        bb = (b * b).sum(axis=1)
+        want = 2.0 * (a @ b.T) - aa[:, None] - bb[None, :]
+        assert np.array_equal(matcher._neg_sqdist(a, b), want)
 
     def test_self_scores_are_zero_up_to_rounding(self):
         # the Gram expansion is exact only in exact arithmetic; what holds is
@@ -390,6 +443,72 @@ class TestPlmmForward:
         q, mk, mv = random_maps(rng, t=2, h=9, w=9)
         with pytest.raises(ParameterError):
             plmm_forward(q, mk, mv[:1], patch=6, k=1)
+
+
+class TestChannelsLastGather:
+    """plmm_forward gathers its pixel stage from channels-last rows; the
+    unfolded-patch oracle must agree bit for bit."""
+
+    @staticmethod
+    def _maps(rng, t, side, transposed):
+        q, mk, mv = random_maps(rng, t=t, h=side, w=side, c_key=64, c_val=4)
+        if not transposed:
+            return q, mk, mv
+
+        def flip(grids):
+            return [FeatureGrid(g.data.transpose(0, 2, 1)) for g in grids]
+        return flip([q])[0], flip(mk), flip(mv)
+
+    @pytest.mark.parametrize("side4", [18, 36])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_bitwise_equal_to_unfolded_oracle(self, side4, transposed):
+        # a scale-4 map of patch 6 selects with its own top-K; the scale-3
+        # map twice its size, patch 12, reuses that table lifted
+        rng = np.random.default_rng(side4)
+        for t in (1, 2, 3):
+            q, mk, mv = self._maps(rng, t, side4, transposed)
+            got = plmm_forward(q, mk, mv, patch=6, k=4)
+            want = unfold_plmm_forward(q, mk, mv, patch=6, k=4)
+            assert np.array_equal(got.topk.ids, want.topk.ids)
+            assert np.array_equal(got.readout.data, want.readout.data)
+            q3, mk3, mv3 = self._maps(rng, t, 2 * side4, transposed)
+            lifted = plmm_forward(q3, mk3, mv3, patch=12, k=4, topk_override=got.topk)
+            want3 = unfold_plmm_forward(q3, mk3, mv3, patch=12, k=4, topk_ids=got.topk.ids)
+            assert np.array_equal(lifted.readout.data, want3.readout.data)
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_keep_cache_backward_unchanged(self, transposed):
+        rng = np.random.default_rng(44)
+        for t, side, patch in [(1, 18, 6), (2, 12, 4), (3, 36, 12)]:
+            q, mk, mv = self._maps(rng, t, side, transposed)
+            got = plmm_forward(q, mk, mv, patch=patch, k=4, keep_cache=True)
+            want = unfold_plmm_forward(q, mk, mv, patch=patch, k=4)
+            assert np.array_equal(got.readout.data, want.readout.data)
+            for key in ("ids", "weights", "q_pix", "m_sel", "v_sel"):
+                assert np.array_equal(got.cache[key], want.cache[key]), key
+            upstream = rng.standard_normal((4, side, side))
+            d_got = plmm_backward(got, upstream)
+            d_want = plmm_backward(want, upstream)
+            assert np.array_equal(d_got[0], d_want[0])
+            for a, b in zip(d_got[1] + d_got[2], d_want[1] + d_want[2]):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_unfold_serves_only_the_affinity(self, monkeypatch, t):
+        calls = []
+
+        def counting_unfold(grid, layout):
+            calls.append(grid)
+            return unfold(grid, layout)
+
+        monkeypatch.setattr(matcher, "unfold", counting_unfold)
+        rng = np.random.default_rng(45)
+        q, mk, mv = random_maps(rng, t=t, h=18, w=18, c_key=8, c_val=4)
+        base = plmm_forward(q, mk, mv, patch=6, k=4)
+        assert len(calls) == 1 + t
+        calls.clear()
+        plmm_forward(q, mk, mv, patch=6, k=4, topk_override=base.topk)
+        assert calls == []
 
 
 class TestDenseReadout:
