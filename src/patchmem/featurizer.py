@@ -4,10 +4,15 @@ The key pathway turns one grayscale frame into a two-scale pyramid of
 compact feature grids. The channel bank is deliberately simple and fully
 deterministic: the raw intensity, Gaussian blurs at a few widths, a
 finite-difference gradient magnitude, a 3x3 local standard deviation, and
-normalized row/column coordinates. The bank is average-pooled to strides 8
-and 16, standardized per channel per frame, and projected to a fixed
-channel count with a seeded random linear map shared by all frames and
-both scales.
+normalized row/column coordinates, each average-pooled to strides 8 and 16.
+Intensity, blurs and coordinates are linear in the frame, and so is
+pooling: along an axis, "blur, then pool" is one (n/stride, n) matrix, built
+once per axis length and stride, so these channels are computed at each
+stride directly by two small matrix products and no frame-sized copy of
+them exists. Only gradient magnitude and local std are computed at frame
+resolution and then pooled. The pooled bank is standardized per channel
+per frame and projected to a fixed channel count with a seeded random
+linear map shared by all frames and both scales.
 
 The value pathway carries class probabilities: a soft label map is
 area-averaged to the same two strides. Decoding reverses that with bilinear
@@ -16,6 +21,7 @@ upsampling, averages whatever scales are active, clamps, and renormalizes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,51 +57,100 @@ class EncoderConfig:
                 f"key_channels must be positive, got {self.key_channels}")
 
 
-def raw_feature_bank(image):
-    """Compute the unprojected channel bank for one frame.
+@functools.lru_cache(maxsize=16)
+def _blur_pool_operators(n, stride):
+    """Read-only (1 + len(BLUR_SIGMAS), n // stride, n) pooling operators.
+
+    Entry 0 average-pools an axis of length n by ``stride``; entry c pools
+    after the ``gaussian_filter1d`` of BLUR_SIGMAS[c - 1], with the taps and
+    reflect border of ``ndimage.gaussian_filter``. So blurring an image and
+    pooling it is ``rows[c] @ image @ cols[c].T``.
+    """
+    eye = np.eye(n)
+    ops = np.empty((1 + len(BLUR_SIGMAS), n // stride, n), dtype=np.float64)
+    ops[0] = eye.reshape(n // stride, stride, n).mean(axis=1)
+    for c, sigma in enumerate(BLUR_SIGMAS, start=1):
+        np.matmul(ops[0], ndimage.gaussian_filter1d(eye, sigma, axis=0, mode="reflect"),
+                  out=ops[c])
+    ops.flags.writeable = False
+    return ops
+
+
+def _nonlinear_channels(image):
+    """Gradient magnitude and 3x3 local standard deviation of an (H, W) frame.
+
+    Returns a (2, H, W) float64 array, computed in place with the operations
+    of ``sqrt(gy*gy + gx*gx)`` and ``sqrt(maximum(mean_sq - mean*mean, 0))``
+    in their order.
+    """
+    out = np.empty((2,) + image.shape, dtype=np.float64)
+    gy, gx = np.gradient(image)
+    gy *= gy
+    gx *= gx
+    gy += gx
+    np.sqrt(gy, out=out[0])
+    del gy, gx
+    mean = ndimage.uniform_filter(image, size=3, mode="reflect")
+    mean_sq = image * image
+    ndimage.uniform_filter(mean_sq, size=3, mode="reflect", output=mean_sq)
+    mean *= mean
+    mean_sq -= mean
+    np.maximum(mean_sq, 0.0, out=mean_sq)
+    np.sqrt(mean_sq, out=out[1])
+    return out
+
+
+def pooled_raw_channels(image):
+    """The unprojected channel bank of one frame, pooled to both strides.
 
     Args:
-        image: (H, W) array with values in [0, 1].
+        image: (H, W) array with values in [0, 1], dims multiples of 16.
 
     Returns:
-        (RAW_CHANNELS, H, W) float64 array. Channels in order: intensity,
-        one Gaussian blur per entry of BLUR_SIGMAS, gradient magnitude,
-        3x3 local standard deviation, then the row and column coordinates.
+        {"scale4": (RAW_CHANNELS, H/16, W/16), "scale3": (RAW_CHANNELS,
+        H/8, W/8)} float64 arrays. Channels in order: intensity, one
+        Gaussian blur per entry of BLUR_SIGMAS, gradient magnitude, 3x3
+        local standard deviation, then the row and column coordinates.
     """
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise DimensionError(f"encoder expects an (H, W) frame, got {image.shape}")
     h, w = image.shape
-    if h < 2 or w < 2:
-        raise DimensionError("frame too small to featurize")
+    if not h or not w or h % STRIDE_SCALE4 or w % STRIDE_SCALE4:
+        raise DimensionError(
+            f"frame dims ({h}, {w}) must be positive multiples of {STRIDE_SCALE4}")
+    nonlinear = _nonlinear_channels(image)
+    linear = 1 + len(BLUR_SIGMAS)
+    out = {}
+    for name, stride in (("scale4", STRIDE_SCALE4), ("scale3", STRIDE_SCALE3)):
+        rows_op = _blur_pool_operators(h, stride)
+        cols_op = _blur_pool_operators(w, stride)
+        gh, gw = h // stride, w // stride
+        raw = np.empty((RAW_CHANNELS, gh, gw), dtype=np.float64)
+        left = (rows_op.reshape(linear * gh, h) @ image).reshape(linear, gh, w)
+        np.matmul(left, cols_op.transpose(0, 2, 1), out=raw[:linear])
+        raw[linear:linear + 2] = downsample_avg(nonlinear, stride).data
+        raw[-2] = (rows_op[0] @ (np.arange(h, dtype=np.float64) / (h - 1)))[:, None]
+        raw[-1] = cols_op[0] @ (np.arange(w, dtype=np.float64) / (w - 1))
+        out[name] = raw
+    return out
 
-    bank = np.empty((RAW_CHANNELS, h, w), dtype=np.float64)
-    bank[0] = image
-    for c, sigma in enumerate(BLUR_SIGMAS, start=1):
-        ndimage.gaussian_filter(image, sigma=sigma, mode="reflect", output=bank[c])
 
-    gy, gx = np.gradient(image)
-    np.sqrt(gy * gy + gx * gx, out=bank[-4])
-
-    mean = ndimage.uniform_filter(image, size=3, mode="reflect")
-    mean_sq = ndimage.uniform_filter(image * image, size=3, mode="reflect")
-    np.sqrt(np.maximum(mean_sq - mean * mean, 0.0), out=bank[-3])
-
-    bank[-2] = np.arange(h, dtype=np.float64)[:, None] / (h - 1)
-    bank[-1] = np.arange(w, dtype=np.float64)[None, :] / (w - 1)
-    return bank
-
-
+@functools.lru_cache(maxsize=16)
 def projection_matrix(key_channels):
-    """The fixed random projection shared by every frame and both scales."""
+    """The fixed random projection shared by every frame and both scales.
+
+    Drawn once per channel count; the array is read-only.
+    """
     rng = np.random.default_rng(PROJECTION_SEED)
     mat = rng.standard_normal((key_channels, RAW_CHANNELS))
-    return mat / np.sqrt(RAW_CHANNELS)
+    mat /= np.sqrt(RAW_CHANNELS)
+    mat.flags.writeable = False
+    return mat
 
 
-def _standardize(grid):
+def _standardize(data):
     """Zero-mean unit-variance per channel, variance clamped at 1e-6."""
-    data = grid.data
     mean = data.mean(axis=(1, 2), keepdims=True)
     var = data.var(axis=(1, 2), keepdims=True)
     return (data - mean) / np.sqrt(np.maximum(var, _VAR_CLAMP))
@@ -107,16 +162,10 @@ def encode_key(image, cfg=EncoderConfig()):
     The frame dims must be divisible by 16. Identical inputs produce
     bit-identical outputs.
     """
-    bank = raw_feature_bank(image)
-    h, w = bank.shape[1], bank.shape[2]
-    if h % STRIDE_SCALE4 or w % STRIDE_SCALE4:
-        raise DimensionError(
-            f"frame dims ({h}, {w}) must be divisible by {STRIDE_SCALE4}")
     proj = projection_matrix(cfg.key_channels)
     grids = {}
-    for name, stride in (("scale4", STRIDE_SCALE4), ("scale3", STRIDE_SCALE3)):
-        pooled = downsample_avg(bank, stride)
-        std = _standardize(pooled)
+    for name, raw in pooled_raw_channels(image).items():
+        std = _standardize(raw)
         c, gh, gw = std.shape
         projected = (proj @ std.reshape(c, gh * gw)).reshape(cfg.key_channels, gh, gw)
         grids[name] = FeatureGrid(projected)

@@ -295,9 +295,10 @@ def resize_bilinear(image, out_h, out_w):
     exactly. Accepts an (H, W) map or a (C, H, W) grid; channels are
     resampled independently.
 
-    The resize is separable: columns are interpolated first, on the input
-    rows, then rows, on whole-row gathers. Each output element goes through
-    the same floating-point operations in the same order as the 2-d formula
+    The resize is separable and runs plane by plane: columns are
+    interpolated first, on the input rows, then rows, on whole-row gathers.
+    Each output element goes through the same floating-point operations in
+    the same order as the 2-d formula
     ``(1-wr)*((1-wc)*tl + wc*tr) + wr*((1-wc)*bl + wc*br)``, so the result
     is bitwise equal to it. The output is always a fresh array.
     """
@@ -320,18 +321,24 @@ def resize_bilinear(image, out_h, out_w):
     wr = (src_r - r0).reshape(-1, 1)
     wc = src_c - c0
 
-    # columns before rows: a row-first order would not be bitwise equal
-    cols = image[..., c0]
-    cols *= 1.0 - wc
-    right = image[..., c1]
-    right *= wc
-    cols += right
-
-    out = cols[..., r0, :]
-    out *= 1.0 - wr
-    bot = cols[..., r1, :]
-    bot *= wr
-    out += bot
+    # one plane at a time through reused buffers, so past the output the
+    # largest temporary is one plane of bottom rows; columns before rows: a
+    # row-first order would not be bitwise equal
+    out = np.empty(image.shape[:-2] + (out_h, out_w), dtype=np.float64)
+    cols = np.empty((in_h, out_w), dtype=np.float64)
+    right = np.empty_like(cols)
+    bot = np.empty((out_h, out_w), dtype=np.float64)
+    for src, dst in zip(image.reshape(-1, in_h, in_w), out.reshape(-1, out_h, out_w)):
+        np.take(src, c0, axis=1, out=cols, mode="clip")
+        cols *= 1.0 - wc
+        np.take(src, c1, axis=1, out=right, mode="clip")
+        right *= wc
+        cols += right
+        np.take(cols, r0, axis=0, out=dst, mode="clip")
+        dst *= 1.0 - wr
+        np.take(cols, r1, axis=0, out=bot, mode="clip")
+        bot *= wr
+        dst += bot
     return out
 
 

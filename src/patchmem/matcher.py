@@ -46,11 +46,11 @@ from .patcher import PatchGrid, coverage_map, fold, make_layout, scatter_add, un
 _FAULT_FLIP_PIXEL_SIMILARITY = False
 
 
-# Byte budget of the pixel logits of one block of query patches. Gather,
-# logits, softmax and readout run block by block, so the largest
-# intermediate stays about the size of one core's L2 cache instead of
-# growing with the patch count; a query patch with more logits than this
-# forms a block of its own.
+# Byte budget of the pixel logits of one block of query patches, or of
+# query pixels in the dense path. Gather, logits, softmax and readout run
+# block by block, so the largest intermediate stays about the size of one
+# core's L2 cache instead of growing with the query size; a query patch or
+# pixel with more logits than this forms a block of its own.
 _LOGIT_BLOCK_BYTES = 1 << 20
 
 
@@ -81,14 +81,17 @@ class TopKIndex:
     k: int
 
 
-def _neg_sqdist(a, b):
+def _neg_sqdist(a, b, bb=None):
     """Pairwise -||a_i - b_j||^2 via the Gram expansion, (n, m) for (n,d),(m,d).
 
     Not exact: a_i == b_j can score a tiny nonzero value, and
-    _neg_sqdist(a, b) need not equal _neg_sqdist(b, a).T bit for bit.
+    _neg_sqdist(a, b) need not equal _neg_sqdist(b, a).T bit for bit. A
+    caller that scores many blocks of rows against one ``b`` passes its
+    squared row norms as ``bb``.
     """
     aa = (a * a).sum(axis=1)
-    bb = (b * b).sum(axis=1)
+    if bb is None:
+        bb = (b * b).sum(axis=1)
     # the operations of 2 a.b - aa - bb in their order, in one buffer
     s = a @ b.T
     s *= 2.0
@@ -369,12 +372,13 @@ def plmm_backward(result, upstream):
     return d_query_key, d_mem_keys, d_mem_values
 
 
-def dense_readout(q_key, mem_keys, mem_values, counter=None, chunk=2048):
+def dense_readout(q_key, mem_keys, mem_values, counter=None):
     """All-pairs pixel matching, the reference path.
 
     Every query pixel is matched by softmax against every memory pixel of
     every frame; no patches, no top-K. Quadratic in H*W, so query rows are
-    processed in chunks to bound memory.
+    processed in blocks whose logits fit in _LOGIT_BLOCK_BYTES, the budget of
+    the patch path.
     """
     if len(mem_keys) != len(mem_values) or not mem_keys:
         raise ParameterError("memory keys and values must be parallel, non-empty lists")
@@ -392,10 +396,11 @@ def dense_readout(q_key, mem_keys, mem_values, counter=None, chunk=2048):
     v_pix = np.concatenate([mv.data.reshape(c_v, hw).T for mv in mem_values], axis=0)
 
     out = np.empty((hw, c_v), dtype=np.float64)
-    for start in range(0, hw, chunk):
-        stop = min(start + chunk, hw)
-        logits = _neg_sqdist(q_pix[start:stop], m_pix)
-        out[start:stop] = _softmax_rows(logits) @ v_pix
+    m_sq = (m_pix * m_pix).sum(axis=1)
+    block = max(1, _LOGIT_BLOCK_BYTES // (8 * t * hw))
+    for lo in range(0, hw, block):
+        logits = _neg_sqdist(q_pix[lo:lo + block], m_pix, m_sq)
+        out[lo:lo + block] = _softmax_rows(logits) @ v_pix
     if counter is not None:
         counter.pixel_pairs += t * hw * hw
     return FeatureGrid(out.T.reshape(c_v, h, w))

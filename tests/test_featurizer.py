@@ -1,5 +1,7 @@
 """Handcrafted key encoding, value pooling, and decoding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -7,18 +9,24 @@ from scipy import ndimage
 from patchmem.errors import DimensionError, ParameterError
 from patchmem.featurizer import (
     BLUR_SIGMAS,
+    PROJECTION_SEED,
     EncoderConfig,
+    _blur_pool_operators,
+    _nonlinear_channels,
+    _standardize,
     decode,
     encode_key,
     encode_value,
+    pooled_raw_channels,
     projection_matrix,
-    raw_feature_bank,
 )
-from patchmem.grids import FeatureGrid, one_hot, resize_bilinear
+from patchmem.grids import FeatureGrid, downsample_avg, one_hot, resize_bilinear
+
+STRIDES = {"scale4": 16, "scale3": 8}
 
 
 def raw_channel_names():
-    """Channel names of the raw bank, in the order raw_feature_bank stacks them."""
+    """Channel names of the raw bank, in the order pooled_raw_channels stacks them."""
     names = ["intensity"]
     names += [f"blur{int(s) if float(s).is_integer() else s}" for s in BLUR_SIGMAS]
     return names + ["gradmag", "localstd", "row", "col"]
@@ -30,7 +38,7 @@ def checkerboard(h, w, cell=8):
 
 
 def stacked_feature_bank(image):
-    """raw_feature_bank as a list of channels joined by np.stack."""
+    """The raw channel bank at frame resolution, a list of channels joined by np.stack."""
     h, w = image.shape
     channels = [image]
     for sigma in BLUR_SIGMAS:
@@ -45,58 +53,115 @@ def stacked_feature_bank(image):
     return np.stack(channels, axis=0)
 
 
+def full_bank_encode_key(image, key_channels):
+    """encode_key by way of the full-resolution bank: stacked_feature_bank,
+    downsample_avg, standardize, project."""
+    bank = stacked_feature_bank(image)
+    proj = projection_matrix(key_channels)
+    out = {}
+    for name, stride in STRIDES.items():
+        std = _standardize(downsample_avg(bank, stride).data)
+        c, gh, gw = std.shape
+        out[name] = (proj @ std.reshape(c, gh * gw)).reshape(key_channels, gh, gw)
+    return out
+
+
 class TestRawFeatureBank:
     def test_channel_names_and_count(self):
         names = raw_channel_names()
         assert names == ["intensity", "blur1", "blur2", "blur4",
                          "gradmag", "localstd", "row", "col"]
-        bank = raw_feature_bank(checkerboard(32, 32))
-        assert bank.shape == (8, 32, 32)
+        raw = pooled_raw_channels(checkerboard(32, 48))
+        assert raw["scale4"].shape == (8, 2, 3)
+        assert raw["scale3"].shape == (8, 4, 6)
 
     @pytest.mark.parametrize("shape", [(288, 288), (576, 576), (20, 33)])
     def test_bitwise_equal_to_stacked_channels(self, shape):
+        # gradient magnitude and local std, the channels not linear in the
+        # frame, keep the stacked formula's operations at frame resolution
         img = np.random.default_rng(shape[1]).random(shape)
-        assert np.array_equal(raw_feature_bank(img), stacked_feature_bank(img))
+        assert np.array_equal(_nonlinear_channels(img), stacked_feature_bank(img)[4:6])
+
+    @pytest.mark.parametrize("shape", [(288, 288), (576, 576), (48, 80)])
+    def test_close_to_pooled_full_bank(self, shape):
+        img = np.random.default_rng(shape[0] + shape[1]).random(shape)
+        bank = stacked_feature_bank(img)
+        for name, raw in pooled_raw_channels(img).items():
+            want = downsample_avg(bank, STRIDES[name]).data
+            assert np.abs(raw - want).max() <= 1e-12
+            assert np.array_equal(raw[4:6], want[4:6])
 
     def test_constant_image_channels(self):
-        bank = raw_feature_bank(np.full((16, 16), 0.5))
         names = raw_channel_names()
-        assert np.allclose(bank[names.index("intensity")], 0.5)
-        for blur in ("blur1", "blur2", "blur4"):
-            assert np.allclose(bank[names.index(blur)], 0.5, atol=1e-12)
-        assert np.allclose(bank[names.index("gradmag")], 0.0, atol=1e-12)
-        assert np.allclose(bank[names.index("localstd")], 0.0, atol=1e-9)
+        for raw in pooled_raw_channels(np.full((32, 32), 0.5)).values():
+            assert np.allclose(raw[names.index("intensity")], 0.5, atol=1e-12)
+            for blur in ("blur1", "blur2", "blur4"):
+                assert np.allclose(raw[names.index(blur)], 0.5, atol=1e-12)
+            assert np.allclose(raw[names.index("gradmag")], 0.0, atol=1e-12)
+            assert np.allclose(raw[names.index("localstd")], 0.0, atol=1e-9)
 
     def test_coordinate_channels_monotone(self):
-        bank = raw_feature_bank(checkerboard(16, 24))
         names = raw_channel_names()
-        rows = bank[names.index("row")]
-        cols = bank[names.index("col")]
-        assert rows[0, 0] == 0.0 and rows[-1, 0] == 1.0
-        assert (np.diff(rows, axis=0) > 0).all()
-        assert (np.diff(cols, axis=1) > 0).all()
-        assert np.allclose(np.diff(rows, axis=1), 0.0)
+        for name, raw in pooled_raw_channels(checkerboard(32, 48)).items():
+            rows = raw[names.index("row")]
+            cols = raw[names.index("col")]
+            # pooled coordinates are cell centres, symmetric about 0.5
+            half = (STRIDES[name] - 1) / 2
+            assert np.isclose(rows[0, 0], half / 31, atol=1e-15)
+            assert np.isclose(rows[0, 0] + rows[-1, 0], 1.0, atol=1e-15)
+            assert np.isclose(cols[0, 0], half / 47, atol=1e-15)
+            assert (np.diff(rows, axis=0) > 0).all()
+            assert (np.diff(cols, axis=1) > 0).all()
+            assert np.array_equal(rows, np.broadcast_to(rows[:, :1], rows.shape))
+            assert np.array_equal(cols, np.broadcast_to(cols[:1], cols.shape))
 
     def test_blur_preserves_mass_roughly_and_smooths(self):
-        img = checkerboard(32, 32, cell=4)
-        bank = raw_feature_bank(img)
+        img = checkerboard(64, 64, cell=8)
         names = raw_channel_names()
-        for blur, sigma in zip(("blur1", "blur2", "blur4"), (1, 2, 4)):
-            ch = bank[names.index(blur)]
-            assert ch.var() < img.var()
+        raw = pooled_raw_channels(img)["scale3"]
+        intensity = raw[names.index("intensity")]
+        for blur in ("blur1", "blur2", "blur4"):
+            ch = raw[names.index(blur)]
+            assert abs(ch.mean() - intensity.mean()) < 1e-2
+            assert ch.var() < intensity.var()
         # heavier blur smooths more
-        assert (bank[names.index("blur4")].var()
-                < bank[names.index("blur1")].var())
+        assert (raw[names.index("blur4")].var()
+                < raw[names.index("blur1")].var())
 
     def test_horizontal_flip_commutes_on_symmetric_channels(self):
         img = checkerboard(32, 48, cell=8) + 0.05 * np.random.default_rng(71).random((32, 48))
         img = np.clip(img, 0.0, 1.0)
-        bank_a = raw_feature_bank(img)
-        bank_b = raw_feature_bank(img[:, ::-1])
+        raw_a = pooled_raw_channels(img)
+        raw_b = pooled_raw_channels(img[:, ::-1])
         names = raw_channel_names()
-        for name in ("intensity", "blur1", "blur2", "blur4", "gradmag", "localstd"):
-            c = names.index(name)
-            assert np.abs(bank_a[c, :, ::-1] - bank_b[c]).max() < 1e-6
+        for scale in STRIDES:
+            for name in ("intensity", "blur1", "blur2", "blur4", "gradmag", "localstd"):
+                c = names.index(name)
+                assert np.abs(raw_a[scale][c, :, ::-1] - raw_b[scale][c]).max() < 1e-6
+
+
+class TestBlurPoolOperators:
+    @pytest.mark.parametrize("h, w, stride", [
+        (288, 288, 8), (288, 288, 16), (576, 576, 8), (48, 80, 8), (48, 80, 16), (16, 32, 16),
+    ])
+    def test_each_operator_is_gaussian_filter_then_pool(self, h, w, stride):
+        img = np.random.default_rng(h + w + stride).random((h, w))
+        rows_op = _blur_pool_operators(h, stride)
+        cols_op = _blur_pool_operators(w, stride)
+        assert rows_op.shape == (1 + len(BLUR_SIGMAS), h // stride, h)
+        assert np.abs(rows_op[0] @ img @ cols_op[0].T
+                      - downsample_avg(img[None], stride).data[0]).max() <= 1e-14
+        for c, sigma in enumerate(BLUR_SIGMAS, start=1):
+            blurred = ndimage.gaussian_filter(img, sigma=sigma, mode="reflect")
+            want = downsample_avg(blurred[None], stride).data[0]
+            assert np.abs(rows_op[c] @ img @ cols_op[c].T - want).max() <= 1e-12
+
+    def test_cached_and_read_only(self):
+        ops = _blur_pool_operators(48, 8)
+        assert _blur_pool_operators(48, 8) is ops
+        assert not ops.flags.writeable
+        with pytest.raises(ValueError):
+            ops[0, 0, 0] = 1.0
 
 
 class TestEncoderConfig:
@@ -134,11 +199,44 @@ class TestEncodeKey:
         with pytest.raises(DimensionError):
             encode_key(checkerboard(40, 32))
 
+    @pytest.mark.parametrize("shape", [(32,), (2, 32, 32), (0, 32), (32, 0)])
+    def test_frame_must_be_a_nonempty_map(self, shape):
+        with pytest.raises(DimensionError):
+            encode_key(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(288, 288), (576, 576), (48, 80)])
+    def test_matches_full_bank_oracle(self, shape):
+        img = np.random.default_rng(shape[0] * shape[1]).random(shape)
+        got = encode_key(img, EncoderConfig(key_channels=64))
+        want = full_bank_encode_key(img, 64)
+        assert np.abs(got.scale4.data - want["scale4"]).max() <= 1e-12
+        assert np.abs(got.scale3.data - want["scale3"]).max() <= 1e-12
+
+    def test_peak_memory_at_576(self):
+        # only the two nonlinear channels and their temporaries are
+        # frame-sized, 2.7 MB each; the eight-channel bank alone would be 21 MB
+        img = np.random.default_rng(76).random((576, 576))
+        cfg = EncoderConfig(key_channels=64)
+        tracemalloc.start()
+        try:
+            encode_key(img, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
     def test_projection_matrix_shape_and_scaling(self):
         mat = projection_matrix(EncoderConfig().key_channels)
         assert mat.shape == (32, 8)
         # rows have variance ~ 1/C_raw so squared distances gain ~ C_k/C_raw
         assert np.isclose(mat.var(), 1.0 / 8.0, rtol=0.2)
+
+    def test_projection_matrix_memoized_read_only(self):
+        mat = projection_matrix(64)
+        assert projection_matrix(64) is mat
+        assert not mat.flags.writeable
+        fresh = np.random.default_rng(PROJECTION_SEED).standard_normal((64, 8)) / np.sqrt(8)
+        assert np.array_equal(mat, fresh)
 
 
 class TestEncodeValue:

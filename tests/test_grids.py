@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +210,21 @@ class TestResizeBilinear:
         assert np.array_equal(got, four_corner_reference(img, *out_hw))
         assert np.array_equal(img, before)
         assert not np.shares_memory(got, img)
+
+    def test_peak_holds_output_plus_one_plane(self):
+        # decode's scale-3 upsampling at working side 576: past the output,
+        # one plane of bottom rows and the column pass of one plane, with
+        # 256 KiB for index arrays and ufunc buffers
+        img = np.random.default_rng(6).random((4, 72, 72))
+        tracemalloc.start()
+        try:
+            out = resize_bilinear(img, 576, 576)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        plane = 576 * 576 * 8
+        column_pass = 2 * 72 * 576 * 8
+        assert peak <= out.nbytes + plane + column_pass + (256 << 10)
 
     def test_bitwise_equal_on_non_contiguous_input(self):
         rng = np.random.default_rng(5)

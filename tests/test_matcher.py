@@ -202,6 +202,7 @@ class TestPatchAffinity:
         bb = (b * b).sum(axis=1)
         want = 2.0 * (a @ b.T) - aa[:, None] - bb[None, :]
         assert np.array_equal(matcher._neg_sqdist(a, b), want)
+        assert np.array_equal(matcher._neg_sqdist(a, b, bb), want)
 
     def test_self_scores_are_zero_up_to_rounding(self):
         # the Gram expansion is exact only in exact arithmetic; what holds is
@@ -537,11 +538,14 @@ class TestDenseReadout:
         dense_readout(q, mk, mv, counter=counter)
         assert counter.pixel_pairs == 2 * 576 * 576 == 663552
 
-    def test_chunking_does_not_change_result(self):
+    def test_chunking_does_not_change_result(self, monkeypatch):
         rng = np.random.default_rng(40)
         q, mk, mv = random_maps(rng, t=1, h=8, w=8)
-        a = dense_readout(q, mk, mv, chunk=7)
-        b = dense_readout(q, mk, mv, chunk=4096)
+        # one query row holds 64 logits of 8 bytes: nine blocks of 7 rows, one of 1
+        monkeypatch.setattr(matcher, "_LOGIT_BLOCK_BYTES", 7 * 64 * 8)
+        a = dense_readout(q, mk, mv)
+        monkeypatch.setattr(matcher, "_LOGIT_BLOCK_BYTES", 1 << 62)
+        b = dense_readout(q, mk, mv)
         assert np.allclose(a.data, b.data, atol=1e-12)
 
 
