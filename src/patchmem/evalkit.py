@@ -473,61 +473,33 @@ def check_complexity(configs=None, reps=5, c_key=8, c_val=4, seed=0):
     rng = np.random.default_rng(seed)
     rows = []
     for cfg in configs:
-        layout = make_layout(cfg.h, cfg.w, cfg.patch)
-        n = layout.n_patches
-        q4 = FeatureGrid(rng.standard_normal((c_key, cfg.h, cfg.w)))
-        mk4 = [FeatureGrid(rng.standard_normal((c_key, cfg.h, cfg.w)))
-               for _ in range(cfg.t)]
-        mv4 = [FeatureGrid(rng.standard_normal((c_val, cfg.h, cfg.w)))
-               for _ in range(cfg.t)]
+        prev = None  # scale 4's top-K table and layout, which scale 3 lifts
+        for scale in (4, 3) if 3 in cfg.scales else (4,):
+            f = 2 if scale == 3 else 1
+            h, w, p = f * cfg.h, f * cfg.w, f * cfg.patch
+            layout = make_layout(h, w, p)
+            lifted = None if prev is None else lift_topk(*prev, layout)
+            q = FeatureGrid(rng.standard_normal((c_key, h, w)))
+            mk = [FeatureGrid(rng.standard_normal((c_key, h, w))) for _ in range(cfg.t)]
+            mv = [FeatureGrid(rng.standard_normal((c_val, h, w))) for _ in range(cfg.t)]
 
-        counter = OpCounter()
-        res4 = plmm_forward(q4, mk4, mv4, cfg.patch, cfg.k, counter=counter)
-        dense_counter = OpCounter()
-        dense_readout(q4, mk4, mv4, counter=dense_counter)
-        plmm_ms = _median_ms(
-            lambda: plmm_forward(q4, mk4, mv4, cfg.patch, cfg.k), reps)
-        dense_ms = _median_ms(lambda: dense_readout(q4, mk4, mv4), reps)
-        hw = cfg.h * cfg.w
-        rows.append(BenchRow(
-            t=cfg.t, h=cfg.h, w=cfg.w, patch=cfg.patch, k=cfg.k, scale=4,
-            predicted_patch_pairs=cfg.t * n * n,
-            measured_patch_pairs=counter.patch_pairs,
-            predicted_pixel_pairs=n * cfg.k * (cfg.patch ** 2) ** 2,
-            measured_pixel_pairs=counter.pixel_pairs,
-            predicted_dense_pairs=cfg.t * hw * hw,
-            measured_dense_pairs=dense_counter.pixel_pairs,
-            plmm_ms=plmm_ms, dense_ms=dense_ms,
-        ))
-
-        if 3 not in cfg.scales:
-            continue
-        h3, w3, p3 = 2 * cfg.h, 2 * cfg.w, 2 * cfg.patch
-        layout3 = make_layout(h3, w3, p3)
-        lifted = lift_topk(res4.topk, layout, layout3)
-        q3 = FeatureGrid(rng.standard_normal((c_key, h3, w3)))
-        mk3 = [FeatureGrid(rng.standard_normal((c_key, h3, w3)))
-               for _ in range(cfg.t)]
-        mv3 = [FeatureGrid(rng.standard_normal((c_val, h3, w3)))
-               for _ in range(cfg.t)]
-        counter3 = OpCounter()
-        plmm_forward(q3, mk3, mv3, p3, cfg.k, counter=counter3,
-                     topk_override=lifted)
-        dense_counter3 = OpCounter()
-        dense_readout(q3, mk3, mv3, counter=dense_counter3)
-        plmm3_ms = _median_ms(
-            lambda: plmm_forward(q3, mk3, mv3, p3, cfg.k, topk_override=lifted),
-            reps)
-        dense3_ms = _median_ms(lambda: dense_readout(q3, mk3, mv3), reps)
-        hw3 = h3 * w3
-        rows.append(BenchRow(
-            t=cfg.t, h=h3, w=w3, patch=p3, k=cfg.k, scale=3,
-            predicted_patch_pairs=0,
-            measured_patch_pairs=counter3.patch_pairs,
-            predicted_pixel_pairs=layout3.n_patches * cfg.k * (p3 ** 2) ** 2,
-            measured_pixel_pairs=counter3.pixel_pairs,
-            predicted_dense_pairs=cfg.t * hw3 * hw3,
-            measured_dense_pairs=dense_counter3.pixel_pairs,
-            plmm_ms=plmm3_ms, dense_ms=dense3_ms,
-        ))
+            counter = OpCounter()
+            res = plmm_forward(q, mk, mv, p, cfg.k, counter=counter, topk_override=lifted)
+            dense_counter = OpCounter()
+            dense_readout(q, mk, mv, counter=dense_counter)
+            plmm_ms = _median_ms(
+                lambda: plmm_forward(q, mk, mv, p, cfg.k, topk_override=lifted), reps)
+            dense_ms = _median_ms(lambda: dense_readout(q, mk, mv), reps)
+            n, hw = layout.n_patches, h * w
+            rows.append(BenchRow(
+                t=cfg.t, h=h, w=w, patch=p, k=cfg.k, scale=scale,
+                predicted_patch_pairs=0 if lifted is not None else cfg.t * n * n,
+                measured_patch_pairs=counter.patch_pairs,
+                predicted_pixel_pairs=n * cfg.k * (p ** 2) ** 2,
+                measured_pixel_pairs=counter.pixel_pairs,
+                predicted_dense_pairs=cfg.t * hw * hw,
+                measured_dense_pairs=dense_counter.pixel_pairs,
+                plmm_ms=plmm_ms, dense_ms=dense_ms,
+            ))
+            prev = (res.topk, layout)
     return ComplexityReport(rows=rows)

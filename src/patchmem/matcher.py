@@ -22,8 +22,10 @@ The pixel stage never cuts a map into overlapping patches, which would hold
 about four times the map's bytes. It lays the query and the memory maps out
 once per call as channels-last pixel rows and gathers each block of
 selected patches from them through a table of flat pixel indices (patch
-origin times W plus the in-patch offset). ``unfold`` serves only the patch
-affinity and the backward pass.
+origin times W plus the in-patch offset, the layout's ``pix``). ``unfold``
+serves only the patch affinity. ``plmm_backward`` runs the forward's blocks
+again rather than keeping them, so the pass and its gradient hold one
+block of pixel logits at a time.
 
 ``OpCounter`` tracks exact comparison counts: a patch affinity over T memory
 frames of N patches adds T*N^2 patch pairs, pixel matching adds
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, StateError
+from .errors import DimensionError, ParameterError
 from .grids import FeatureGrid
 from .patcher import PatchGrid, coverage_map, fold, make_layout, scatter_add, unfold
 
@@ -172,19 +174,81 @@ def topk_select(scores, k):
 
 @dataclass
 class PlmmResult:
-    """Output of a patch-matching forward pass.
-
-    ``cache`` is populated only when the pass was run with keep_cache=True
-    and is required by plmm_backward.
-    """
+    """Output of a patch-matching forward pass."""
 
     readout: FeatureGrid
     topk: TopKIndex
-    cache: dict | None = None
+
+
+def _checked_layout(q_key, mem_keys, mem_values, patch):
+    """The query's patch layout, once the bank is checked against the query."""
+    if len(mem_keys) != len(mem_values) or not mem_keys:
+        raise ParameterError("memory keys and values must be parallel, non-empty lists")
+    layout = make_layout(q_key.height, q_key.width, patch)
+    c_v = mem_values[0].channels
+    for mk in mem_keys:
+        if (mk.height, mk.width, mk.channels) != (q_key.height, q_key.width, q_key.channels):
+            raise DimensionError("memory key dims do not match the query key")
+    for mv in mem_values:
+        if (mv.height, mv.width) != (q_key.height, q_key.width):
+            raise DimensionError("memory value dims do not match the query key")
+        if mv.channels != c_v:
+            raise DimensionError("memory value channel counts disagree")
+    return layout
+
+
+def _check_topk(topk, n, t):
+    """Reject a top-K table that does not fit N query patches and a T-frame bank."""
+    if topk.ids.shape[0] != n:
+        raise DimensionError(
+            f"top-K table has {topk.ids.shape[0]} rows, layout expects {n}")
+    if topk.ids.max() >= t * n or topk.ids.min() < 0:
+        raise ParameterError("top-K table indexes outside this memory bank")
+
+
+def _pixel_blocks(q_key, mem_keys, mem_values, layout, ids):
+    """The pixel stage, one block of query patches at a time.
+
+    Yields ``(lo, q_pix, m_sel, v_sel, weights)`` for query patches
+    lo .. lo + B: their (B, P^2, C_k) pixels, the (B, K*P^2, C_k) keys and
+    (B, K*P^2, C_v) values of their selected memory patches, and the
+    (B, P^2, K*P^2) softmax weights. A block holds as many patches as fit
+    their logits in _LOGIT_BLOCK_BYTES.
+    """
+    n, p = layout.n_patches, layout.patch
+    hw = layout.map_h * layout.map_w
+    pix = layout.pix
+    q_rows = _pixel_rows([q_key])
+    key_rows = _pixel_rows(mem_keys)
+    val_rows = _pixel_rows(mem_values)
+    # -||q - m||^2 up to the row constant -||q||^2, batched over query
+    # patches; the key norms are taken before the gather, which repeats keys,
+    # and summed in channel order over the (C, H, W) maps, not pairwise
+    # along the rows, so they round as the per-patch norms of
+    # tests/test_matcher.py's unfold oracle do
+    key_sq = np.concatenate([(mk.data * mk.data).sum(axis=0).ravel() for mk in mem_keys])
+    row = ids.shape[1] * p * p
+    block = max(1, _LOGIT_BLOCK_BYTES // (8 * p * p * row))
+    for lo in range(0, n, block):
+        sel = ids[lo:lo + block]
+        # memory patch t*N+i of the bank reads the pixels of query patch i
+        # shifted by t*H*W
+        sel_pix = (((sel // n) * hw)[:, :, None] + pix[sel % n]).reshape(len(sel), row)
+        # the query operand is stored (patch, channel, pixel) and reaches the
+        # GEMM transposed, as in the unfold oracle: BLAS may round a small
+        # product differently for another operand order
+        q_pix = np.empty((len(sel), q_key.channels, p * p), dtype=np.float64).transpose(0, 2, 1)
+        q_pix[...] = q_rows[pix[lo:lo + block]]
+        m_sel = key_rows[sel_pix]
+        logits = np.matmul(2.0 * q_pix, m_sel.transpose(0, 2, 1))
+        logits -= key_sq[sel_pix].reshape(len(sel), 1, row)
+        if _FAULT_FLIP_PIXEL_SIMILARITY:
+            logits = -logits
+        yield lo, q_pix, m_sel, val_rows[sel_pix], _softmax_rows(logits)
 
 
 def plmm_forward(q_key, mem_keys, mem_values, patch, k,
-                 counter=None, topk_override=None, keep_cache=False):
+                 counter=None, topk_override=None):
     """Full patch-level matching: affinity, top-K, pixel softmax, readout, fold.
 
     Args:
@@ -197,164 +261,88 @@ def plmm_forward(q_key, mem_keys, mem_values, patch, k,
         counter: optional OpCounter.
         topk_override: reuse a TopKIndex from another scale instead of
             computing affinity here (no patch pairs are counted then).
-        keep_cache: retain intermediates so plmm_backward can run.
 
     Returns:
         PlmmResult with the folded (C_v, H, W) readout and the TopKIndex used.
     """
-    if len(mem_keys) != len(mem_values) or not mem_keys:
-        raise ParameterError("memory keys and values must be parallel, non-empty lists")
-    layout = make_layout(q_key.height, q_key.width, patch)
+    layout = _checked_layout(q_key, mem_keys, mem_values, patch)
     n = layout.n_patches
-    t = len(mem_keys)
-    c_k = q_key.channels
-    c_v = mem_values[0].channels
-    p = patch
-
-    for mk in mem_keys:
-        if (mk.height, mk.width, mk.channels) != (q_key.height, q_key.width, c_k):
-            raise DimensionError("memory key dims do not match the query key")
-    for mv in mem_values:
-        if (mv.height, mv.width) != (q_key.height, q_key.width):
-            raise DimensionError("memory value dims do not match the query key")
-        if mv.channels != c_v:
-            raise DimensionError("memory value channel counts disagree")
-
     if topk_override is not None:
+        _check_topk(topk_override, n, len(mem_keys))
         topk = topk_override
-        if topk.ids.shape[0] != n:
-            raise DimensionError(
-                f"top-K table has {topk.ids.shape[0]} rows, layout expects {n}")
-        if topk.ids.max() >= t * n or topk.ids.min() < 0:
-            raise ParameterError("top-K table indexes outside this memory bank")
     else:
         topk = topk_select(patch_affinity(
             unfold(q_key, layout), [unfold(mk, layout) for mk in mem_keys],
             counter=counter), k)
-    kk = topk.k
 
-    # the pixel stage gathers from channels-last rows, so no map is cut into
-    # overlapping patches: pix[i] holds the flat pixel indices of query
-    # patch i in row-major in-patch order, and memory patch t*N+i of the
-    # bank reads the same pixels shifted by t*H*W
-    hw = layout.map_h * layout.map_w
-    q_rows = _pixel_rows([q_key])
-    key_rows = _pixel_rows(mem_keys)
-    val_rows = _pixel_rows(mem_values)
-    # -||q - m||^2 up to the row constant -||q||^2, batched over query
-    # patches; the key norms are taken before the gather, which repeats keys,
-    # and summed in channel order over the (C, H, W) maps, not pairwise
-    # along the rows, so they round as the per-patch norms of
-    # tests/test_matcher.py's unfold oracle do
-    key_sq = np.concatenate([(mk.data * mk.data).sum(axis=0).ravel() for mk in mem_keys])
-    offsets = (np.arange(p)[:, None] * layout.map_w + np.arange(p)).ravel()
-    pix = (layout.origins[:, 0] * layout.map_w + layout.origins[:, 1])[:, None] + offsets
-    ids = topk.ids
-    row = kk * p * p
-    # with keep_cache one block spans every query patch, so the arrays the
-    # cache keeps from the loop's last pass are the whole-layout ones
-    block = n if keep_cache else max(1, _LOGIT_BLOCK_BYTES // (8 * p * p * row))
-    ro_pix = np.empty((n, p * p, c_v), dtype=np.float64)
-    for lo in range(0, n, block):
-        sel = ids[lo:lo + block]
-        sel_pix = (((sel // n) * hw)[:, :, None] + pix[sel % n]).reshape(len(sel), row)
-        # the query operand is stored (patch, channel, pixel) and reaches the
-        # GEMM transposed, as in the unfold oracle: BLAS may round a small
-        # product differently for another operand order
-        q_pix = np.empty((len(sel), c_k, p * p), dtype=np.float64).transpose(0, 2, 1)
-        q_pix[...] = q_rows[pix[lo:lo + block]]
-        m_sel = key_rows[sel_pix]
-        v_sel = val_rows[sel_pix]
-        logits = np.matmul(2.0 * q_pix, m_sel.transpose(0, 2, 1))
-        logits -= key_sq[sel_pix].reshape(len(sel), 1, row)
-        if _FAULT_FLIP_PIXEL_SIMILARITY:
-            logits = -logits
-        weights = _softmax_rows(logits)
-        np.matmul(weights, v_sel, out=ro_pix[lo:lo + block])
+    c_v = mem_values[0].channels
+    ro_pix = np.empty((n, patch * patch, c_v), dtype=np.float64)
+    for lo, _, _, v_sel, weights in _pixel_blocks(q_key, mem_keys, mem_values,
+                                                  layout, topk.ids):
+        np.matmul(weights, v_sel, out=ro_pix[lo:lo + len(weights)])
     if counter is not None:
-        counter.pixel_pairs += n * kk * (p * p) * (p * p)
+        counter.pixel_pairs += n * topk.k * patch ** 4
 
-    ro_patches = PatchGrid(layout, ro_pix.transpose(0, 2, 1).reshape(n, c_v, p, p))
-    out = fold(ro_patches)
-
-    cache = None
-    if keep_cache:
-        cache = {
-            "layout": layout,
-            "ids": ids,
-            "weights": weights,
-            "q_pix": q_pix,
-            "m_sel": m_sel,
-            "v_sel": v_sel,
-            "t": t,
-            "c_k": c_k,
-            "c_v": c_v,
-        }
-    return PlmmResult(readout=out, topk=topk, cache=cache)
+    ro_patches = PatchGrid(layout, ro_pix.transpose(0, 2, 1).reshape(n, c_v, patch, patch))
+    return PlmmResult(readout=fold(ro_patches), topk=topk)
 
 
-def plmm_backward(result, upstream):
-    """Exact gradients of the forward pass for a scalar loss.
+def plmm_backward(q_key, mem_keys, mem_values, patch, topk, upstream):
+    """Exact gradients of plmm_forward for a scalar loss.
 
     The top-K selection and the fold coverage counts are treated as
     constants; gradients flow through fold, readout, softmax, and the
-    similarity logits.
+    similarity logits. The forward's pixel blocks are recomputed, so memory
+    stays one block of logits plus the per-patch gradient buffers.
 
     Args:
-        result: PlmmResult from plmm_forward(..., keep_cache=True).
+        q_key, mem_keys, mem_values, patch: the forward pass's inputs.
+        topk: the TopKIndex the forward pass used.
         upstream: (C_v, H, W) gradient of the loss w.r.t. the folded readout.
 
     Returns:
         (d_query_key, d_memory_keys, d_memory_values) where the first is a
         (C_k, H, W) array and the others are lists of per-frame arrays.
     """
-    if result.cache is None:
-        raise StateError("plmm_backward needs a forward pass run with keep_cache=True")
-    cache = result.cache
-    layout = cache["layout"]
-    ids = cache["ids"]
-    w = cache["weights"]          # (N, P^2, K*P^2)
-    q_pix = cache["q_pix"]        # (N, P^2, C_k)
-    m_sel = cache["m_sel"]        # (N, K*P^2, C_k)
-    v_sel = cache["v_sel"]        # (N, K*P^2, C_v)
-    t = cache["t"]
-    c_k, c_v = cache["c_k"], cache["c_v"]
-    n = layout.n_patches
-    p = layout.patch
-    kk = ids.shape[1]
-
+    layout = _checked_layout(q_key, mem_keys, mem_values, patch)
+    n, p, t = layout.n_patches, patch, len(mem_keys)
+    c_k, c_v = q_key.channels, mem_values[0].channels
+    _check_topk(topk, n, t)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (c_v, layout.map_h, layout.map_w):
         raise DimensionError(
             f"upstream shape {upstream.shape} does not match the readout "
             f"({c_v}, {layout.map_h}, {layout.map_w})")
 
-    # fold adjoint: divide by coverage, then gather patches
-    cov = coverage_map(layout).astype(np.float64)
-    g_grid = FeatureGrid(upstream / cov[None, :, :])
-    g_pg = unfold(g_grid, layout)
-    g = g_pg.data.transpose(0, 2, 3, 1).reshape(n, p * p, c_v)
-
-    # readout adjoints
-    d_v_sel = np.matmul(w.transpose(0, 2, 1), g)
-    s = np.matmul(g, v_sel.transpose(0, 2, 1))
-
-    # softmax adjoint
-    ws = (w * s).sum(axis=2, keepdims=True)
-    d_logit = w * (s - ws)
-
-    # similarity adjoint: logits[i,j] = -||q_i - m_j||^2. The rows of
-    # d_logit sum to 0, so the -||q_i||^2 term contributes nothing to d_q.
-    col = d_logit.sum(axis=1)
-    d_q_pix = 2.0 * np.matmul(d_logit, m_sel)
-    d_m_sel = 2.0 * (np.matmul(d_logit.transpose(0, 2, 1), q_pix)
-                     - col[:, :, None] * m_sel)
-
-    # scatter the selected-patch gradients back to per-frame patch buffers
+    # fold adjoint: divide by coverage, then gather each patch's pixels
+    g_rows = (upstream / coverage_map(layout)).reshape(c_v, -1).T
+    d_q_pix = np.empty((n, p * p, c_k), dtype=np.float64)
     d_key_buf = np.zeros((t * n, p * p, c_k), dtype=np.float64)
     d_val_buf = np.zeros((t * n, p * p, c_v), dtype=np.float64)
-    np.add.at(d_key_buf, ids.ravel(), d_m_sel.reshape(n * kk, p * p, c_k))
-    np.add.at(d_val_buf, ids.ravel(), d_v_sel.reshape(n * kk, p * p, c_v))
+    for lo, q_pix, m_sel, v_sel, w in _pixel_blocks(q_key, mem_keys, mem_values,
+                                                    layout, topk.ids):
+        hi = lo + len(w)
+        g = g_rows[layout.pix[lo:hi]]
+
+        # readout adjoints
+        d_v_sel = np.matmul(w.transpose(0, 2, 1), g)
+        s = np.matmul(g, v_sel.transpose(0, 2, 1))
+
+        # softmax adjoint
+        ws = (w * s).sum(axis=2, keepdims=True)
+        d_logit = w * (s - ws)
+
+        # similarity adjoint: logits[i,j] = -||q_i - m_j||^2. The rows of
+        # d_logit sum to 0, so the -||q_i||^2 term contributes nothing to d_q.
+        col = d_logit.sum(axis=1)
+        d_q_pix[lo:hi] = 2.0 * np.matmul(d_logit, m_sel)
+        d_m_sel = 2.0 * (np.matmul(d_logit.transpose(0, 2, 1), q_pix)
+                         - col[:, :, None] * m_sel)
+
+        # accumulate the selected-patch gradients in per-frame patch buffers
+        sel = topk.ids[lo:hi].ravel()
+        np.add.at(d_key_buf, sel, d_m_sel.reshape(len(sel), p * p, c_k))
+        np.add.at(d_val_buf, sel, d_v_sel.reshape(len(sel), p * p, c_v))
 
     def _to_grid(buf, channels):
         grads = []

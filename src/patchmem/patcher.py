@@ -4,9 +4,16 @@ Patches are square (P x P, P even) and tile the map with stride P/2, so
 neighbouring patches overlap by half a patch in each direction. A map is
 admissible only when (H - P) and (W - P) are exact multiples of the stride;
 nothing is ever padded. Patch origins are enumerated row-major.
+
+The layout's pixel-index table ``pix`` is the one patch-to-pixel map:
+``unfold`` gathers through it, and ``scatter_add`` and ``coverage_map``
+count through it with ``np.bincount``, which visits patches in order, so
+each pixel sums its patches' contributions in patch order.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,8 +21,12 @@ from .errors import DimensionError, LayoutError, ParameterError
 from .grids import FeatureGrid
 
 
+@dataclass(frozen=True, eq=False)
 class PatchLayout:
     """Geometry of an overlapping patch tiling.
+
+    Compared and hashed by identity: the fields hold arrays, which a
+    field-wise ``==`` cannot reduce to one truth value.
 
     Attributes:
         map_h, map_w: source map size.
@@ -23,16 +34,19 @@ class PatchLayout:
         stride: P // 2.
         n_h, n_w: patch counts along each axis.
         origins: (N, 2) int array of top-left corners, row-major.
+        pix: (N, P^2) read-only table of flat pixel indices; row i lists
+            patch i's pixels in row-major in-patch order, so entry
+            dy*P + dx is (origin_y + dy)*W + origin_x + dx.
     """
 
-    def __init__(self, map_h, map_w, patch, stride, n_h, n_w, origins):
-        self.map_h = map_h
-        self.map_w = map_w
-        self.patch = patch
-        self.stride = stride
-        self.n_h = n_h
-        self.n_w = n_w
-        self.origins = origins
+    map_h: int
+    map_w: int
+    patch: int
+    stride: int
+    n_h: int
+    n_w: int
+    origins: np.ndarray
+    pix: np.ndarray
 
     @property
     def n_patches(self):
@@ -69,7 +83,10 @@ def make_layout(map_h, map_w, patch):
     rows = np.repeat(np.arange(n_h) * stride, n_w)
     cols = np.tile(np.arange(n_w) * stride, n_h)
     origins = np.stack([rows, cols], axis=1).astype(np.intp)
-    return PatchLayout(map_h, map_w, patch, stride, n_h, n_w, origins)
+    offsets = (np.arange(patch)[:, None] * map_w + np.arange(patch)).ravel()
+    pix = (origins[:, 0] * map_w + origins[:, 1])[:, None] + offsets
+    pix.flags.writeable = False
+    return PatchLayout(map_h, map_w, patch, stride, n_h, n_w, origins, pix)
 
 
 class PatchGrid:
@@ -111,12 +128,10 @@ def unfold(grid, layout):
         raise DimensionError(
             f"grid dims ({grid.height}, {grid.width}) do not match layout "
             f"({layout.map_h}, {layout.map_w})")
-    p, s = layout.patch, layout.stride
-    windows = np.lib.stride_tricks.sliding_window_view(grid.data, (p, p), axis=(1, 2))
-    # windows: (C, H-P+1, W-P+1, P, P); subsample at the stride
-    sub = windows[:, ::s, ::s][:, : layout.n_h, : layout.n_w]
-    patches = np.ascontiguousarray(sub.transpose(1, 2, 0, 3, 4).reshape(
-        layout.n_patches, grid.channels, p, p))
+    c, p = grid.channels, layout.patch
+    gathered = grid.data.reshape(c, layout.map_h * layout.map_w)[:, layout.pix]
+    patches = np.ascontiguousarray(gathered.transpose(1, 0, 2)).reshape(
+        layout.n_patches, c, p, p)
     return PatchGrid(layout, patches)
 
 
@@ -126,11 +141,7 @@ def coverage_map(layout):
     Interior pixels of a multi-patch layout are covered up to 4 times;
     coverage is never zero because the stride tiles the map exactly.
     """
-    cov = np.zeros((layout.map_h, layout.map_w), dtype=np.int64)
-    p = layout.patch
-    for r, c in layout.origins:
-        cov[r:r + p, c:c + p] += 1
-    return cov
+    return np.bincount(layout.pix.ravel()).reshape(layout.map_h, layout.map_w)
 
 
 def scatter_add(patches):
@@ -139,11 +150,12 @@ def scatter_add(patches):
     Used by fold and by gradient propagation; returns a raw (C, H, W) array.
     """
     layout = patches.layout
-    acc = np.zeros((patches.channels, layout.map_h, layout.map_w), dtype=np.float64)
-    p = layout.patch
-    for i, (r, col) in enumerate(layout.origins):
-        acc[:, r:r + p, col:col + p] += patches.data[i]
-    return acc
+    hw = layout.map_h * layout.map_w
+    idx = layout.pix.ravel()
+    acc = np.empty((patches.channels, hw), dtype=np.float64)
+    for ch in range(patches.channels):
+        acc[ch] = np.bincount(idx, weights=patches.data[:, ch].ravel(), minlength=hw)
+    return acc.reshape(patches.channels, layout.map_h, layout.map_w)
 
 
 def fold(patches):

@@ -262,6 +262,15 @@ def _release(fids, uses, cache):
             cache.pop(fid, None)
 
 
+def _resampled_probabilities(probs, out_h, out_w):
+    """(C, H, W) class probabilities resized, clipped to [0, 1] and
+    renormalised per pixel."""
+    out = resize_bilinear(probs, out_h, out_w)
+    np.clip(out, 0.0, 1.0, out=out)
+    out /= np.maximum(out.sum(axis=0, keepdims=True), 1e-12)
+    return out
+
+
 class PropagationEngine:
     """Runs the plan one frame at a time, keeping only state a later step needs.
 
@@ -340,8 +349,7 @@ class PropagationEngine:
         fid = (self.z0, 0)
         self._check_unsegmented(fid)
         soft = one_hot(seed_labels, num_classes).probabilities
-        work = np.clip(resize_bilinear(soft, self.work_h, self.work_w), 0.0, 1.0)
-        work /= np.maximum(work.sum(axis=0, keepdims=True), 1e-12)
+        work = _resampled_probabilities(soft, self.work_h, self.work_w)
         self._finish(fid, seed_labels, SoftLabelMap(work), provenance=[])
 
     # bank assembly and matching --------------------------------------------
@@ -396,9 +404,8 @@ class PropagationEngine:
                                            k=k_eff).readout
 
         soft = decode(readouts.get(3), readouts.get(4))
-        full = resize_bilinear(soft.probabilities, self.volume.height, self.volume.width)
-        np.clip(full, 0.0, 1.0, out=full)
-        full /= np.maximum(full.sum(axis=0, keepdims=True), 1e-12)
+        full = _resampled_probabilities(soft.probabilities, self.volume.height,
+                                        self.volume.width)
         ids = [e.frame_id for e in bank]
         self._finish(query, full.argmax(axis=0), soft, provenance=ids)
         _release([query, *ids], self._key_uses, self._keys)

@@ -41,7 +41,8 @@ def lift_topk(topk, layout4, layout3):
 
     The two layouts must have the same patch count; because origins scale by
     exactly 2, patch i at scale 3 covers the same image region as patch i at
-    scale 4, so the table itself is reused unchanged.
+    scale 4, so the checked table itself is returned. Nothing writes a
+    top-K table, so the two scales may share it.
     """
     if layout3.n_patches != layout4.n_patches:
         raise LayoutError(
@@ -56,7 +57,7 @@ def lift_topk(topk, layout4, layout3):
         raise LayoutError(
             f"top-K table has {topk.ids.shape[0]} rows, layouts expect "
             f"{layout4.n_patches}")
-    return TopKIndex(ids=topk.ids.copy(), k=topk.k)
+    return topk
 
 
 @dataclass

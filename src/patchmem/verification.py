@@ -119,9 +119,7 @@ def suite_gradient_check(instances=4, tol=1e-4):
         upstream = rng.standard_normal((2, 8, 8))
         base, fd_q, fd_mk, fd_mv = fd_gradients(q, mk, mv, patch=4, k=2,
                                                 upstream=upstream)
-        res = plmm_forward(q, mk, mv, 4, 2, topk_override=base.topk,
-                           keep_cache=True)
-        d_q, d_mk, d_mv = plmm_backward(res, upstream)
+        d_q, d_mk, d_mv = plmm_backward(q, mk, mv, 4, base.topk, upstream)
         worst = max(worst, _max_rel_err(d_q, fd_q))
         for a, f in zip(d_mk, fd_mk):
             worst = max(worst, _max_rel_err(a, f))

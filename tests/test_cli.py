@@ -668,11 +668,13 @@ class TestBenchCommand:
 
 class TestVerifyCommand:
     def test_selected_suites_pass(self, capsys):
-        rc = main(["verify", "--suite", "topk", "--suite", "fold-unfold"])
+        rc = main(["verify", "--suite", "topk", "--suite", "fold-unfold",
+                   "--suite", "gradient-check"])
         assert rc == 0
         _, out = echoed_json(capsys)
         assert "PASS  topk" in out
         assert "PASS  fold-unfold" in out
+        assert "PASS  gradient-check" in out
         assert "all suites passed" in out
 
     def test_injected_fault_is_caught_then_cleared(self, capsys):

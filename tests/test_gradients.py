@@ -9,9 +9,9 @@ are constants of the backward pass by contract.
 import numpy as np
 import pytest
 
-from patchmem.errors import StateError
+from patchmem.errors import DimensionError, ParameterError
 from patchmem.grids import FeatureGrid
-from patchmem.matcher import plmm_backward, plmm_forward
+from patchmem.matcher import TopKIndex, plmm_backward, plmm_forward
 from patchmem.patcher import make_layout
 
 STEP = 1e-3
@@ -63,12 +63,6 @@ def rel_err(analytic, numeric):
     return float(np.abs(analytic - numeric).max()) / denom
 
 
-def analytic_gradients(q, mk, mv, patch, k, upstream, frozen):
-    res = plmm_forward(q, mk, mv, patch, k, topk_override=frozen,
-                       keep_cache=True)
-    return plmm_backward(res, upstream)
-
-
 class TestAgainstFiniteDifferences:
     def test_small_instances(self):
         rng = np.random.default_rng(51)
@@ -79,8 +73,7 @@ class TestAgainstFiniteDifferences:
             upstream = rng.standard_normal((2, 8, 8))
             frozen, fd_q, fd_mk, fd_mv = numeric_gradients(
                 q, mk, mv, patch=4, k=2, upstream=upstream)
-            d_q, d_mk, d_mv = analytic_gradients(
-                q, mk, mv, 4, 2, upstream, frozen)
+            d_q, d_mk, d_mv = plmm_backward(q, mk, mv, 4, frozen, upstream)
             worst = max(worst, rel_err(d_q, fd_q))
             for a, f in zip(d_mk, fd_mk):
                 worst = max(worst, rel_err(a, f))
@@ -96,7 +89,7 @@ class TestAgainstFiniteDifferences:
         upstream = rng.standard_normal((2, 4, 4))
         frozen, fd_q, fd_mk, fd_mv = numeric_gradients(
             q, mk, mv, patch=4, k=2, upstream=upstream)
-        d_q, d_mk, d_mv = analytic_gradients(q, mk, mv, 4, 2, upstream, frozen)
+        d_q, d_mk, d_mv = plmm_backward(q, mk, mv, 4, frozen, upstream)
         assert rel_err(d_q, fd_q) < TOL
         for a, f in zip(d_mk, fd_mk):
             assert rel_err(a, f) < TOL
@@ -108,8 +101,8 @@ class TestStructuralProperties:
     def test_zero_upstream_gives_zero_gradients(self):
         rng = np.random.default_rng(53)
         q, mk, mv = make_instance(rng, t=2)
-        res = plmm_forward(q, mk, mv, 4, 2, keep_cache=True)
-        d_q, d_mk, d_mv = plmm_backward(res, np.zeros((2, 8, 8)))
+        res = plmm_forward(q, mk, mv, 4, 2)
+        d_q, d_mk, d_mv = plmm_backward(q, mk, mv, 4, res.topk, np.zeros((2, 8, 8)))
         assert not d_q.any()
         assert not any(a.any() for a in d_mk)
         assert not any(a.any() for a in d_mv)
@@ -117,9 +110,9 @@ class TestStructuralProperties:
     def test_unselected_memory_pixels_get_zero_gradient(self):
         rng = np.random.default_rng(54)
         q, mk, mv = make_instance(rng, t=2)
-        res = plmm_forward(q, mk, mv, 4, 2, keep_cache=True)
+        res = plmm_forward(q, mk, mv, 4, 2)
         upstream = rng.standard_normal((2, 8, 8))
-        d_q, d_mk, d_mv = plmm_backward(res, upstream)
+        d_q, d_mk, d_mv = plmm_backward(q, mk, mv, 4, res.topk, upstream)
 
         layout = make_layout(8, 8, 4)
         n = layout.n_patches
@@ -142,30 +135,34 @@ class TestStructuralProperties:
         upstream = rng.standard_normal((2, 8, 8))
         frozen, _, _, fd_mv = numeric_gradients(q, mk, mv, 4, 2, upstream,
                                                 step=1e-1)
-        _, _, d_mv = analytic_gradients(q, mk, mv, 4, 2, upstream, frozen)
+        _, _, d_mv = plmm_backward(q, mk, mv, 4, frozen, upstream)
         for a, f in zip(d_mv, fd_mv):
             assert np.allclose(a, f, atol=1e-9)
-
-    def test_backward_requires_cache(self):
-        rng = np.random.default_rng(56)
-        q, mk, mv = make_instance(rng, t=1)
-        res = plmm_forward(q, mk, mv, 4, 2)
-        with pytest.raises(StateError):
-            plmm_backward(res, np.zeros((2, 8, 8)))
 
     def test_upstream_shape_checked(self):
         rng = np.random.default_rng(57)
         q, mk, mv = make_instance(rng, t=1)
-        res = plmm_forward(q, mk, mv, 4, 2, keep_cache=True)
-        from patchmem.errors import DimensionError
+        res = plmm_forward(q, mk, mv, 4, 2)
         with pytest.raises(DimensionError):
-            plmm_backward(res, np.zeros((2, 8, 7)))
+            plmm_backward(q, mk, mv, 4, res.topk, np.zeros((2, 8, 7)))
+
+    def test_topk_table_checked(self):
+        rng = np.random.default_rng(59)
+        q, mk, mv = make_instance(rng, t=1)
+        upstream = np.zeros((2, 8, 8))
+        with pytest.raises(DimensionError):
+            plmm_backward(q, mk, mv, 4, TopKIndex(ids=np.zeros((8, 2), dtype=np.intp), k=2),
+                          upstream)
+        with pytest.raises(ParameterError):
+            plmm_backward(q, mk, mv, 4, TopKIndex(ids=np.full((9, 2), 9, dtype=np.intp), k=2),
+                          upstream)
 
     def test_gradient_shapes(self):
         rng = np.random.default_rng(58)
         q, mk, mv = make_instance(rng, t=2, c_key=3, c_val=4)
-        res = plmm_forward(q, mk, mv, 4, 2, keep_cache=True)
-        d_q, d_mk, d_mv = plmm_backward(res, rng.standard_normal((4, 8, 8)))
+        res = plmm_forward(q, mk, mv, 4, 2)
+        d_q, d_mk, d_mv = plmm_backward(q, mk, mv, 4, res.topk,
+                                        rng.standard_normal((4, 8, 8)))
         assert d_q.shape == (3, 8, 8)
         assert all(a.shape == (3, 8, 8) for a in d_mk)
         assert all(a.shape == (4, 8, 8) for a in d_mv)

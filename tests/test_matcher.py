@@ -7,8 +7,12 @@ cannot share a bug with the library code. ``pixel_match_weights`` and
 ``readout`` are per-patch oracles of the pixel stage: the full negated
 squared distance, one query patch at a time. ``unfold_plmm_forward`` is the
 pixel stage as it ran on unfolded patches, the bitwise oracle of the
-channels-last gather.
+channels-last gather, and ``cached_plmm_backward`` is the backward pass as
+it ran on that oracle's whole-layout intermediates, the bitwise oracle of
+the blocked backward.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +30,7 @@ from patchmem.matcher import (
     plmm_forward,
     topk_select,
 )
-from patchmem.patcher import PatchGrid, coverage_map, fold, make_layout, unfold
+from patchmem.patcher import PatchGrid, coverage_map, fold, make_layout, scatter_add, unfold
 
 
 def loop_plmm_reference(q_key, mem_keys, mem_values, patch, k, topk_ids=None):
@@ -92,7 +96,8 @@ def unfold_plmm_forward(q_key, mem_keys, mem_values, patch, k, topk_ids=None):
     Every map is cut into overlapping patches; their (N, P^2, C) pixel views
     are concatenated over the bank and the key norms are taken per patch
     pixel. ``topk_ids`` stands in for the affinity and top-K stage. Returns
-    a PlmmResult whose cache is the one plmm_backward reads.
+    the PlmmResult and the whole-layout intermediates cached_plmm_backward
+    reads.
     """
     layout = make_layout(q_key.height, q_key.width, patch)
     n, p, t = layout.n_patches, patch, len(mem_keys)
@@ -119,8 +124,53 @@ def unfold_plmm_forward(q_key, mem_keys, mem_values, patch, k, topk_ids=None):
     readout = fold(PatchGrid(layout, ro_pix.transpose(0, 2, 1).reshape(n, c_v, p, p)))
     cache = {"layout": layout, "ids": topk_ids, "weights": weights, "q_pix": q_pix,
              "m_sel": m_sel, "v_sel": v_sel, "t": t, "c_k": c_k, "c_v": c_v}
-    return PlmmResult(readout=readout, topk=TopKIndex(ids=topk_ids, k=topk_ids.shape[1]),
-                      cache=cache)
+    return PlmmResult(readout=readout, topk=TopKIndex(ids=topk_ids, k=topk_ids.shape[1])), cache
+
+
+def cached_plmm_backward(cache, upstream):
+    """The backward pass on unfold_plmm_forward's whole-layout intermediates.
+
+    Unfolds the fold adjoint, runs every adjoint over all query patches at
+    once and accumulates the selected-patch gradients in one np.add.at per
+    buffer.
+    """
+    layout = cache["layout"]
+    ids = cache["ids"]
+    w = cache["weights"]          # (N, P^2, K*P^2)
+    q_pix = cache["q_pix"]        # (N, P^2, C_k)
+    m_sel = cache["m_sel"]        # (N, K*P^2, C_k)
+    v_sel = cache["v_sel"]        # (N, K*P^2, C_v)
+    t = cache["t"]
+    c_k, c_v = cache["c_k"], cache["c_v"]
+    n = layout.n_patches
+    p = layout.patch
+    kk = ids.shape[1]
+
+    cov = coverage_map(layout).astype(np.float64)
+    g_pg = unfold(FeatureGrid(upstream / cov[None, :, :]), layout)
+    g = g_pg.data.transpose(0, 2, 3, 1).reshape(n, p * p, c_v)
+
+    d_v_sel = np.matmul(w.transpose(0, 2, 1), g)
+    s = np.matmul(g, v_sel.transpose(0, 2, 1))
+    ws = (w * s).sum(axis=2, keepdims=True)
+    d_logit = w * (s - ws)
+    col = d_logit.sum(axis=1)
+    d_q_pix = 2.0 * np.matmul(d_logit, m_sel)
+    d_m_sel = 2.0 * (np.matmul(d_logit.transpose(0, 2, 1), q_pix)
+                     - col[:, :, None] * m_sel)
+
+    d_key_buf = np.zeros((t * n, p * p, c_k), dtype=np.float64)
+    d_val_buf = np.zeros((t * n, p * p, c_v), dtype=np.float64)
+    np.add.at(d_key_buf, ids.ravel(), d_m_sel.reshape(n * kk, p * p, c_k))
+    np.add.at(d_val_buf, ids.ravel(), d_v_sel.reshape(n * kk, p * p, c_v))
+
+    def to_grids(buf, channels):
+        return [scatter_add(PatchGrid(layout, buf[ti * n:(ti + 1) * n]
+                                      .transpose(0, 2, 1).reshape(n, channels, p, p)))
+                for ti in range(t)]
+
+    dq_pg = PatchGrid(layout, d_q_pix.transpose(0, 2, 1).reshape(n, c_k, p, p))
+    return scatter_add(dq_pg), to_grids(d_key_buf, c_k), to_grids(d_val_buf, c_v)
 
 
 def pixel_match_weights(q_patch, k_patches):
@@ -147,10 +197,18 @@ def selected_patches(grids, layout, ids):
     return np.stack([pgs[j // layout.n_patches][j % layout.n_patches] for j in ids])
 
 
+def pixel_blocks(q, mk, mv, patch, ids):
+    """Production (q_pix, m_sel, v_sel, weights), each joined over the
+    blocks of the pixel stage."""
+    layout = make_layout(q.height, q.width, patch)
+    blocks = list(matcher._pixel_blocks(q, mk, mv, layout, ids))
+    return [np.concatenate([b[i] for b in blocks]) for i in range(1, 5)]
+
+
 def plmm_weights(q, mk, mv, patch, k):
     """Production (N, P^2, K*P^2) pixel weights and the forward result."""
-    res = plmm_forward(q, mk, mv, patch=patch, k=k, keep_cache=True)
-    return res.cache["weights"], res
+    res = plmm_forward(q, mk, mv, patch=patch, k=k)
+    return pixel_blocks(q, mk, mv, patch, res.topk.ids)[3], res
 
 
 def random_maps(rng, t, h, w, c_key=3, c_val=2):
@@ -242,7 +300,7 @@ class TestTopKSelect:
 
 
 class TestPixelMatchWeights:
-    """The pixel stage of plmm_forward, read from its keep_cache weights."""
+    """The pixel stage of plmm_forward, read from its block generator."""
 
     def test_rows_are_distributions(self):
         rng = np.random.default_rng(26)
@@ -397,13 +455,9 @@ class TestPlmmForward:
         counter = OpCounter()
         blocked = plmm_forward(q, mk, mv, patch=12, k=4, counter=counter)
         assert counter.pixel_pairs == 121 * 4 * 144 * 144
-        cached = plmm_forward(q, mk, mv, patch=12, k=4, keep_cache=True)
-        assert cached.cache["weights"].shape == (121, 144, 4 * 144)
-        assert cached.cache["m_sel"].shape == (121, 4 * 144, 64)
-        assert np.array_equal(blocked.topk.ids, cached.topk.ids)
-        assert np.array_equal(blocked.readout.data, cached.readout.data)
         monkeypatch.setattr(matcher, "_LOGIT_BLOCK_BYTES", 1 << 62)
         whole = plmm_forward(q, mk, mv, patch=12, k=4)
+        assert np.array_equal(blocked.topk.ids, whole.topk.ids)
         assert np.array_equal(blocked.readout.data, whole.readout.data)
 
     def test_counters_closed_form(self):
@@ -469,30 +523,68 @@ class TestChannelsLastGather:
         for t in (1, 2, 3):
             q, mk, mv = self._maps(rng, t, side4, transposed)
             got = plmm_forward(q, mk, mv, patch=6, k=4)
-            want = unfold_plmm_forward(q, mk, mv, patch=6, k=4)
+            want, _ = unfold_plmm_forward(q, mk, mv, patch=6, k=4)
             assert np.array_equal(got.topk.ids, want.topk.ids)
             assert np.array_equal(got.readout.data, want.readout.data)
             q3, mk3, mv3 = self._maps(rng, t, 2 * side4, transposed)
             lifted = plmm_forward(q3, mk3, mv3, patch=12, k=4, topk_override=got.topk)
-            want3 = unfold_plmm_forward(q3, mk3, mv3, patch=12, k=4, topk_ids=got.topk.ids)
+            want3, _ = unfold_plmm_forward(q3, mk3, mv3, patch=12, k=4,
+                                           topk_ids=got.topk.ids)
             assert np.array_equal(lifted.readout.data, want3.readout.data)
 
     @pytest.mark.parametrize("transposed", [False, True])
-    def test_keep_cache_backward_unchanged(self, transposed):
+    def test_backward_bitwise_equal_to_cached_oracle(self, transposed):
         rng = np.random.default_rng(44)
         for t, side, patch in [(1, 18, 6), (2, 12, 4), (3, 36, 12)]:
             q, mk, mv = self._maps(rng, t, side, transposed)
-            got = plmm_forward(q, mk, mv, patch=patch, k=4, keep_cache=True)
-            want = unfold_plmm_forward(q, mk, mv, patch=patch, k=4)
+            got = plmm_forward(q, mk, mv, patch=patch, k=4)
+            want, cache = unfold_plmm_forward(q, mk, mv, patch=patch, k=4)
             assert np.array_equal(got.readout.data, want.readout.data)
-            for key in ("ids", "weights", "q_pix", "m_sel", "v_sel"):
-                assert np.array_equal(got.cache[key], want.cache[key]), key
+            assert np.array_equal(got.topk.ids, cache["ids"])
+            blocks = pixel_blocks(q, mk, mv, patch, got.topk.ids)
+            for key, block in zip(("q_pix", "m_sel", "v_sel", "weights"), blocks):
+                assert np.array_equal(block, cache[key]), key
             upstream = rng.standard_normal((4, side, side))
-            d_got = plmm_backward(got, upstream)
-            d_want = plmm_backward(want, upstream)
+            d_got = plmm_backward(q, mk, mv, patch, got.topk, upstream)
+            d_want = cached_plmm_backward(cache, upstream)
             assert np.array_equal(d_got[0], d_want[0])
             for a, b in zip(d_got[1] + d_got[2], d_want[1] + d_want[2]):
                 assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("patches_per_block", [None, 4])
+    def test_backward_blocks_equal_one_block_bitwise(self, monkeypatch, patches_per_block):
+        # N = 121 query patches of P = 6; the default budget holds 25
+        # patches' logits, 4 does not divide 121
+        rng = np.random.default_rng(46)
+        q, mk, mv = random_maps(rng, t=3, h=36, w=36, c_key=64, c_val=4)
+        upstream = rng.standard_normal((4, 36, 36))
+        logit_bytes = 8 * 36 * 4 * 36
+        if patches_per_block is not None:
+            monkeypatch.setattr(matcher, "_LOGIT_BLOCK_BYTES",
+                                patches_per_block * logit_bytes)
+        assert matcher._LOGIT_BLOCK_BYTES // logit_bytes < 121
+        topk = plmm_forward(q, mk, mv, patch=6, k=4).topk
+        blocked = plmm_backward(q, mk, mv, 6, topk, upstream)
+        monkeypatch.setattr(matcher, "_LOGIT_BLOCK_BYTES", 1 << 62)
+        whole = plmm_backward(q, mk, mv, 6, topk, upstream)
+        assert np.array_equal(blocked[0], whole[0])
+        for a, b in zip(blocked[1] + blocked[2], whole[1] + whole[2]):
+            assert np.array_equal(a, b)
+
+    def test_backward_memory_is_bounded(self):
+        # scale 3 at working side 576 with three memory frames: the per-patch
+        # gradient buffers and pixel rows fit, whole-layout logits would not
+        rng = np.random.default_rng(47)
+        q, mk, mv = random_maps(rng, t=3, h=72, w=72, c_key=64, c_val=4)
+        upstream = rng.standard_normal((4, 72, 72))
+        topk = plmm_forward(q, mk, mv, patch=12, k=4).topk
+        tracemalloc.start()
+        try:
+            plmm_backward(q, mk, mv, 12, topk, upstream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
     @pytest.mark.parametrize("t", [1, 3])
     def test_unfold_serves_only_the_affinity(self, monkeypatch, t):
@@ -509,6 +601,7 @@ class TestChannelsLastGather:
         assert len(calls) == 1 + t
         calls.clear()
         plmm_forward(q, mk, mv, patch=6, k=4, topk_override=base.topk)
+        plmm_backward(q, mk, mv, 6, base.topk, rng.standard_normal((4, 18, 18)))
         assert calls == []
 
 

@@ -1,4 +1,12 @@
-"""Overlapping patch layouts, unfold/fold, and coverage accounting."""
+"""Overlapping patch layouts, unfold/fold, and coverage accounting.
+
+``window_unfold``, ``loop_coverage_map`` and ``loop_scatter_add`` are the
+patcher's functions as they were written before they read the layout's
+pixel-index table: a strided sliding-window view and two loops over patch
+origins. They are the bitwise oracles of the table-driven versions.
+"""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -6,12 +14,42 @@ import pytest
 from patchmem.errors import DimensionError, LayoutError, ParameterError
 from patchmem.grids import FeatureGrid
 from patchmem.patcher import (
+    PatchGrid,
     coverage_map,
     fold,
     make_layout,
     scatter_add,
     unfold,
 )
+
+
+def window_unfold(grid, layout):
+    """(N, C, P, P) patches cut with a sliding-window view at the stride."""
+    p, s = layout.patch, layout.stride
+    windows = np.lib.stride_tricks.sliding_window_view(grid.data, (p, p), axis=(1, 2))
+    # windows: (C, H-P+1, W-P+1, P, P); subsample at the stride
+    sub = windows[:, ::s, ::s][:, : layout.n_h, : layout.n_w]
+    return np.ascontiguousarray(sub.transpose(1, 2, 0, 3, 4).reshape(
+        layout.n_patches, grid.channels, p, p))
+
+
+def loop_coverage_map(layout):
+    """(H, W) patch count per pixel, one slice increment per origin."""
+    cov = np.zeros((layout.map_h, layout.map_w), dtype=np.int64)
+    p = layout.patch
+    for r, c in layout.origins:
+        cov[r:r + p, c:c + p] += 1
+    return cov
+
+
+def loop_scatter_add(patches):
+    """(C, H, W) sum of patches, added slice by slice in patch order."""
+    layout = patches.layout
+    acc = np.zeros((patches.channels, layout.map_h, layout.map_w), dtype=np.float64)
+    p = layout.patch
+    for i, (r, col) in enumerate(layout.origins):
+        acc[:, r:r + p, col:col + p] += patches.data[i]
+    return acc
 
 
 def center_block_coverage(layout):
@@ -103,9 +141,7 @@ class TestCoverage:
         for _ in range(15):
             h, w, p = random_admissible_layout(rng)
             layout = make_layout(h, w, p)
-            brute = np.zeros((h, w), dtype=np.int64)
-            for oy, ox in layout.origins:
-                brute[oy:oy + p, ox:ox + p] += 1
+            brute = loop_coverage_map(layout)
             assert np.array_equal(coverage_map(layout), brute)
             assert brute.min() >= 1
 
@@ -155,6 +191,40 @@ class TestFold:
             y = rng.standard_normal((layout.n_patches, 2, p, p))
             patches = unfold(x, layout)
             lhs = float(np.sum(patches.data * y))
-            from patchmem.patcher import PatchGrid
             rhs = float(np.sum(x.data * scatter_add(PatchGrid(layout, y))))
             assert np.isclose(lhs, rhs, atol=1e-9)
+
+
+class TestPixelTable:
+    def test_rows_list_each_patch_row_major(self):
+        layout = make_layout(9, 12, 6)
+        assert layout.pix.shape == (layout.n_patches, 36)
+        for i, (oy, ox) in enumerate(layout.origins):
+            for dy in range(6):
+                for dx in range(6):
+                    assert layout.pix[i, dy * 6 + dx] == (oy + dy) * 12 + ox + dx
+
+    def test_layout_is_read_only(self):
+        layout = make_layout(9, 9, 6)
+        with pytest.raises(ValueError):
+            layout.pix[0, 0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            layout.patch = 4
+
+    def test_bitwise_equal_to_old_formulas(self):
+        # 60 layouts, P from 2 to 12, 1 to 11 patches per axis
+        rng = np.random.default_rng(16)
+        for _ in range(60):
+            p = int(rng.choice([2, 4, 6, 8, 10, 12]))
+            n_h, n_w = (int(v) for v in rng.integers(1, 12, size=2))
+            h, w = p + p // 2 * (n_h - 1), p + p // 2 * (n_w - 1)
+            layout = make_layout(h, w, p)
+            grid = FeatureGrid(rng.standard_normal((3, h, w)))
+            assert np.array_equal(unfold(grid, layout).data, window_unfold(grid, layout))
+            cov = coverage_map(layout)
+            assert cov.dtype == np.int64
+            assert np.array_equal(cov, loop_coverage_map(layout))
+            patches = PatchGrid(layout, rng.standard_normal((layout.n_patches, 3, p, p)))
+            assert np.array_equal(scatter_add(patches), loop_scatter_add(patches))
+            assert np.array_equal(fold(patches).data,
+                                  loop_scatter_add(patches) / loop_coverage_map(layout))
