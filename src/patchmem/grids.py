@@ -143,13 +143,18 @@ def checked_fields(obj, error):
 class CineVolume:
     """A (Z, T, H, W) stack of intensity frames normalized to [0, 1].
 
+    A float32 array, as a CGRID file stores it, is kept at that precision;
+    anything else is held as float64.
+
     Args:
         intensities: array of shape (Z, T, H, W) with values in [0, 1].
         spacing_mm: in-plane pixel spacing (dy, dx) in millimetres.
     """
 
     def __init__(self, intensities, spacing_mm=(1.0, 1.0)):
-        intensities = np.asarray(intensities, dtype=np.float64)
+        intensities = np.asarray(intensities)
+        if intensities.dtype != np.float32:
+            intensities = intensities.astype(np.float64, copy=False)
         if intensities.ndim != 4:
             raise DimensionError(
                 f"cine volume must have shape (Z, T, H, W), got {intensities.shape}")
@@ -184,8 +189,11 @@ class CineVolume:
         return self.intensities.shape[3]
 
     def frame(self, z, t):
-        """Return the (H, W) image at slice z, phase t."""
-        return self.intensities[z, t]
+        """Return the (H, W) float64 image at slice z, phase t.
+
+        A float32 volume's frame is widened, which is exact.
+        """
+        return self.intensities[z, t].astype(np.float64, copy=False)
 
 
 class LabelVolume:
@@ -487,7 +495,7 @@ def load_container(path):
     if order == "ZTYX":
         if dtype_name == "u8":
             return LabelVolume(data, spacing_mm=tuple(spacing))
-        return CineVolume(data.astype(np.float64), spacing_mm=tuple(spacing))
+        return CineVolume(data.astype(np.float32), spacing_mm=tuple(spacing))
     if order == "CYX":
         if dtype_name != "f32":
             raise UnsupportedDtypeError(

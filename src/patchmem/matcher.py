@@ -15,32 +15,41 @@ which rounds: an identical pair scores 0 only up to a few units of rounding
 of ``||a||^2``, of either sign, and swapping the two arguments can change
 the last bits of a score. Softmax rows are stabilized by subtracting the
 row maximum. The patch path computes its pixel logits as
-``2 q.m - ||m||^2``, one GEMM per query patch: the dropped ``-||q||^2`` is
-constant along each softmax row, so the weights do not change.
+``2 q.m - ||m||^2``, one dot product of ``[2q, 1]`` with ``[m, -||m||^2]``:
+the dropped ``-||q||^2`` is constant along each softmax row, so the weights
+do not change.
 
-The pixel stage never cuts a map into overlapping patches, which would hold
-about four times the map's bytes. It lays the query and the memory maps out
-once per call as channels-last pixel rows and gathers each block of
-selected patches from them through a table of flat pixel indices (patch
-origin times W plus the in-patch offset, the layout's ``pix``). ``unfold``
-serves only the patch affinity. ``plmm_backward`` runs the forward's blocks
-again rather than keeping them, so the pass and its gradient hold one
-block of pixel logits at a time.
+The pixel stage works on cells, the stride x stride tiles the layout is
+built from: a query patch is 2 x 2 query cells and a selected memory patch
+2 x 2 memory cells. Query patches overlap, and so do the memory patches one
+of them selects, so many (query cell, memory cell) logit blocks recur
+across the patch softmaxes. Each distinct pair is computed once, with its
+per-pixel max and its sums of exp and of exp times the memory values; each
+patch then combines the pairs of its selection, rescaled by
+exp(pair max - patch max), which in exact arithmetic is its softmax and
+readout. The stage never cuts a map into overlapping patches: it lays the
+query and the memory maps out once per call as channels-last pixel rows and
+gathers each block of pairs from them. ``unfold`` serves only the patch
+affinity. ``plmm_backward`` runs the forward's blocks again rather than
+keeping them, so the pass and its gradient hold one block at a time.
 
 ``OpCounter`` tracks exact comparison counts: a patch affinity over T memory
 frames of N patches adds T*N^2 patch pairs, pixel matching adds
-N*K*(P^2)^2 pixel pairs, and the dense path adds T*(H*W)^2.
+N*K*(P^2)^2 pixel pairs, the pairs the patch softmaxes range over (the cell
+stage computes each distinct pair among them once), and the dense path adds
+T*(H*W)^2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .grids import FeatureGrid
-from .patcher import PatchGrid, coverage_map, fold, make_layout, scatter_add, unfold
+from .patcher import PatchGrid, coverage_map, fold, make_layout, unfold
 
 # Fault injection hook used only by the verification harness: when set, the
 # pixel-matching logits of the patch path are sign-flipped, which must make
@@ -48,12 +57,19 @@ from .patcher import PatchGrid, coverage_map, fold, make_layout, scatter_add, un
 _FAULT_FLIP_PIXEL_SIMILARITY = False
 
 
-# Byte budget of the pixel logits of one block of query patches, or of
-# query pixels in the dense path. Gather, logits, softmax and readout run
-# block by block, so the largest intermediate stays about the size of one
-# core's L2 cache instead of growing with the query size; a query patch or
-# pixel with more logits than this forms a block of its own.
+# Byte budget of one block: the pixel logits of a block of query cells with
+# the keys and values gathered for them, or the logits of a block of query
+# pixels in the dense path. Gather, logits, softmax and readout run block by
+# block, so the largest intermediate stays about the size of one core's L2
+# cache instead of growing with the query size; a query cell or pixel over
+# budget forms a block of its own.
 _LOGIT_BLOCK_BYTES = 1 << 20
+
+# Pixel logits are raised to this, after their row max is subtracted, before
+# exp. e^-708 is still a normal float, while numpy's exp of anything lower
+# (a subnormal or zero result) takes a path 15-200x slower; beside the row
+# max's e^0 = 1, a raised term lies far below the rounding of any sum.
+_EXP_FLOOR = -708.0
 
 
 def _set_pixel_similarity_fault(enabled):
@@ -63,7 +79,11 @@ def _set_pixel_similarity_fault(enabled):
 
 @dataclass
 class OpCounter:
-    """Exact counts of pairwise comparisons performed."""
+    """Exact counts of pairwise comparisons.
+
+    ``pixel_pairs`` counts the pairs the patch softmaxes range over, N*K*P^4
+    per patch pass; the cell stage computes each distinct one of them once.
+    """
 
     patch_pairs: int = 0
     pixel_pairs: int = 0
@@ -102,17 +122,26 @@ def _neg_sqdist(a, b, bb=None):
     return s
 
 
-def _pixel_rows(grids):
-    """(T*H*W, C) channels-last pixel rows of T same-size (C, H, W) grids.
+def _pixel_rows(grids, last):
+    """(T*H*W, C + 1) channels-last pixel rows of T same-size (C, H, W) grids.
 
-    Row t*H*W + y*W + x is the channel vector of grid t at (y, x), one
-    contiguous run of C values; each grid costs one grid-sized copy.
+    Row t*H*W + y*W + x holds the channel vector of grid t at (y, x), one
+    contiguous run of C values, then ``last`` (a scalar or one value per
+    row); each grid costs one grid-sized copy.
     """
     c, h, w = grids[0].data.shape
-    rows = np.empty((len(grids), h, w, c), dtype=np.float64)
+    rows = np.empty((len(grids), h, w, c + 1), dtype=np.float64)
     for t, g in enumerate(grids):
-        rows[t] = g.data.transpose(1, 2, 0)
-    return rows.reshape(len(grids) * h * w, c)
+        rows[t, :, :, :c] = g.data.transpose(1, 2, 0)
+    rows = rows.reshape(len(grids) * h * w, c + 1)
+    rows[:, c] = last
+    return rows
+
+
+def _floored_exp(x):
+    """exp of ``x`` in place, after raising every entry to _EXP_FLOOR."""
+    np.maximum(x, _EXP_FLOOR, out=x)
+    return np.exp(x, out=x)
 
 
 def _softmax_rows(logits):
@@ -206,45 +235,159 @@ def _check_topk(topk, n, t):
         raise ParameterError("top-K table indexes outside this memory bank")
 
 
-def _pixel_blocks(q_key, mem_keys, mem_values, layout, ids):
-    """The pixel stage, one block of query patches at a time.
+def _cell_pairs(layout, ids, t):
+    """The distinct (query cell, memory cell) pairs the patch softmaxes read.
 
-    Yields ``(lo, q_pix, m_sel, v_sel, weights)`` for query patches
-    lo .. lo + B: their (B, P^2, C_k) pixels, the (B, K*P^2, C_k) keys and
-    (B, K*P^2, C_v) values of their selected memory patches, and the
-    (B, P^2, K*P^2) softmax weights. A block holds as many patches as fit
-    their logits in _LOGIT_BLOCK_BYTES.
+    A cell is a stride x stride tile: the map has (n_h + 1) x (n_w + 1) of
+    them, and patch a*n_w + b is cells (a + dy)*(n_w + 1) + b + dx, dy and
+    dx in {0, 1}. Memory patch t*N + i is the same cells of frame t, numbered
+    t*n_cells + cell. An item is one quadrant of one query patch, numbered
+    4*patch + 2*dy + dx; its softmax ranges over the 4K memory cells of the
+    patch's selection, a multiset when selected patches overlap or repeat.
+
+    Returns the index tables
+        cells: query cells in processing order: by pair count, so that cells
+            of one count share a batched GEMM, then by index;
+        start: offsets of each such cell's pairs;
+        mem: the memory cell of each pair, ascending within a query cell;
+        items, item_start: the items grouped by cell in processing order,
+            by patch within a cell, and the offsets of each cell's items;
+        item_rank: the processing position of each item's cell;
+        refs: (4N, 4K) pair index of each item's memory cells, in the
+            selection's order.
     """
-    n, p = layout.n_patches, layout.patch
-    hw = layout.map_h * layout.map_w
-    pix = layout.pix
-    q_rows = _pixel_rows([q_key])
-    key_rows = _pixel_rows(mem_keys)
-    val_rows = _pixel_rows(mem_values)
-    # -||q - m||^2 up to the row constant -||q||^2, batched over query
-    # patches; the key norms are taken before the gather, which repeats keys,
-    # and summed in channel order over the (C, H, W) maps, not pairwise
-    # along the rows, so they round as the per-patch norms of
-    # tests/test_matcher.py's unfold oracle do
-    key_sq = np.concatenate([(mk.data * mk.data).sum(axis=0).ravel() for mk in mem_keys])
-    row = ids.shape[1] * p * p
-    block = max(1, _LOGIT_BLOCK_BYTES // (8 * p * p * row))
-    for lo in range(0, n, block):
-        sel = ids[lo:lo + block]
-        # memory patch t*N+i of the bank reads the pixels of query patch i
-        # shifted by t*H*W
-        sel_pix = (((sel // n) * hw)[:, :, None] + pix[sel % n]).reshape(len(sel), row)
-        # the query operand is stored (patch, channel, pixel) and reaches the
-        # GEMM transposed, as in the unfold oracle: BLAS may round a small
-        # product differently for another operand order
-        q_pix = np.empty((len(sel), q_key.channels, p * p), dtype=np.float64).transpose(0, 2, 1)
-        q_pix[...] = q_rows[pix[lo:lo + block]]
-        m_sel = key_rows[sel_pix]
-        logits = np.matmul(2.0 * q_pix, m_sel.transpose(0, 2, 1))
-        logits -= key_sq[sel_pix].reshape(len(sel), 1, row)
-        if _FAULT_FLIP_PIXEL_SIMILARITY:
-            logits = -logits
-        yield lo, q_pix, m_sel, val_rows[sel_pix], _softmax_rows(logits)
+    n, n_w = layout.n_patches, layout.n_w
+    row = n_w + 1
+    n_cells = (layout.n_h + 1) * row
+    span = t * n_cells
+    i = np.arange(n)
+    quads = ((i // n_w) * row + i % n_w)[:, None] + np.array([0, 1, row, row + 1])
+    mem = (((ids // n) * n_cells)[:, :, None] + quads[ids % n]).reshape(n, -1)
+    item_cell = quads.ravel()
+    mem = np.repeat(mem, 4, axis=0)
+    count = np.bincount(np.unique(item_cell[:, None] * span + mem) // span, minlength=n_cells)
+    cells = np.argsort(count, kind="stable")
+    rank = np.empty_like(cells)
+    rank[cells] = np.arange(n_cells)
+    # pairs numbered by the processing rank of their query cell
+    pairs, refs = np.unique(rank[item_cell][:, None] * span + mem, return_inverse=True)
+    items = np.argsort(rank[item_cell], kind="stable")
+    start = np.concatenate(([0], np.cumsum(count[cells])))
+    item_start = np.concatenate(([0], np.cumsum(np.bincount(item_cell, minlength=n_cells)[cells])))
+    return (cells, start, pairs % span, items, item_start, rank[item_cell[items]],
+            refs.reshape(mem.shape)[items])
+
+
+class _PairBlock(NamedTuple):
+    """One block of the cell stage; see _pair_blocks."""
+
+    q_pix: np.ndarray
+    q: np.ndarray
+    groups: list
+    items: np.ndarray
+    item_cells: np.ndarray
+    refs: np.ndarray
+    beta: np.ndarray
+    sums: np.ndarray
+
+
+def _pair_blocks(q_key, mem_keys, mem_values, layout, ids):
+    """The pixel stage on distinct (query cell, memory cell) pairs, by blocks.
+
+    Each pair's logits are computed once: one GEMM per query cell against
+    the stacked pixels of its memory cells, batched over the cells of one
+    pair count. Per pair and query pixel come the row max, then e, the
+    floored exp of the logits minus that max, and the sums of e and of e
+    times the memory values. Each item combines the pairs of its multiset,
+    each rescaled by beta = exp(pair max - item max); in exact arithmetic
+    this is the softmax over the item's patch selection and its readout.
+    The logits and the operands gathered for them fit in _LOGIT_BLOCK_BYTES
+    per block of query cells, in buffers allocated once per call: a block's
+    arrays are views that the next block overwrites.
+
+    Yields a _PairBlock per block:
+        q_pix: (B, S^2) flat query pixels of its cells, S the stride;
+        q: (B, S^2, C_k + 1) their key rows as [2q, 1];
+        groups: per run of cells with one pair count c, the tuple (c0, c1,
+            g0, g1, m_pix, keys, values, e): the block's cells c0..c1 and
+            pairs g0..g1; the (G, S^2, c) flat bank pixels of the pairs,
+            memory pixel before pair, so that a cell's rows stack its
+            pairs' pixels; their key rows [m, -|m|^2] and value rows
+            [v, 1] there; and e, (G, S^2, c, S^2), the last axis the query
+            pixel;
+        items, item_cells: its items and their cells' positions in q;
+        refs: (I, 4K) block pair index of each item's memory cells;
+        beta: (I, 4K, S^2), per query pixel;
+        sums: (I, C_v + 1, S^2): the items' unnormalized readouts and, last,
+            their softmax denominators.
+    """
+    s, w = layout.stride, layout.map_w
+    ss = s * s
+    hw = layout.map_h * w
+    cells, start, pair_mem, items, item_start, item_rank, item_refs = _cell_pairs(
+        layout, ids, len(mem_keys))
+    n_cells = len(cells)
+    cy, cx = np.divmod(np.arange(n_cells), layout.n_w + 1)
+    cell_pix = ((cy * w + cx) * s)[:, None] + (np.arange(s)[:, None] * w + np.arange(s)).ravel()
+    q_rows = _pixel_rows([q_key], 1.0)
+    q_rows[:, :-1] *= 2.0
+    # -||q - m||^2 up to the row constant -||q||^2, as one dot product
+    key_rows = _pixel_rows(mem_keys, np.concatenate(
+        [-(mk.data * mk.data).sum(axis=0).ravel() for mk in mem_keys]))
+    val_rows = _pixel_rows(mem_values, 1.0)
+    count = np.diff(start)
+    k_cols, v_cols = key_rows.shape[1], val_rows.shape[1]
+    per_pair = 8 * ss * (ss + k_cols + v_cols)
+    bounds = []
+    lo = 0
+    while lo < n_cells:
+        hi = max(lo + 1, np.searchsorted(start, start[lo] + _LOGIT_BLOCK_BYTES // per_pair,
+                                          side="right") - 1)
+        bounds.append((lo, hi))
+        lo = hi
+    most = max(start[hi] - start[lo] for lo, hi in bounds) * ss
+    e_buf, key_buf, val_buf = (np.empty(most * cols) for cols in (ss, k_cols, v_cols))
+    max_buf, sums_buf = np.empty(most), np.empty(most * v_cols)
+    for lo, hi in bounds:
+        p0 = start[lo]
+        q_pix = cell_pix[cells[lo:hi]]
+        q = np.take(q_rows, q_pix, axis=0)
+        mem = pair_mem[p0:start[hi]]
+        pix = ((mem // n_cells) * hw)[:, None] + cell_pix[mem % n_cells]
+        pair_max = max_buf[:len(mem) * ss].reshape(len(mem), ss)
+        pair_sums = sums_buf[:len(mem) * ss * v_cols].reshape(len(mem), v_cols, ss)
+        groups = []
+        c0 = lo
+        while c0 < hi:
+            c = count[c0]
+            c1 = min(hi, np.searchsorted(count, c, side="right"))
+            g = c1 - c0
+            g0, g1 = start[c0] - p0, start[c1] - p0
+            m_pix = pix[g0:g1].reshape(g, c, ss).transpose(0, 2, 1)
+            keys = key_buf[g0 * ss * k_cols:g1 * ss * k_cols].reshape(g, ss, c, k_cols)
+            # the indices are in range; "raise" would buffer the whole output
+            np.take(key_rows, m_pix, axis=0, out=keys, mode="clip")
+            values = val_buf[g0 * ss * v_cols:g1 * ss * v_cols].reshape(g, ss, c, v_cols)
+            np.take(val_rows, m_pix, axis=0, out=values, mode="clip")
+            e = e_buf[g0 * ss * ss:g1 * ss * ss].reshape(g, ss * c, ss)
+            np.matmul(keys.reshape(g, ss * c, -1), q[c0 - lo:c1 - lo].transpose(0, 2, 1), out=e)
+            if _FAULT_FLIP_PIXEL_SIMILARITY:
+                np.negative(e, out=e)
+            e = e.reshape(g, ss, c, ss)
+            mx = np.max(e, axis=1, out=pair_max[g0:g1].reshape(g, c, ss))
+            e -= mx[:, None]
+            _floored_exp(e)
+            np.matmul(values.transpose(0, 2, 3, 1), e.transpose(0, 2, 1, 3),
+                      out=pair_sums[g0:g1].reshape(g, c, -1, ss))
+            groups.append((c0 - lo, c1 - lo, g0, g1, m_pix, keys, values, e))
+            c0 = c1
+        i0, i1 = item_start[lo], item_start[hi]
+        refs = item_refs[i0:i1] - p0
+        beta = np.take(pair_max, refs, axis=0)
+        beta -= beta.max(axis=1, keepdims=True)
+        _floored_exp(beta)
+        sums = (np.take(pair_sums, refs, axis=0) * beta[:, :, None]).sum(axis=1)
+        yield _PairBlock(q_pix, q, groups, items[i0:i1], item_rank[i0:i1] - lo, refs, beta, sums)
 
 
 def plmm_forward(q_key, mem_keys, mem_values, patch, k,
@@ -275,16 +418,18 @@ def plmm_forward(q_key, mem_keys, mem_values, patch, k,
             unfold(q_key, layout), [unfold(mk, layout) for mk in mem_keys],
             counter=counter), k)
 
-    c_v = mem_values[0].channels
-    ro_pix = np.empty((n, patch * patch, c_v), dtype=np.float64)
-    for lo, _, _, v_sel, weights in _pixel_blocks(q_key, mem_keys, mem_values,
-                                                  layout, topk.ids):
-        np.matmul(weights, v_sel, out=ro_pix[lo:lo + len(weights)])
+    c_v, s = mem_values[0].channels, layout.stride
+    # in-patch pixels of each quadrant 2*dy + dx
+    corner = (np.arange(s)[:, None] * patch + np.arange(s)).ravel()
+    quad_pix = np.array([0, s, s * patch, s * patch + s])[:, None] + corner
+    ro = np.empty((n, c_v, patch * patch), dtype=np.float64)
+    for blk in _pair_blocks(q_key, mem_keys, mem_values, layout, topk.ids):
+        ro[(blk.items // 4)[:, None, None], np.arange(c_v)[:, None],
+           quad_pix[blk.items % 4][:, None, :]] = blk.sums[:, :-1] / blk.sums[:, -1:]
     if counter is not None:
         counter.pixel_pairs += n * topk.k * patch ** 4
-
-    ro_patches = PatchGrid(layout, ro_pix.transpose(0, 2, 1).reshape(n, c_v, patch, patch))
-    return PlmmResult(readout=fold(ro_patches), topk=topk)
+    return PlmmResult(readout=fold(PatchGrid(layout, ro.reshape(n, c_v, patch, patch))),
+                      topk=topk)
 
 
 def plmm_backward(q_key, mem_keys, mem_values, patch, topk, upstream):
@@ -292,8 +437,12 @@ def plmm_backward(q_key, mem_keys, mem_values, patch, topk, upstream):
 
     The top-K selection and the fold coverage counts are treated as
     constants; gradients flow through fold, readout, softmax, and the
-    similarity logits. The forward's pixel blocks are recomputed, so memory
-    stays one block of logits plus the per-patch gradient buffers.
+    similarity logits. The forward's pair blocks are recomputed, so memory
+    stays one block plus the gradient maps. Item i's weights are
+    e(x, m) * beta_i(x) / Z_i(x), so a pair's logit gradient sums over the
+    items that read it: e(x, m) * (A(x) * g(x).v_m - B(x)), with
+    A = sum of beta_i / Z_i and B = sum of beta_i / Z_i * g(x).readout_i(x),
+    g the upstream gradient divided by the coverage.
 
     Args:
         q_key, mem_keys, mem_values, patch: the forward pass's inputs.
@@ -305,59 +454,52 @@ def plmm_backward(q_key, mem_keys, mem_values, patch, topk, upstream):
         (C_k, H, W) array and the others are lists of per-frame arrays.
     """
     layout = _checked_layout(q_key, mem_keys, mem_values, patch)
-    n, p, t = layout.n_patches, patch, len(mem_keys)
+    h, w, t = layout.map_h, layout.map_w, len(mem_keys)
     c_k, c_v = q_key.channels, mem_values[0].channels
-    _check_topk(topk, n, t)
+    _check_topk(topk, layout.n_patches, t)
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (c_v, layout.map_h, layout.map_w):
+    if upstream.shape != (c_v, h, w):
         raise DimensionError(
             f"upstream shape {upstream.shape} does not match the readout "
-            f"({c_v}, {layout.map_h}, {layout.map_w})")
+            f"({c_v}, {h}, {w})")
 
-    # fold adjoint: divide by coverage, then gather each patch's pixels
+    # fold adjoint: divide by coverage; every pixel of a query cell reads
+    # the same patches, so each item's readout gets its cell's gradient
     g_rows = (upstream / coverage_map(layout)).reshape(c_v, -1).T
-    d_q_pix = np.empty((n, p * p, c_k), dtype=np.float64)
-    d_key_buf = np.zeros((t * n, p * p, c_k), dtype=np.float64)
-    d_val_buf = np.zeros((t * n, p * p, c_v), dtype=np.float64)
-    for lo, q_pix, m_sel, v_sel, w in _pixel_blocks(q_key, mem_keys, mem_values,
-                                                    layout, topk.ids):
-        hi = lo + len(w)
-        g = g_rows[layout.pix[lo:hi]]
+    d_q = np.empty((h * w, c_k), dtype=np.float64)
+    d_keys = np.zeros((t * h * w, c_k), dtype=np.float64)
+    d_values = np.zeros((t * h * w, c_v), dtype=np.float64)
+    for blk in _pair_blocks(q_key, mem_keys, mem_values, layout, topk.ids):
+        g = g_rows[blk.q_pix]
+        # softmax adjoint, gathered onto the pairs
+        weights = blk.beta / blk.sums[:, None, -1]
+        g_ro = np.einsum("ixv,ivx->ix", g[blk.item_cells], blk.sums[:, :-1]) / blk.sums[:, -1]
+        a = np.zeros((blk.groups[-1][3], weights.shape[2]), dtype=np.float64)
+        b = np.zeros_like(a)
+        np.add.at(a, blk.refs, weights)
+        np.add.at(b, blk.refs, weights * g_ro[:, None])
+        for c0, c1, g0, g1, m_pix, keys, values, e in blk.groups:
+            n_g, ss, c, _ = e.shape
+            rows = ss * c
+            gq = g[c0:c1]
+            a_g = a[g0:g1].reshape(n_g, 1, c, ss)
+            g_v = np.matmul(values[..., :-1].reshape(n_g, rows, c_v), gq.transpose(0, 2, 1))
+            d_logit = e * (a_g * g_v.reshape(e.shape) - b[g0:g1].reshape(n_g, 1, c, ss))
+            d_logit = d_logit.reshape(n_g, rows, ss)
+            # similarity adjoint: logits[x, m] = 2 q_x.m - ||m||^2, and the
+            # dropped -||q_x||^2 gets nothing: each item's d_logit rows sum to 0
+            k_m = keys[..., :-1].reshape(n_g, rows, c_k)
+            d_q[blk.q_pix[c0:c1]] = 2.0 * np.matmul(d_logit.transpose(0, 2, 1), k_m)
+            d_m = np.matmul(d_logit, blk.q[c0:c1, :, :-1])
+            d_m -= 2.0 * d_logit.sum(axis=2)[:, :, None] * k_m
+            np.add.at(d_keys, m_pix.ravel(), d_m.reshape(-1, c_k))
+            d_v = np.matmul((e * a_g).reshape(n_g, rows, ss), gq)
+            np.add.at(d_values, m_pix.ravel(), d_v.reshape(-1, c_v))
 
-        # readout adjoints
-        d_v_sel = np.matmul(w.transpose(0, 2, 1), g)
-        s = np.matmul(g, v_sel.transpose(0, 2, 1))
+    def _to_grids(rows, channels):
+        return [rows[ti * h * w:(ti + 1) * h * w].T.reshape(channels, h, w) for ti in range(t)]
 
-        # softmax adjoint
-        ws = (w * s).sum(axis=2, keepdims=True)
-        d_logit = w * (s - ws)
-
-        # similarity adjoint: logits[i,j] = -||q_i - m_j||^2. The rows of
-        # d_logit sum to 0, so the -||q_i||^2 term contributes nothing to d_q.
-        col = d_logit.sum(axis=1)
-        d_q_pix[lo:hi] = 2.0 * np.matmul(d_logit, m_sel)
-        d_m_sel = 2.0 * (np.matmul(d_logit.transpose(0, 2, 1), q_pix)
-                         - col[:, :, None] * m_sel)
-
-        # accumulate the selected-patch gradients in per-frame patch buffers
-        sel = topk.ids[lo:hi].ravel()
-        np.add.at(d_key_buf, sel, d_m_sel.reshape(len(sel), p * p, c_k))
-        np.add.at(d_val_buf, sel, d_v_sel.reshape(len(sel), p * p, c_v))
-
-    def _to_grid(buf, channels):
-        grads = []
-        for ti in range(t):
-            block = buf[ti * n:(ti + 1) * n]
-            pg = PatchGrid(layout, block.transpose(0, 2, 1).reshape(n, channels, p, p))
-            grads.append(scatter_add(pg))
-        return grads
-
-    d_mem_keys = _to_grid(d_key_buf, c_k)
-    d_mem_values = _to_grid(d_val_buf, c_v)
-
-    dq_pg = PatchGrid(layout, d_q_pix.transpose(0, 2, 1).reshape(n, c_k, p, p))
-    d_query_key = scatter_add(dq_pg)
-    return d_query_key, d_mem_keys, d_mem_values
+    return d_q.T.reshape(c_k, h, w), _to_grids(d_keys, c_k), _to_grids(d_values, c_v)
 
 
 def dense_readout(q_key, mem_keys, mem_values, counter=None):

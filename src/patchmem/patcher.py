@@ -13,6 +13,7 @@ each pixel sums its patches' contributions in patch order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ class PatchLayout:
         patch: patch side length P.
         stride: P // 2.
         n_h, n_w: patch counts along each axis.
-        origins: (N, 2) int array of top-left corners, row-major.
+        origins: (N, 2) read-only int array of top-left corners, row-major.
         pix: (N, P^2) read-only table of flat pixel indices; row i lists
             patch i's pixels in row-major in-patch order, so entry
             dy*P + dx is (origin_y + dy)*W + origin_x + dx.
@@ -76,8 +77,12 @@ def layout_shape(map_h, map_w, patch):
     return (map_h - patch) // stride + 1, (map_w - patch) // stride + 1
 
 
+@functools.lru_cache(maxsize=64)
 def make_layout(map_h, map_w, patch):
-    """Build the patch layout for a map under the rules of layout_shape."""
+    """The patch layout for a map under the rules of layout_shape.
+
+    Memoized: equal arguments return the same frozen, read-only layout.
+    """
     n_h, n_w = layout_shape(map_h, map_w, patch)
     stride = patch // 2
     rows = np.repeat(np.arange(n_h) * stride, n_w)
@@ -85,6 +90,7 @@ def make_layout(map_h, map_w, patch):
     origins = np.stack([rows, cols], axis=1).astype(np.intp)
     offsets = (np.arange(patch)[:, None] * map_w + np.arange(patch)).ravel()
     pix = (origins[:, 0] * map_w + origins[:, 1])[:, None] + offsets
+    origins.flags.writeable = False
     pix.flags.writeable = False
     return PatchLayout(map_h, map_w, patch, stride, n_h, n_w, origins, pix)
 

@@ -115,6 +115,32 @@ class TestCineVolume:
             with pytest.raises(ParameterError):
                 CineVolume(np.zeros((1, 2, 4, 4)), spacing_mm=spacing)
 
+    def test_float32_kept_and_checked(self):
+        data = np.random.default_rng(1).random((2, 3, 4, 4)).astype(np.float32)
+        v = CineVolume(data)
+        assert v.intensities.dtype == np.float32
+        assert v.frame(1, 2).dtype == np.float64
+        assert np.array_equal(v.frame(1, 2), data[1, 2].astype(np.float64))
+        for bad_value, error in [(np.float32(1.5), DataError), (np.float32("nan"), DataError)]:
+            bad = data.copy()
+            bad[0, 0, 0, 0] = bad_value
+            with pytest.raises(error):
+                CineVolume(bad)
+
+    def test_loaded_volume_is_float32_with_float64_frames(self, tmp_path):
+        cine = CineVolume(np.random.default_rng(2).random((2, 3, 8, 8)))
+        path = tmp_path / "cine.cgrid"
+        save_container(cine, path)
+        back = load_container(path)
+        assert back.intensities.dtype == np.float32
+        # the frames equal the payload widened to float64, as loads gave before
+        widened = cine.intensities.astype("<f4").astype(np.float64)
+        for z in range(2):
+            for t in range(3):
+                frame = back.frame(z, t)
+                assert frame.dtype == np.float64
+                assert np.array_equal(frame, widened[z, t])
+
 
 class TestLabelVolume:
     def test_valid(self):

@@ -6,10 +6,11 @@ patch-matching forward pass, kept free of einsum and broadcasting so it
 cannot share a bug with the library code. ``pixel_match_weights`` and
 ``readout`` are per-patch oracles of the pixel stage: the full negated
 squared distance, one query patch at a time. ``unfold_plmm_forward`` is the
-pixel stage as it ran on unfolded patches, the bitwise oracle of the
-channels-last gather, and ``cached_plmm_backward`` is the backward pass as
-it ran on that oracle's whole-layout intermediates, the bitwise oracle of
-the blocked backward.
+pixel stage as it ran on unfolded patches, one (P^2, K*P^2) logit block per
+query patch, and ``cached_plmm_backward`` is the backward pass as it ran on
+that oracle's whole-layout intermediates. The library computes each
+distinct (query cell, memory cell) block of logits once and rescales it per
+patch, so it agrees with these oracles to rounding, not bit for bit.
 """
 
 import tracemalloc
@@ -197,18 +198,40 @@ def selected_patches(grids, layout, ids):
     return np.stack([pgs[j // layout.n_patches][j % layout.n_patches] for j in ids])
 
 
-def pixel_blocks(q, mk, mv, patch, ids):
-    """Production (q_pix, m_sel, v_sel, weights), each joined over the
-    blocks of the pixel stage."""
-    layout = make_layout(q.height, q.width, patch)
-    blocks = list(matcher._pixel_blocks(q, mk, mv, layout, ids))
-    return [np.concatenate([b[i] for b in blocks]) for i in range(1, 5)]
-
-
 def plmm_weights(q, mk, mv, patch, k):
-    """Production (N, P^2, K*P^2) pixel weights and the forward result."""
+    """(N, P^2, K*P^2) pixel weights of plmm_forward and the forward result.
+
+    Query patch i's weights are read out of the production pixel stage on a
+    one-patch map: its keys against its K selected memory patches, each a
+    one-patch frame whose values are one-hot over the K*P^2 memory pixels,
+    so that the readout at query pixel x is the weight row of x.
+    """
     res = plmm_forward(q, mk, mv, patch=patch, k=k)
-    return pixel_blocks(q, mk, mv, patch, res.topk.ids)[3], res
+    layout = make_layout(q.height, q.width, patch)
+    q_pg = unfold(q, layout)
+    kk, pp = res.topk.k, patch * patch
+    one_hot = np.eye(kk * pp).reshape(kk * pp, kk, patch, patch)
+    bank = [FeatureGrid(one_hot[:, j]) for j in range(kk)]
+    sel = TopKIndex(ids=np.arange(kk)[None], k=kk)
+    rows = []
+    for i, ids in enumerate(res.topk.ids):
+        keys = [FeatureGrid(m) for m in selected_patches(mk, layout, ids)]
+        out = plmm_forward(FeatureGrid(q_pg.data[i]), keys, bank, patch, kk, topk_override=sel)
+        rows.append(out.readout.data.reshape(kk * pp, pp).T)
+    return np.stack(rows), res
+
+
+def block_count(q, mk, mv, patch, ids):
+    """Number of blocks the pixel stage splits a forward pass into."""
+    layout = make_layout(q.height, q.width, patch)
+    return sum(1 for _ in matcher._pair_blocks(q, mk, mv, layout, ids))
+
+
+def assert_gradients_match(got, want):
+    """plmm_backward's three outputs against an oracle's, rtol 1e-10, atol 1e-12."""
+    for a, b in zip([got[0]] + got[1] + got[2], [want[0]] + want[1] + want[2]):
+        assert a.shape == b.shape
+        assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
 
 
 def random_maps(rng, t, h, w, c_key=3, c_val=2):
@@ -300,7 +323,7 @@ class TestTopKSelect:
 
 
 class TestPixelMatchWeights:
-    """The pixel stage of plmm_forward, read from its block generator."""
+    """The pixel weights of plmm_forward, read out through one-hot values."""
 
     def test_rows_are_distributions(self):
         rng = np.random.default_rng(26)
@@ -379,7 +402,9 @@ class TestReadout:
         keys = FeatureGrid(100.0 * np.stack([yy, xx]).astype(np.float64))
         values = FeatureGrid(np.random.default_rng(31).standard_normal((3, 4, 4)))
         w, res = plmm_weights(keys, [keys], [values], patch=4, k=1)
-        assert np.array_equal(w[0], np.eye(16))
+        # the other logits lie 1e4 and more below the row max; exp of them is
+        # taken at the floor, so their weights are at most e^-708, not 0
+        assert np.allclose(w[0], np.eye(16), rtol=0, atol=np.exp(matcher._EXP_FLOOR))
         assert np.allclose(res.readout.data, values.data, atol=1e-12)
 
     def test_folded_oracle_readouts_match(self):
@@ -441,21 +466,21 @@ class TestPlmmForward:
             ref = dense_readout(q, mk, mv)
             assert np.abs(res.readout.data - ref.data).max() <= 1e-6
 
-    @pytest.mark.parametrize("patches_per_block", [None, 4])
-    def test_blocks_equal_one_block_bitwise(self, monkeypatch, patches_per_block):
-        # scale 3 at working side 576: N = 121 query patches of P = 12; the
-        # default budget holds one patch's logits, 4 does not divide 121
+    @pytest.mark.parametrize("budget_mib", [None, 4])
+    def test_blocks_equal_one_block_bitwise(self, monkeypatch, budget_mib):
+        # scale 3 at working side 576: N = 121 query patches of P = 12 on
+        # 144 query cells, which the default budget and 4 MiB split into
+        # blocks of a few cells each
         rng = np.random.default_rng(43)
         q, mk, mv = random_maps(rng, t=3, h=72, w=72, c_key=64, c_val=4)
-        logit_bytes = 8 * 144 * 4 * 144
-        if patches_per_block is not None:
-            monkeypatch.setattr(matcher, "_LOGIT_BLOCK_BYTES",
-                                patches_per_block * logit_bytes)
-        assert matcher._LOGIT_BLOCK_BYTES // logit_bytes < 121
+        if budget_mib is not None:
+            monkeypatch.setattr(matcher, "_LOGIT_BLOCK_BYTES", budget_mib << 20)
         counter = OpCounter()
         blocked = plmm_forward(q, mk, mv, patch=12, k=4, counter=counter)
         assert counter.pixel_pairs == 121 * 4 * 144 * 144
+        assert block_count(q, mk, mv, 12, blocked.topk.ids) > 10
         monkeypatch.setattr(matcher, "_LOGIT_BLOCK_BYTES", 1 << 62)
+        assert block_count(q, mk, mv, 12, blocked.topk.ids) == 1
         whole = plmm_forward(q, mk, mv, patch=12, k=4)
         assert np.array_equal(blocked.topk.ids, whole.topk.ids)
         assert np.array_equal(blocked.readout.data, whole.readout.data)
@@ -502,7 +527,8 @@ class TestPlmmForward:
 
 class TestChannelsLastGather:
     """plmm_forward gathers its pixel stage from channels-last rows; the
-    unfolded-patch oracle must agree bit for bit."""
+    unfolded-patch oracles must agree: the top-K tables bit for bit, the
+    readouts to 1e-12 and the gradients to rtol 1e-10, atol 1e-12."""
 
     @staticmethod
     def _maps(rng, t, side, transposed):
@@ -525,12 +551,12 @@ class TestChannelsLastGather:
             got = plmm_forward(q, mk, mv, patch=6, k=4)
             want, _ = unfold_plmm_forward(q, mk, mv, patch=6, k=4)
             assert np.array_equal(got.topk.ids, want.topk.ids)
-            assert np.array_equal(got.readout.data, want.readout.data)
+            assert np.abs(got.readout.data - want.readout.data).max() <= 1e-12
             q3, mk3, mv3 = self._maps(rng, t, 2 * side4, transposed)
             lifted = plmm_forward(q3, mk3, mv3, patch=12, k=4, topk_override=got.topk)
             want3, _ = unfold_plmm_forward(q3, mk3, mv3, patch=12, k=4,
                                            topk_ids=got.topk.ids)
-            assert np.array_equal(lifted.readout.data, want3.readout.data)
+            assert np.abs(lifted.readout.data - want3.readout.data).max() <= 1e-12
 
     @pytest.mark.parametrize("transposed", [False, True])
     def test_backward_bitwise_equal_to_cached_oracle(self, transposed):
@@ -539,31 +565,25 @@ class TestChannelsLastGather:
             q, mk, mv = self._maps(rng, t, side, transposed)
             got = plmm_forward(q, mk, mv, patch=patch, k=4)
             want, cache = unfold_plmm_forward(q, mk, mv, patch=patch, k=4)
-            assert np.array_equal(got.readout.data, want.readout.data)
+            assert np.abs(got.readout.data - want.readout.data).max() <= 1e-12
             assert np.array_equal(got.topk.ids, cache["ids"])
-            blocks = pixel_blocks(q, mk, mv, patch, got.topk.ids)
-            for key, block in zip(("q_pix", "m_sel", "v_sel", "weights"), blocks):
-                assert np.array_equal(block, cache[key]), key
             upstream = rng.standard_normal((4, side, side))
-            d_got = plmm_backward(q, mk, mv, patch, got.topk, upstream)
-            d_want = cached_plmm_backward(cache, upstream)
-            assert np.array_equal(d_got[0], d_want[0])
-            for a, b in zip(d_got[1] + d_got[2], d_want[1] + d_want[2]):
-                assert np.array_equal(a, b)
+            assert_gradients_match(plmm_backward(q, mk, mv, patch, got.topk, upstream),
+                                   cached_plmm_backward(cache, upstream))
 
-    @pytest.mark.parametrize("patches_per_block", [None, 4])
-    def test_backward_blocks_equal_one_block_bitwise(self, monkeypatch, patches_per_block):
-        # N = 121 query patches of P = 6; the default budget holds 25
-        # patches' logits, 4 does not divide 121
+    @pytest.mark.parametrize("budget_kib", [None, 4])
+    def test_backward_blocks_equal_one_block_bitwise(self, monkeypatch, budget_kib):
+        # N = 121 query patches of P = 6 on 144 query cells, which the
+        # default budget splits into blocks; every cell is over 4 KiB and
+        # forms a block of its own
         rng = np.random.default_rng(46)
         q, mk, mv = random_maps(rng, t=3, h=36, w=36, c_key=64, c_val=4)
         upstream = rng.standard_normal((4, 36, 36))
-        logit_bytes = 8 * 36 * 4 * 36
-        if patches_per_block is not None:
-            monkeypatch.setattr(matcher, "_LOGIT_BLOCK_BYTES",
-                                patches_per_block * logit_bytes)
-        assert matcher._LOGIT_BLOCK_BYTES // logit_bytes < 121
+        if budget_kib is not None:
+            monkeypatch.setattr(matcher, "_LOGIT_BLOCK_BYTES", budget_kib << 10)
         topk = plmm_forward(q, mk, mv, patch=6, k=4).topk
+        n_blocks = block_count(q, mk, mv, 6, topk.ids)
+        assert n_blocks == 144 if budget_kib else n_blocks > 2
         blocked = plmm_backward(q, mk, mv, 6, topk, upstream)
         monkeypatch.setattr(matcher, "_LOGIT_BLOCK_BYTES", 1 << 62)
         whole = plmm_backward(q, mk, mv, 6, topk, upstream)
@@ -603,6 +623,98 @@ class TestChannelsLastGather:
         plmm_forward(q, mk, mv, patch=6, k=4, topk_override=base.topk)
         plmm_backward(q, mk, mv, 6, base.topk, rng.standard_normal((4, 18, 18)))
         assert calls == []
+
+
+class TestCellStage:
+    """The pixel stage computes each distinct (query cell, memory cell) block
+    of logits once and rescales it per patch; the per-patch oracles must
+    agree on every layout shape and selection pattern it meets."""
+
+    @staticmethod
+    def _check(q, mk, mv, patch, k, topk_ids=None, rng=None):
+        override = None if topk_ids is None else TopKIndex(ids=topk_ids, k=topk_ids.shape[1])
+        got = plmm_forward(q, mk, mv, patch, k, topk_override=override)
+        want, cache = unfold_plmm_forward(q, mk, mv, patch, k, topk_ids=topk_ids)
+        assert np.array_equal(got.topk.ids, want.topk.ids)
+        loop = loop_plmm_reference(q, mk, mv, patch, k, topk_ids=topk_ids)
+        assert np.allclose(got.readout.data, loop, rtol=0, atol=1e-10)
+        assert np.abs(got.readout.data - want.readout.data).max() <= 1e-12
+        rng = rng or np.random.default_rng(0)
+        upstream = rng.standard_normal(got.readout.data.shape)
+        assert_gradients_match(plmm_backward(q, mk, mv, patch, got.topk, upstream),
+                               cached_plmm_backward(cache, upstream))
+        return got
+
+    @pytest.mark.parametrize("t, h, w, patch, k, transposed", [
+        (2, 6, 6, 6, 2, False),     # one patch: the map is P x P
+        (2, 6, 18, 6, 3, False),    # one row of patches
+        (2, 12, 20, 4, 3, False),   # non-square
+        (2, 20, 12, 4, 3, True),    # transposed, non-contiguous grids
+        (1, 12, 12, 4, 1, False),   # T = 1, K = 1
+        (2, 9, 9, 6, 8, False),     # K = T*N: every memory patch
+        (3, 8, 8, 2, 5, False),     # P = 2: cells of one pixel
+    ])
+    def test_matches_oracles(self, t, h, w, patch, k, transposed):
+        rng = np.random.default_rng(t * 1000 + h * 10 + w + patch)
+        if transposed:
+            q, mk, mv = random_maps(rng, t=t, h=w, w=h, c_key=5, c_val=3)
+            q, mk, mv = (FeatureGrid(q.data.transpose(0, 2, 1)),
+                         [FeatureGrid(m.data.transpose(0, 2, 1)) for m in mk],
+                         [FeatureGrid(v.data.transpose(0, 2, 1)) for v in mv])
+            assert not q.data.flags.c_contiguous
+        else:
+            q, mk, mv = random_maps(rng, t=t, h=h, w=w, c_key=5, c_val=3)
+        self._check(q, mk, mv, patch, k, rng=rng)
+
+    def test_overlapping_and_repeated_selections(self):
+        # each query patch selects itself, its right and lower neighbours
+        # (overlapping memory patches share cells) and itself again in the
+        # second frame, and one patch selects one memory patch twice
+        rng = np.random.default_rng(48)
+        q, mk, mv = random_maps(rng, t=2, h=16, w=16, c_key=4, c_val=3)
+        layout = make_layout(16, 16, 4)
+        n, n_w = layout.n_patches, layout.n_w
+        i = np.arange(n)
+        ids = np.stack([i, np.minimum(i + 1, n - 1), np.minimum(i + n_w, n - 1), n + i], axis=1)
+        ids[5] = [7, 7, n + 7, 8]
+        self._check(q, mk, mv, 4, 4, topk_ids=ids, rng=rng)
+
+    def test_rescale_sets_weights_far_below_neighbour(self):
+        # query patches 0 and 1 share the cells of columns 2-3; patch 0 reads
+        # memory patch 0, whose keys sit near 35, patch 1 reads memory
+        # patch 2, whose keys sit near the query's 0. In those cells patch
+        # 0's best logit lies over 1000 below patch 1's, yet its weights
+        # must follow the spread of its own logits
+        rng = np.random.default_rng(49)
+        q = FeatureGrid(0.1 * rng.standard_normal((1, 4, 8)))
+        keys = 0.1 * rng.standard_normal((1, 4, 8))
+        keys[:, :, :4] += 35.0
+        mk = [FeatureGrid(keys)]
+        mv = [FeatureGrid(rng.standard_normal((2, 4, 8)))]
+        ids = np.array([[0], [2], [2]])
+        shared = q.data[0, :, 2:4].ravel()
+        best = [(-(shared[:, None] - keys[0, :, cols].ravel()[None]) ** 2).max(axis=1)
+                for cols in (slice(0, 4), slice(4, 8))]
+        assert (best[1] - best[0]).min() > 745
+        # a softmax whose logits were all floored would be uniform there
+        w0 = pixel_match_weights(q.data[:, :, :4], keys[None, :, :, :4])
+        assert w0.reshape(4, 4, 16)[:, 2:].max(axis=2).min() > 2 / 16
+        self._check(q, mk, mv, 4, 1, topk_ids=ids, rng=rng)
+
+    def test_forward_memory_is_bounded(self):
+        # the scale-3 pass at working side 576 with three memory frames,
+        # reusing a top-K table as the pyramid does: pixel rows, one block
+        # and the per-patch readout, where whole-layout logits take 80 MB
+        rng = np.random.default_rng(50)
+        q, mk, mv = random_maps(rng, t=3, h=72, w=72, c_key=64, c_val=4)
+        topk = TopKIndex(ids=rng.integers(0, 3 * 121, (121, 4)), k=4)
+        tracemalloc.start()
+        try:
+            plmm_forward(q, mk, mv, 12, 4, topk_override=topk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestDenseReadout:

@@ -205,9 +205,13 @@ class TestPixelTable:
                     assert layout.pix[i, dy * 6 + dx] == (oy + dy) * 12 + ox + dx
 
     def test_layout_is_read_only(self):
+        # memoized: equal arguments give the same frozen, read-only object
         layout = make_layout(9, 9, 6)
-        with pytest.raises(ValueError):
-            layout.pix[0, 0] = 1
+        assert make_layout(9, 9, 6) is layout
+        assert make_layout(9, 9, 2) is not layout
+        for table in (layout.origins, layout.pix):
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
         with pytest.raises(dataclasses.FrozenInstanceError):
             layout.patch = 4
 

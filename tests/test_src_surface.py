@@ -1,9 +1,11 @@
-"""Every public module-level function and class in src/patchmem, and every
-public method of a public class, has a caller in src/patchmem.
+"""Every public module-level function and class in src/patchmem, every
+public method of a public class, and every private module-level function
+has a caller in src/patchmem.
 
-A name that only tests reach is a test helper and belongs in tests/. The
-check is by name: a load of the bare name or an attribute of that name
-anywhere in the package, outside the definition itself, counts as a use.
+A name that only tests reach is a test helper or oracle and belongs in
+tests/. The check is by name: a load of the bare name or an attribute of
+that name anywhere in the package, outside the definition itself, counts as
+a use.
 """
 
 import ast
@@ -20,7 +22,14 @@ def _public(node):
             and not node.name.startswith("_"))
 
 
-def _definitions_and_uses():
+def _private_function(node):
+    return (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            and not node.name.startswith("__"))
+
+
+def _definitions_and_uses(wanted=_public):
+    """Module-level definitions that ``wanted`` selects (with the public
+    methods of public classes) and the names the package uses."""
     defs = []
     uses = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -33,7 +42,7 @@ def _definitions_and_uses():
                 own.setdefault(id(n), set()).add(node.name)
 
         for node in tree.body:
-            if not _public(node):
+            if not wanted(node):
                 continue
             define(node, node.name)
             if isinstance(node, ast.ClassDef):
@@ -58,3 +67,10 @@ def test_every_public_definition_is_used_in_the_package():
     unused = [f"{module}.{label}" for module, label in defs
               if (module, label) not in EXEMPT and label.rsplit(".", 1)[-1] not in uses]
     assert not unused, f"public names with no caller in src/patchmem: {unused}"
+
+
+def test_every_private_function_is_called_in_the_package():
+    defs, uses = _definitions_and_uses(_private_function)
+    assert defs, f"no private functions found under {PACKAGE}"
+    unused = [f"{module}.{label}" for module, label in defs if label not in uses]
+    assert not unused, f"private functions with no caller in src/patchmem: {unused}"
