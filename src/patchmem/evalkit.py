@@ -468,6 +468,8 @@ def check_complexity(configs=None, reps=5, c_key=8, c_val=4, seed=0):
     patch size, which must add zero patch pairs and N*K*((2P)^2)^2 pixel
     pairs. Wall times are medians over the given repetitions.
     """
+    if reps < 1:
+        raise ParameterError(f"reps must be at least 1, got {reps}")
     if configs is None:
         configs = default_bench_grid()
     rng = np.random.default_rng(seed)

@@ -1,8 +1,8 @@
 """Dense array containers, resampling primitives, and the CGRID file format.
 
-All in-memory real arrays are float64; files store them as little-endian
-float32. Axis order is fixed: volumes are (Z, T, Y, X), feature grids are
-(C, Y, X), single maps are (Y, X).
+In-memory real arrays are float64, except a cine volume loaded from a file,
+which stays float32. Axis order is fixed: volumes are (Z, T, Y, X), feature
+grids are (C, Y, X), single maps are (Y, X).
 
 CGRID layout, byte for byte:
 
@@ -11,9 +11,10 @@ CGRID layout, byte for byte:
     bytes 14..    UTF-8 JSON header of length L
     rest          raw row-major payload
 
-The JSON header always carries ``dims``, ``order`` (``ZTYX``, ``CYX`` or
-``YX``), ``dtype`` (``f32`` or ``u8``) and ``spacing_mm`` ([dy, dx]); label
-volumes additionally carry a ``labels`` legend.
+The JSON header always carries ``dims``, ``order``, ``dtype`` and
+``spacing_mm`` ([dy, dx]). There are three kinds of file: a cine volume
+(``ZTYX``, ``f32``, little-endian), a label volume (``ZTYX``, ``u8``, with a
+``labels`` legend) and a 2-d seed mask (``YX``, ``u8``).
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import dataclasses
 import json
 import math
 import numbers
+import os
 import sys
 import typing
-from pathlib import Path
 
 import numpy as np
 
@@ -41,8 +42,6 @@ from .errors import (
 MAGIC = b"CGRID\n"
 CARDIAC_LABELS = {"1": "LV", "2": "Myo", "3": "RV"}
 MAX_LABEL = 3
-
-_DTYPE_TO_NUMPY = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}
 
 
 class FeatureGrid:
@@ -143,8 +142,8 @@ def checked_fields(obj, error):
 class CineVolume:
     """A (Z, T, H, W) stack of intensity frames normalized to [0, 1].
 
-    A float32 array, as a CGRID file stores it, is kept at that precision;
-    anything else is held as float64.
+    A float32 array, as a CGRID file stores it, is kept as it is, without a
+    copy; anything else is held as float64.
 
     Args:
         intensities: array of shape (Z, T, H, W) with values in [0, 1].
@@ -165,9 +164,12 @@ class CineVolume:
             raise DimensionError("cine volume needs at least two phases")
         if h < 1 or w < 1:
             raise DimensionError(f"cine volume has empty frame axis: {intensities.shape}")
-        if not np.isfinite(intensities).all():
+        # min and max propagate NaN, so their finiteness covers every entry
+        # without a volume-sized mask
+        lo, hi = intensities.min(), intensities.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise DataError("cine volume contains non-finite values")
-        if intensities.min() < 0.0 or intensities.max() > 1.0:
+        if lo < 0.0 or hi > 1.0:
             raise DataError("cine volume intensities must lie in [0, 1]")
         self.intensities = intensities
         self.spacing_mm = _checked_spacing(spacing_mm)
@@ -197,7 +199,10 @@ class CineVolume:
 
 
 class LabelVolume:
-    """A (Z, T, H, W) stack of uint8 label maps with classes 0..3."""
+    """A (Z, T, H, W) stack of uint8 label maps with classes 0..3.
+
+    A uint8 array is kept as it is, without a copy.
+    """
 
     def __init__(self, labels, spacing_mm=(1.0, 1.0)):
         labels = np.asarray(labels)
@@ -211,7 +216,7 @@ class LabelVolume:
                 f"label values must lie in 0..{MAX_LABEL}, "
                 f"got range {labels.min()}..{labels.max()}")
         self.spacing_mm = _checked_spacing(spacing_mm)
-        self.labels = labels.astype(np.uint8)
+        self.labels = labels.astype(np.uint8, copy=False)
 
     @property
     def z_count(self):
@@ -370,110 +375,67 @@ def downsample_avg(grid, factor):
     return FeatureGrid(pooled)
 
 
-def _header_bytes(header):
-    # sort_keys plus fixed separators keeps saves byte-deterministic
-    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+# The three kinds of CGRID file, by (axis order, header dtype): a
+# CineVolume, a LabelVolume and a 2-d seed mask, with their payload dtypes
+_KINDS = {
+    ("ZTYX", "f32"): np.dtype("<f4"),
+    ("ZTYX", "u8"): np.dtype("u1"),
+    ("YX", "u8"): np.dtype("u1"),
+}
+
+
+def _kind_of(obj):
+    """(kind, payload array, spacing) of a container to save."""
+    if isinstance(obj, CineVolume):
+        return ("ZTYX", "f32"), obj.intensities, obj.spacing_mm
+    if isinstance(obj, LabelVolume):
+        return ("ZTYX", "u8"), obj.labels, obj.spacing_mm
+    if isinstance(obj, np.ndarray) and obj.ndim == 2 and np.issubdtype(obj.dtype, np.integer):
+        if obj.size and (obj.min() < 0 or obj.max() > 255):
+            raise LabelError("2-d integer map does not fit in u8")
+        return ("YX", "u8"), obj, (1.0, 1.0)
+    raise ParameterError(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def save_container(obj, path):
-    """Serialize a container to a CGRID file.
+    """Serialize a CineVolume, a LabelVolume or a 2-d integer mask to a CGRID file.
 
-    Accepts CineVolume, LabelVolume, FeatureGrid, or a bare 2-d array
-    (integer arrays are stored as u8 label maps, real arrays as f32 maps).
     Writing is byte-deterministic: the same object always produces the
     same file.
     """
-    if isinstance(obj, CineVolume):
-        header = {
-            "dims": [int(d) for d in obj.intensities.shape],
-            "order": "ZTYX",
-            "dtype": "f32",
-            "spacing_mm": [obj.spacing_mm[0], obj.spacing_mm[1]],
-        }
-        payload = obj.intensities.astype("<f4").tobytes()
-    elif isinstance(obj, LabelVolume):
-        header = {
-            "dims": [int(d) for d in obj.labels.shape],
-            "order": "ZTYX",
-            "dtype": "u8",
-            "spacing_mm": [obj.spacing_mm[0], obj.spacing_mm[1]],
-            "labels": CARDIAC_LABELS,
-        }
-        payload = obj.labels.astype("u1").tobytes()
-    elif isinstance(obj, FeatureGrid):
-        header = {
-            "dims": [int(d) for d in obj.data.shape],
-            "order": "CYX",
-            "dtype": "f32",
-            "spacing_mm": [1.0, 1.0],
-        }
-        payload = obj.data.astype("<f4").tobytes()
-    elif isinstance(obj, np.ndarray) and obj.ndim == 2:
-        if np.issubdtype(obj.dtype, np.integer):
-            if obj.size and (obj.min() < 0 or obj.max() > 255):
-                raise LabelError("2-d integer map does not fit in u8")
-            header = {
-                "dims": [int(d) for d in obj.shape],
-                "order": "YX",
-                "dtype": "u8",
-                "spacing_mm": [1.0, 1.0],
-            }
-            payload = obj.astype("u1").tobytes()
-        else:
-            header = {
-                "dims": [int(d) for d in obj.shape],
-                "order": "YX",
-                "dtype": "f32",
-                "spacing_mm": [1.0, 1.0],
-            }
-            payload = obj.astype("<f4").tobytes()
-    else:
-        raise ParameterError(f"cannot serialize object of type {type(obj).__name__}")
-
-    blob = _header_bytes(header)
+    (order, dtype_name), data, spacing = _kind_of(obj)
+    header = {"dims": [int(d) for d in data.shape], "order": order,
+              "dtype": dtype_name, "spacing_mm": list(spacing)}
+    if isinstance(obj, LabelVolume):
+        header["labels"] = CARDIAC_LABELS
+    # sort_keys plus fixed separators keeps saves byte-deterministic
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
-        fh.write(payload)
+        fh.write(MAGIC + len(blob).to_bytes(8, "little") + blob)
+        # converts only what is not stored as is: a float64 volume, say
+        np.asarray(data, dtype=_KINDS[order, dtype_name]).tofile(fh)
 
 
-def load_container(path):
-    """Read a CGRID file back into its typed container.
-
-    Dispatch is driven by the header: ZTYX u8 gives a LabelVolume, ZTYX f32 a
-    CineVolume, CYX f32 a FeatureGrid, and YX either a uint8 or float64 2-d
-    array.
-    """
-    raw = Path(path).read_bytes()
-    if len(raw) < len(MAGIC) + 8:
-        raise ContainerFormatError(f"file too short for a CGRID header: {path}")
-    if raw[: len(MAGIC)] != MAGIC:
-        raise ContainerFormatError(f"bad magic in {path}")
-    header_len = int.from_bytes(raw[len(MAGIC): len(MAGIC) + 8], "little")
-    header_start = len(MAGIC) + 8
-    if len(raw) < header_start + header_len:
-        raise ContainerFormatError(f"header truncated in {path}")
+def _checked_header(blob, path):
+    """((order, dtype), dims, spacing) of a header, or a ContainerError."""
     # ValueError covers bad UTF-8, bad JSON and integers past Python's digit
     # limit; RecursionError covers deeply nested arrays or objects
     try:
-        header = json.loads(raw[header_start: header_start + header_len].decode("utf-8"))
+        header = json.loads(blob.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise ContainerFormatError(f"header is not valid JSON in {path}: {exc}") from exc
-
     if not isinstance(header, dict):
         raise ContainerFormatError(f"header is not a JSON object in {path}")
     for key in ("dims", "order", "dtype", "spacing_mm"):
         if key not in header:
             raise ContainerFormatError(f"header missing required key {key!r} in {path}")
-    dims = header["dims"]
-    order = header["order"]
-    dtype_name = header["dtype"]
-    spacing = header["spacing_mm"]
-    if not isinstance(dtype_name, str) or dtype_name not in _DTYPE_TO_NUMPY:
-        raise UnsupportedDtypeError(f"unsupported dtype {dtype_name!r} in {path}")
-    if order not in ("ZTYX", "CYX", "YX"):
+    dims, order, dtype_name, spacing = (
+        header[key] for key in ("dims", "order", "dtype", "spacing_mm"))
+    if order not in ("ZTYX", "YX"):
         raise ContainerFormatError(f"unsupported axis order {order!r} in {path}")
+    if not isinstance(dtype_name, str) or (order, dtype_name) not in _KINDS:
+        raise UnsupportedDtypeError(
+            f"unsupported dtype {dtype_name!r} for order {order} in {path}")
     # bool is a subclass of int, json parses NaN and Infinity as floats, and
     # an int past the float range would overflow when converted
     if not isinstance(dims, list) or len(dims) != len(order) or any(
@@ -483,25 +445,38 @@ def load_container(path):
             or any(type(s) not in (int, float) or not 0 < s <= sys.float_info.max
                    for s in spacing)):
         raise ContainerFormatError(f"bad spacing_mm {spacing!r} in {path}")
+    return (order, dtype_name), dims, tuple(spacing)
 
-    np_dtype = _DTYPE_TO_NUMPY[dtype_name]
-    expected = math.prod(dims) * np_dtype.itemsize
-    payload = raw[header_start + header_len:]
-    if len(payload) != expected:
-        raise TruncationError(
-            f"payload is {len(payload)} bytes but header implies {expected} in {path}")
-    data = np.frombuffer(payload, dtype=np_dtype).reshape(dims)
 
-    if order == "ZTYX":
-        if dtype_name == "u8":
-            return LabelVolume(data, spacing_mm=tuple(spacing))
-        return CineVolume(data.astype(np.float32), spacing_mm=tuple(spacing))
-    if order == "CYX":
-        if dtype_name != "f32":
-            raise UnsupportedDtypeError(
-                f"feature grids must be f32, got {dtype_name!r} in {path}")
-        return FeatureGrid(data.astype(np.float64))
-    # order == "YX": a bare 2-d map, used for seed masks
-    if dtype_name == "u8":
-        return data.astype(np.uint8).copy()
-    return data.astype(np.float64)
+def load_container(path):
+    """Read a CGRID file back into its typed container.
+
+    ZTYX f32 gives a CineVolume, ZTYX u8 a LabelVolume and YX u8 a 2-d uint8
+    mask. The header length and the payload size are checked against the
+    file's size before either is read, and the payload is read once, into
+    the array the container keeps.
+    """
+    lead = len(MAGIC) + 8
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(lead)
+        if len(head) < lead:
+            raise ContainerFormatError(f"file too short for a CGRID header: {path}")
+        if head[:len(MAGIC)] != MAGIC:
+            raise ContainerFormatError(f"bad magic in {path}")
+        header_len = int.from_bytes(head[len(MAGIC):], "little")
+        if header_len > size - lead:
+            raise ContainerFormatError(f"header truncated in {path}")
+        kind, dims, spacing = _checked_header(fh.read(header_len), path)
+        expected = math.prod(dims) * _KINDS[kind].itemsize
+        if size - lead - header_len != expected:
+            raise TruncationError(f"payload is {size - lead - header_len} bytes "
+                                  f"but header implies {expected} in {path}")
+        data = np.empty(dims, dtype=_KINDS[kind])
+        if fh.readinto(data) != expected:
+            raise TruncationError(f"payload shorter than its header implies in {path}")
+    if kind == ("YX", "u8"):
+        return data
+    if kind == ("ZTYX", "u8"):
+        return LabelVolume(data, spacing_mm=spacing)
+    return CineVolume(data, spacing_mm=spacing)

@@ -51,12 +51,6 @@ from .errors import DimensionError, ParameterError
 from .grids import FeatureGrid
 from .patcher import PatchGrid, coverage_map, fold, make_layout, unfold
 
-# Fault injection hook used only by the verification harness: when set, the
-# pixel-matching logits of the patch path are sign-flipped, which must make
-# the dense-oracle equivalence suite fail.
-_FAULT_FLIP_PIXEL_SIMILARITY = False
-
-
 # Byte budget of one block: the pixel logits of a block of query cells with
 # the keys and values gathered for them, or the logits of a block of query
 # pixels in the dense path. Gather, logits, softmax and readout run block by
@@ -70,11 +64,6 @@ _LOGIT_BLOCK_BYTES = 1 << 20
 # (a subnormal or zero result) takes a path 15-200x slower; beside the row
 # max's e^0 = 1, a raised term lies far below the rounding of any sum.
 _EXP_FLOOR = -708.0
-
-
-def _set_pixel_similarity_fault(enabled):
-    global _FAULT_FLIP_PIXEL_SIMILARITY
-    _FAULT_FLIP_PIXEL_SIMILARITY = bool(enabled)
 
 
 @dataclass
@@ -209,11 +198,10 @@ class PlmmResult:
     topk: TopKIndex
 
 
-def _checked_layout(q_key, mem_keys, mem_values, patch):
-    """The query's patch layout, once the bank is checked against the query."""
+def _check_bank(q_key, mem_keys, mem_values):
+    """Reject a bank that does not fit the query key, for either matcher."""
     if len(mem_keys) != len(mem_values) or not mem_keys:
         raise ParameterError("memory keys and values must be parallel, non-empty lists")
-    layout = make_layout(q_key.height, q_key.width, patch)
     c_v = mem_values[0].channels
     for mk in mem_keys:
         if (mk.height, mk.width, mk.channels) != (q_key.height, q_key.width, q_key.channels):
@@ -223,7 +211,6 @@ def _checked_layout(q_key, mem_keys, mem_values, patch):
             raise DimensionError("memory value dims do not match the query key")
         if mv.channels != c_v:
             raise DimensionError("memory value channel counts disagree")
-    return layout
 
 
 def _check_topk(topk, n, t):
@@ -371,8 +358,6 @@ def _pair_blocks(q_key, mem_keys, mem_values, layout, ids):
             np.take(val_rows, m_pix, axis=0, out=values, mode="clip")
             e = e_buf[g0 * ss * ss:g1 * ss * ss].reshape(g, ss * c, ss)
             np.matmul(keys.reshape(g, ss * c, -1), q[c0 - lo:c1 - lo].transpose(0, 2, 1), out=e)
-            if _FAULT_FLIP_PIXEL_SIMILARITY:
-                np.negative(e, out=e)
             e = e.reshape(g, ss, c, ss)
             mx = np.max(e, axis=1, out=pair_max[g0:g1].reshape(g, c, ss))
             e -= mx[:, None]
@@ -408,7 +393,8 @@ def plmm_forward(q_key, mem_keys, mem_values, patch, k,
     Returns:
         PlmmResult with the folded (C_v, H, W) readout and the TopKIndex used.
     """
-    layout = _checked_layout(q_key, mem_keys, mem_values, patch)
+    _check_bank(q_key, mem_keys, mem_values)
+    layout = make_layout(q_key.height, q_key.width, patch)
     n = layout.n_patches
     if topk_override is not None:
         _check_topk(topk_override, n, len(mem_keys))
@@ -453,7 +439,8 @@ def plmm_backward(q_key, mem_keys, mem_values, patch, topk, upstream):
         (d_query_key, d_memory_keys, d_memory_values) where the first is a
         (C_k, H, W) array and the others are lists of per-frame arrays.
     """
-    layout = _checked_layout(q_key, mem_keys, mem_values, patch)
+    _check_bank(q_key, mem_keys, mem_values)
+    layout = make_layout(q_key.height, q_key.width, patch)
     h, w, t = layout.map_h, layout.map_w, len(mem_keys)
     c_k, c_v = q_key.channels, mem_values[0].channels
     _check_topk(topk, layout.n_patches, t)
@@ -510,15 +497,9 @@ def dense_readout(q_key, mem_keys, mem_values, counter=None):
     processed in blocks whose logits fit in _LOGIT_BLOCK_BYTES, the budget of
     the patch path.
     """
-    if len(mem_keys) != len(mem_values) or not mem_keys:
-        raise ParameterError("memory keys and values must be parallel, non-empty lists")
+    _check_bank(q_key, mem_keys, mem_values)
     h, w, c_k = q_key.height, q_key.width, q_key.channels
     c_v = mem_values[0].channels
-    for mk, mv in zip(mem_keys, mem_values):
-        if (mk.height, mk.width, mk.channels) != (h, w, c_k):
-            raise DimensionError("memory key dims do not match the query key")
-        if (mv.height, mv.width) != (h, w) or mv.channels != c_v:
-            raise DimensionError("memory value dims are inconsistent")
     t = len(mem_keys)
     hw = h * w
     q_pix = q_key.data.reshape(c_k, hw).T

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from patchmem import cli
+from patchmem import cli, verification
 from patchmem.cli import build_parser, main
 from patchmem.evalkit import BenchConfig, ComplexityReport
 from patchmem.featurizer import EncoderConfig
-from patchmem.grids import MAGIC, LabelVolume, load_container, save_container
+from patchmem.grids import MAGIC, FeatureGrid, LabelVolume, load_container, save_container
+from patchmem.matcher import plmm_forward
 from patchmem.propagator import PropagationConfig
 
 
@@ -474,6 +475,72 @@ class TestMalformedHeaders:
         assert "error:" in capsys.readouterr().err
 
 
+class TestRemovedKinds:
+    """Feature grids (CYX f32) and real maps (YX f32) are no CGRID kind any
+    more: a file of either kind exits 2 wherever a command reads one."""
+
+    @pytest.mark.parametrize("kind", [("CYX", [2, 48, 48]), ("YX", [48, 48])],
+                             ids=["cyx-f32", "yx-f32"])
+    @pytest.mark.parametrize("role", ["volume", "seed", "eval"])
+    def test_exits_two(self, tmp_path, capsys, small_study, no_propagation, kind, role):
+        vol, seed = small_study
+        order, dims = kind
+        bad = tmp_path / "bad.cgrid"
+        write_cgrid(bad, {"dims": dims, "order": order, "dtype": "f32",
+                          "spacing_mm": [1.0, 1.0]}, bytes(4 * int(np.prod(dims))))
+        if role == "eval":
+            truth = tmp_path / "truth.cgrid"
+            save_container(LabelVolume(np.zeros((3, 2, 48, 48), dtype=np.uint8)), truth)
+            argv = ["eval", "--pred", str(bad), "--truth", str(truth), "--threads", "1"]
+        else:
+            argv = ["propagate", "--volume", str(bad if role == "volume" else vol),
+                    "--seed-mask", str(bad if role == "seed" else seed),
+                    "--out-masks", str(tmp_path / "m.cgrid")]
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+class TestPathArguments:
+    """A directory where a command expects a file ends in one error line and
+    exit 1, as a missing file does."""
+
+    @pytest.mark.parametrize("argv", [
+        lambda d, vol, seed, labels: ["propagate", "--volume", vol, "--seed-mask", seed,
+                                      "--out-masks", f"{d}/m.cgrid", "--config", d],
+        lambda d, vol, seed, labels: ["propagate", "--volume", d, "--seed-mask", seed,
+                                      "--out-masks", f"{d}/m.cgrid"],
+        lambda d, vol, seed, labels: ["propagate", "--volume", vol, "--seed-mask", d,
+                                      "--out-masks", f"{d}/m.cgrid"],
+        lambda d, vol, seed, labels: ["propagate", "--volume", vol, "--seed-mask", seed,
+                                      "--out-masks", f"{d}/"],
+        lambda d, vol, seed, labels: ["propagate", "--volume", vol, "--seed-mask", seed,
+                                      "--out-masks", f"{d}/m.cgrid", "--out-provenance", d],
+        lambda d, vol, seed, labels: ["eval", "--pred", labels, "--truth", labels,
+                                      "--threads", "1", "--out-csv", d],
+        lambda d, vol, seed, labels: ["eval", "--pred", d, "--truth", labels,
+                                      "--threads", "1"],
+        lambda d, vol, seed, labels: ["bench", "--grid-json", d],
+        lambda d, vol, seed, labels: ["phantom", "--out-volume", d,
+                                      "--out-truth", f"{d}/t.cgrid", "--z", "3", "--t", "2",
+                                      "--height", "48", "--width", "48",
+                                      "--lv-radius", "8", "--myo-thickness", "3",
+                                      "--rv-offset", "12"],
+        lambda d, vol, seed, labels: ["propagate", "--volume", f"{d}/absent.cgrid",
+                                      "--seed-mask", seed, "--out-masks", f"{d}/m.cgrid"],
+    ], ids=["propagate-config", "propagate-volume", "propagate-seed", "propagate-out-masks",
+            "propagate-out-provenance", "eval-out-csv", "eval-pred", "bench-grid-json",
+            "phantom-out-volume", "missing-file"])
+    def test_exits_one(self, tmp_path, capsys, small_study, no_propagation, argv):
+        vol, seed = small_study
+        labels = tmp_path / "labels.cgrid"
+        save_container(LabelVolume(np.zeros((3, 2, 8, 8), dtype=np.uint8)), labels)
+        rc = main(argv(str(tmp_path), str(vol), str(seed), str(labels)))
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(tmp_path) in err[0]
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: (st.lists(inner, max_size=4)
@@ -665,6 +732,12 @@ class TestBenchCommand:
             main(["bench", "--threads", "1"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_reps_below_one_exits_one(self, capsys, reps):
+        assert main(["bench", "--reps", reps]) == 1
+        err = capsys.readouterr().err
+        assert "reps must be at least 1" in err and "nan" not in err
+
 
 class TestVerifyCommand:
     def test_selected_suites_pass(self, capsys):
@@ -677,14 +750,27 @@ class TestVerifyCommand:
         assert "PASS  gradient-check" in out
         assert "all suites passed" in out
 
-    def test_injected_fault_is_caught_then_cleared(self, capsys):
-        rc = main(["verify", "--suite", "oracle-equivalence",
-                   "--inject-fault", "flip-similarity"])
+    def test_injected_fault_is_caught_then_cleared(self, capsys, monkeypatch):
+        # the suites' patch matcher, run on the negated query key: its pixel
+        # logits flip sign, which both the dense oracle and the finite
+        # differences must notice
+        def flipped(q_key, *args, **kwargs):
+            return plmm_forward(FeatureGrid(-q_key.data), *args, **kwargs)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(verification, "plmm_forward", flipped)
+            rc = main(["verify", "--suite", "oracle-equivalence",
+                       "--suite", "gradient-check"])
         assert rc == 3
         _, out = echoed_json(capsys)
         assert "FAIL  oracle-equivalence" in out
-        # the fault must not leak into later runs
+        assert "FAIL  gradient-check" in out
         assert main(["verify", "--suite", "oracle-equivalence"]) == 0
+
+    def test_inject_fault_flag_exits_one(self):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--inject-fault", "flip-similarity"])
+        assert err.value.code == 1
 
     def test_unknown_suite_exits_one(self):
         with pytest.raises(SystemExit) as err:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from patchmem.errors import (
+    ContainerError,
     ContainerFormatError,
     DataError,
     DimensionError,
@@ -110,6 +111,15 @@ class TestCineVolume:
         with pytest.raises(DataError):
             CineVolume(bad)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_non_finite_rejected_anywhere(self, value, dtype):
+        for index in [(0, 0, 0, 0), (1, 1, 2, 3), (0, 1, 3, 0)]:
+            bad = np.full((2, 2, 4, 4), 0.5, dtype=dtype)
+            bad[index] = value
+            with pytest.raises(DataError, match="non-finite"):
+                CineVolume(bad)
+
     def test_spacing_positive(self):
         for spacing in [(0.0, 1.0), (float("nan"), 1.0), (1.0, float("inf"))]:
             with pytest.raises(ParameterError):
@@ -146,6 +156,12 @@ class TestLabelVolume:
     def test_valid(self):
         lv = LabelVolume(np.zeros((2, 2, 4, 4), dtype=np.uint8))
         assert lv.z_count == 2
+
+    def test_uint8_kept_other_integers_converted(self):
+        labels = np.zeros((1, 2, 4, 4), dtype=np.uint8)
+        assert LabelVolume(labels).labels is labels
+        wide = LabelVolume(labels.astype(np.int64)).labels
+        assert wide.dtype == np.uint8 and np.array_equal(wide, labels)
 
     def test_rejects_out_of_range_label(self):
         bad = np.zeros((1, 2, 4, 4), dtype=np.uint8)
@@ -302,14 +318,6 @@ class TestContainerFormat:
         assert header["labels"] == CARDIAC_LABELS
         assert len(payload) == 128
 
-    def test_feature_grid_payload_size(self, tmp_path):
-        path = tmp_path / "feat.cgrid"
-        save_container(FeatureGrid(np.arange(18, dtype=np.float64).reshape(2, 3, 3)), path)
-        header, payload = read_header(path)
-        assert header["order"] == "CYX"
-        assert header["dtype"] == "f32"
-        assert len(payload) == 2 * 3 * 3 * 4 == 72
-
     def test_byte_determinism(self, tmp_path):
         rng = np.random.default_rng(6)
         vol = CineVolume(rng.random((2, 2, 8, 8)), spacing_mm=(1.25, 1.5))
@@ -324,9 +332,8 @@ class TestContainerFormat:
         labels = LabelVolume(
             rng.integers(0, 4, size=(2, 3, 8, 8)).astype(np.uint8),
             spacing_mm=(1.1, 0.9))
-        feat = FeatureGrid(rng.standard_normal((4, 6, 6)))
         mask2d = rng.integers(0, 4, size=(5, 7)).astype(np.uint8)
-        for i, obj in enumerate([cine, labels, feat, mask2d]):
+        for i, obj in enumerate([cine, labels, mask2d]):
             path = tmp_path / f"obj{i}.cgrid"
             save_container(obj, path)
             back = load_container(path)
@@ -337,12 +344,57 @@ class TestContainerFormat:
             elif isinstance(obj, LabelVolume):
                 assert isinstance(back, LabelVolume)
                 assert np.array_equal(back.labels, obj.labels)
-            elif isinstance(obj, FeatureGrid):
-                assert isinstance(back, FeatureGrid)
-                assert np.allclose(back.data, obj.data, atol=1e-6)
             else:
-                assert isinstance(back, np.ndarray) and back.ndim == 2
+                assert isinstance(back, np.ndarray) and back.dtype == np.uint8
                 assert np.array_equal(back, obj)
+
+    @pytest.mark.parametrize("obj", [
+        FeatureGrid(np.zeros((2, 4, 4))),
+        np.zeros((4, 4)),
+        np.zeros((4, 4), dtype=bool),
+        np.zeros((2, 4, 4), dtype=np.uint8),
+    ], ids=["feature-grid", "float-map", "bool-map", "3-d-array"])
+    def test_only_the_three_kinds_are_saved(self, tmp_path, obj):
+        with pytest.raises(ParameterError):
+            save_container(obj, tmp_path / "x.cgrid")
+
+    @pytest.mark.parametrize("order, dtype, dims", [
+        ("CYX", "f32", [2, 4, 4]),
+        ("YX", "f32", [4, 4]),
+        ("CYX", "u8", [2, 4, 4]),
+        ("ZTYX", "f64", [1, 2, 4, 4]),
+    ])
+    def test_only_the_three_kinds_are_loaded(self, tmp_path, order, dtype, dims):
+        path = tmp_path / "x.cgrid"
+        blob = json.dumps({"dims": dims, "order": order, "dtype": dtype,
+                           "spacing_mm": [1.0, 1.0]}).encode()
+        size = int(np.prod(dims)) * (8 if dtype == "f64" else 4 if dtype == "f32" else 1)
+        path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + bytes(size))
+        with pytest.raises(ContainerError):
+            load_container(path)
+
+    def test_header_length_checked_before_reading(self, tmp_path):
+        path = tmp_path / "long.cgrid"
+        path.write_bytes(MAGIC + struct.pack("<Q", 2 ** 64 - 1) + b"{}")
+        with pytest.raises(ContainerFormatError, match="header truncated"):
+            load_container(path)
+
+    def test_load_peak_holds_one_payload(self, tmp_path):
+        # a 9 x 25 x 128^2 study: the payload is read into the array the
+        # volume keeps, and the volume's checks allocate nothing of its size
+        path = tmp_path / "study.cgrid"
+        data = np.random.default_rng(8).random((9, 25, 128, 128), dtype=np.float32)
+        save_container(CineVolume(data), path)
+        payload = data.nbytes
+        del data
+        tracemalloc.start()
+        try:
+            back = load_container(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.intensities.nbytes == payload
+        assert peak <= 1.3 * payload
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.cgrid"
@@ -352,7 +404,7 @@ class TestContainerFormat:
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "trunc.cgrid"
-        save_container(FeatureGrid(np.zeros((1, 4, 4))), path)
+        save_container(np.zeros((4, 4), dtype=np.uint8), path)
         raw = open(path, "rb").read()
         path.write_bytes(raw[:-3])
         with pytest.raises(TruncationError):
@@ -360,7 +412,7 @@ class TestContainerFormat:
 
     def test_unknown_dtype_rejected(self, tmp_path):
         path = tmp_path / "dtype.cgrid"
-        save_container(FeatureGrid(np.zeros((1, 4, 4))), path)
+        save_container(CineVolume(np.zeros((1, 2, 4, 4))), path)
         header, payload = read_header(path)
         header["dtype"] = "f64"
         blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
@@ -370,9 +422,9 @@ class TestContainerFormat:
 
     def test_dims_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "dims.cgrid"
-        save_container(FeatureGrid(np.zeros((1, 4, 4))), path)
+        save_container(LabelVolume(np.zeros((1, 2, 4, 4), dtype=np.uint8)), path)
         header, payload = read_header(path)
-        header["dims"] = [1, 4, 5]
+        header["dims"] = [1, 2, 4, 5]
         blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
         path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + payload)
         with pytest.raises(TruncationError):

@@ -525,6 +525,38 @@ class TestPlmmForward:
             plmm_forward(q, mk, mv[:1], patch=6, k=1)
 
 
+def _grid(c, h=12, w=12):
+    return FeatureGrid(np.zeros((c, h, w)))
+
+
+# banks that do not fit a (3, 12, 12) query with two (2, 12, 12) values
+BAD_BANKS = [
+    pytest.param(lambda mk, mv: (mk, mv[:1]), ParameterError, "parallel", id="short-values"),
+    pytest.param(lambda mk, mv: ([], []), ParameterError, "parallel", id="empty"),
+    pytest.param(lambda mk, mv: (mk[:1] + [_grid(4)], mv), DimensionError, "memory key dims",
+                 id="key-channels"),
+    pytest.param(lambda mk, mv: (mk[:1] + [_grid(3, w=6)], mv), DimensionError,
+                 "memory key dims", id="key-size"),
+    pytest.param(lambda mk, mv: (mk, mv[:1] + [_grid(2, h=6)]), DimensionError,
+                 "memory value dims", id="value-size"),
+    pytest.param(lambda mk, mv: (mk, mv[:1] + [_grid(5)]), DimensionError,
+                 "channel counts", id="value-channels"),
+]
+
+
+class TestBankCheck:
+    """Both matchers reject a bad bank with the same error."""
+
+    @pytest.mark.parametrize("change, error, message", BAD_BANKS)
+    def test_both_matchers_agree(self, change, error, message):
+        q, mk, mv = random_maps(np.random.default_rng(38), t=2, h=12, w=12)
+        mk, mv = change(mk, mv)
+        with pytest.raises(error, match=message):
+            plmm_forward(q, mk, mv, patch=6, k=1)
+        with pytest.raises(error, match=message):
+            dense_readout(q, mk, mv)
+
+
 class TestChannelsLastGather:
     """plmm_forward gathers its pixel stage from channels-last rows; the
     unfolded-patch oracles must agree: the top-K tables bit for bit, the
@@ -752,19 +784,3 @@ class TestDenseReadout:
         monkeypatch.setattr(matcher, "_LOGIT_BLOCK_BYTES", 1 << 62)
         b = dense_readout(q, mk, mv)
         assert np.allclose(a.data, b.data, atol=1e-12)
-
-
-class TestFaultInjection:
-    def test_flip_breaks_patch_path_only(self):
-        rng = np.random.default_rng(41)
-        q, mk, mv = random_maps(rng, t=2, h=6, w=6)
-        clean = plmm_forward(q, mk, mv, patch=6, k=2)
-        clean_dense = dense_readout(q, mk, mv)
-        matcher._set_pixel_similarity_fault(True)
-        try:
-            faulty = plmm_forward(q, mk, mv, patch=6, k=2)
-            faulty_dense = dense_readout(q, mk, mv)
-        finally:
-            matcher._set_pixel_similarity_fault(False)
-        assert np.abs(faulty.readout.data - clean.readout.data).max() > 1e-3
-        assert np.allclose(faulty_dense.data, clean_dense.data, atol=1e-12)
