@@ -85,6 +85,19 @@ def _resolve_threads(value):
     return n
 
 
+def _check_writable(path):
+    """Raise the OSError that writing ``path`` would, without writing it.
+
+    Opens the file for appending, which neither truncates an existing file
+    nor leaves a new one behind.
+    """
+    existed = os.path.lexists(path)
+    with open(path, "ab"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def _load_json_config(path):
     with open(path, "r") as fh:
         try:
@@ -178,6 +191,10 @@ def cmd_propagate(args):
            "out_masks": args.out_masks,
            "out_provenance": args.out_provenance})
 
+    # an output that cannot be written fails before the study is matched
+    for path in (args.out_masks, args.out_provenance):
+        if path:
+            _check_writable(path)
     result = run_4d(volume, seed, cfg)
     save_container(result.masks, args.out_masks)
     if args.out_provenance:

@@ -12,7 +12,9 @@ stride directly by two small matrix products and no frame-sized copy of
 them exists. Only gradient magnitude and local std are computed at frame
 resolution and then pooled. The pooled bank is standardized per channel
 per frame and projected to a fixed channel count with a seeded random
-linear map shared by all frames and both scales.
+linear map shared by all frames and both scales. Every step runs in the
+frame's dtype: a float32 frame gives float32 keys, any other frame float64
+keys (see ``grids.real_array``).
 
 The value pathway carries class probabilities: a soft label map is
 area-averaged to the same two strides. Decoding reverses that with bilinear
@@ -28,7 +30,14 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DimensionError, ParameterError
-from .grids import FeatureGrid, SoftLabelMap, checked_fields, downsample_avg, resize_bilinear
+from .grids import (
+    FeatureGrid,
+    SoftLabelMap,
+    checked_fields,
+    downsample_avg,
+    real_array,
+    resize_bilinear,
+)
 from .pyramid import FeaturePyramid
 
 STRIDE_SCALE4 = 16
@@ -58,13 +67,14 @@ class EncoderConfig:
 
 
 @functools.lru_cache(maxsize=16)
-def _blur_pool_operators(n, stride):
+def _blur_pool_operators(n, stride, dtype=np.float64):
     """Read-only (1 + len(BLUR_SIGMAS), n // stride, n) pooling operators.
 
     Entry 0 average-pools an axis of length n by ``stride``; entry c pools
     after the ``gaussian_filter1d`` of BLUR_SIGMAS[c - 1], with the taps and
     reflect border of ``ndimage.gaussian_filter``. So blurring an image and
-    pooling it is ``rows[c] @ image @ cols[c].T``.
+    pooling it is ``rows[c] @ image @ cols[c].T``. Built in float64 and
+    rounded once to ``dtype``.
     """
     eye = np.eye(n)
     ops = np.empty((1 + len(BLUR_SIGMAS), n // stride, n), dtype=np.float64)
@@ -72,6 +82,7 @@ def _blur_pool_operators(n, stride):
     for c, sigma in enumerate(BLUR_SIGMAS, start=1):
         np.matmul(ops[0], ndimage.gaussian_filter1d(eye, sigma, axis=0, mode="reflect"),
                   out=ops[c])
+    ops = ops.astype(dtype, copy=False)
     ops.flags.writeable = False
     return ops
 
@@ -79,11 +90,11 @@ def _blur_pool_operators(n, stride):
 def _nonlinear_channels(image):
     """Gradient magnitude and 3x3 local standard deviation of an (H, W) frame.
 
-    Returns a (2, H, W) float64 array, computed in place with the operations
-    of ``sqrt(gy*gy + gx*gx)`` and ``sqrt(maximum(mean_sq - mean*mean, 0))``
-    in their order.
+    Returns a (2, H, W) array of the image's dtype, computed in place with
+    the operations of ``sqrt(gy*gy + gx*gx)`` and
+    ``sqrt(maximum(mean_sq - mean*mean, 0))`` in their order.
     """
-    out = np.empty((2,) + image.shape, dtype=np.float64)
+    out = np.empty((2,) + image.shape, dtype=image.dtype)
     gy, gx = np.gradient(image)
     gy *= gy
     gx *= gx
@@ -108,30 +119,32 @@ def pooled_raw_channels(image):
 
     Returns:
         {"scale4": (RAW_CHANNELS, H/16, W/16), "scale3": (RAW_CHANNELS,
-        H/8, W/8)} float64 arrays. Channels in order: intensity, one
-        Gaussian blur per entry of BLUR_SIGMAS, gradient magnitude, 3x3
-        local standard deviation, then the row and column coordinates.
+        H/8, W/8)} arrays, float32 for a float32 image and float64 for
+        any other. Channels in order: intensity, one Gaussian blur per entry
+        of BLUR_SIGMAS, gradient magnitude, 3x3 local standard deviation,
+        then the row and column coordinates.
     """
-    image = np.asarray(image, dtype=np.float64)
+    image = real_array(image)
     if image.ndim != 2:
         raise DimensionError(f"encoder expects an (H, W) frame, got {image.shape}")
     h, w = image.shape
     if not h or not w or h % STRIDE_SCALE4 or w % STRIDE_SCALE4:
         raise DimensionError(
             f"frame dims ({h}, {w}) must be positive multiples of {STRIDE_SCALE4}")
+    dtype = image.dtype
     nonlinear = _nonlinear_channels(image)
     linear = 1 + len(BLUR_SIGMAS)
     out = {}
     for name, stride in (("scale4", STRIDE_SCALE4), ("scale3", STRIDE_SCALE3)):
-        rows_op = _blur_pool_operators(h, stride)
-        cols_op = _blur_pool_operators(w, stride)
+        rows_op = _blur_pool_operators(h, stride, dtype)
+        cols_op = _blur_pool_operators(w, stride, dtype)
         gh, gw = h // stride, w // stride
-        raw = np.empty((RAW_CHANNELS, gh, gw), dtype=np.float64)
+        raw = np.empty((RAW_CHANNELS, gh, gw), dtype=dtype)
         left = (rows_op.reshape(linear * gh, h) @ image).reshape(linear, gh, w)
         np.matmul(left, cols_op.transpose(0, 2, 1), out=raw[:linear])
         raw[linear:linear + 2] = downsample_avg(nonlinear, stride).data
-        raw[-2] = (rows_op[0] @ (np.arange(h, dtype=np.float64) / (h - 1)))[:, None]
-        raw[-1] = cols_op[0] @ (np.arange(w, dtype=np.float64) / (w - 1))
+        raw[-2] = (rows_op[0] @ (np.arange(h, dtype=dtype) / (h - 1)))[:, None]
+        raw[-1] = cols_op[0] @ (np.arange(w, dtype=dtype) / (w - 1))
         out[name] = raw
     return out
 
@@ -159,15 +172,17 @@ def _standardize(data):
 def encode_key(image, cfg=EncoderConfig()):
     """Encode one frame into a two-scale key pyramid.
 
-    The frame dims must be divisible by 16. Identical inputs produce
-    bit-identical outputs.
+    The frame dims must be divisible by 16. The keys have the dtype of
+    ``pooled_raw_channels``: float32 for a float32 frame, else float64.
+    Identical inputs produce bit-identical outputs.
     """
     proj = projection_matrix(cfg.key_channels)
     grids = {}
     for name, raw in pooled_raw_channels(image).items():
         std = _standardize(raw)
         c, gh, gw = std.shape
-        projected = (proj @ std.reshape(c, gh * gw)).reshape(cfg.key_channels, gh, gw)
+        projected = (proj.astype(std.dtype, copy=False) @ std.reshape(c, gh * gw)).reshape(
+            cfg.key_channels, gh, gw)
         grids[name] = FeatureGrid(projected)
     return FeaturePyramid(scale4=grids["scale4"], scale3=grids["scale3"])
 

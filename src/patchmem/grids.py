@@ -1,7 +1,9 @@
 """Dense array containers, resampling primitives, and the CGRID file format.
 
-In-memory real arrays are float64, except a cine volume loaded from a file,
-which stays float32. Axis order is fixed: volumes are (Z, T, Y, X), feature
+Real arrays follow one dtype rule (``real_array``): float32 data stays
+float32, as a cine volume loaded from a file and the propagation engine's
+feature grids are, and anything else is held as float64. Soft label maps
+are always float64. Axis order is fixed: volumes are (Z, T, Y, X), feature
 grids are (C, Y, X), single maps are (Y, X).
 
 CGRID layout, byte for byte:
@@ -44,11 +46,21 @@ CARDIAC_LABELS = {"1": "LV", "2": "Myo", "3": "RV"}
 MAX_LABEL = 3
 
 
+def real_array(data):
+    """``data`` as a float32 array if it is one, without a copy; else as float64."""
+    data = np.asarray(data)
+    return data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
+
+
 class FeatureGrid:
-    """A (C, H, W) real-valued feature map."""
+    """A (C, H, W) real-valued feature map.
+
+    float32 data is kept as float32, without a copy; anything else is held
+    as float64 (see ``real_array``).
+    """
 
     def __init__(self, data):
-        data = np.asarray(data, dtype=np.float64)
+        data = real_array(data)
         if data.ndim != 3:
             raise DimensionError(
                 f"feature grid must have shape (C, H, W), got {data.shape}")
@@ -151,9 +163,7 @@ class CineVolume:
     """
 
     def __init__(self, intensities, spacing_mm=(1.0, 1.0)):
-        intensities = np.asarray(intensities)
-        if intensities.dtype != np.float32:
-            intensities = intensities.astype(np.float64, copy=False)
+        intensities = real_array(intensities)
         if intensities.ndim != 4:
             raise DimensionError(
                 f"cine volume must have shape (Z, T, H, W), got {intensities.shape}")
@@ -360,9 +370,9 @@ def downsample_avg(grid, factor):
 
     Both spatial dims must be divisible by the factor; pooling windows never
     straddle the border, so the global sum is preserved exactly up to float
-    rounding.
+    rounding. The result has the input's dtype under ``real_array``.
     """
-    data = grid.data if isinstance(grid, FeatureGrid) else np.asarray(grid, dtype=np.float64)
+    data = grid.data if isinstance(grid, FeatureGrid) else real_array(grid)
     if data.ndim != 3:
         raise DimensionError(f"downsample expects (C, H, W), got {data.shape}")
     if factor < 1:

@@ -33,6 +33,10 @@ gathers each block of pairs from them. ``unfold`` serves only the patch
 affinity. ``plmm_backward`` runs the forward's blocks again rather than
 keeping them, so the pass and its gradient hold one block at a time.
 
+Both matchers run in the dtype of their inputs: float32 keys and values
+give float32 logits, weights and readouts, and float64 inputs run in
+float64, as does any mix of the two.
+
 ``OpCounter`` tracks exact comparison counts: a patch affinity over T memory
 frames of N patches adds T*N^2 patch pairs, pixel matching adds
 N*K*(P^2)^2 pixel pairs, the pairs the patch softmaxes range over (the cell
@@ -59,11 +63,13 @@ from .patcher import PatchGrid, coverage_map, fold, make_layout, unfold
 # budget forms a block of its own.
 _LOGIT_BLOCK_BYTES = 1 << 20
 
-# Pixel logits are raised to this, after their row max is subtracted, before
-# exp. e^-708 is still a normal float, while numpy's exp of anything lower
-# (a subnormal or zero result) takes a path 15-200x slower; beside the row
-# max's e^0 = 1, a raised term lies far below the rounding of any sum.
-_EXP_FLOOR = -708.0
+# Pixel logits are raised to a floor of their dtype, after their row max is
+# subtracted, before exp: about ln of the dtype's smallest normal number
+# (2.2e-308 for float64, 1.2e-38 for float32), so e^floor is still normal,
+# while numpy's exp of anything lower (a subnormal or zero result) takes a
+# path 15-200x slower. Beside the row max's e^0 = 1, a raised term lies far
+# below the rounding of any sum.
+_EXP_FLOOR = {np.dtype(np.float64): -708.0, np.dtype(np.float32): -87.0}
 
 
 @dataclass
@@ -111,15 +117,16 @@ def _neg_sqdist(a, b, bb=None):
     return s
 
 
-def _pixel_rows(grids, last):
-    """(T*H*W, C + 1) channels-last pixel rows of T same-size (C, H, W) grids.
+def _pixel_rows(grids, last, dtype):
+    """(T*H*W, C + 1) channels-last ``dtype`` pixel rows of T same-size
+    (C, H, W) grids.
 
     Row t*H*W + y*W + x holds the channel vector of grid t at (y, x), one
     contiguous run of C values, then ``last`` (a scalar or one value per
     row); each grid costs one grid-sized copy.
     """
     c, h, w = grids[0].data.shape
-    rows = np.empty((len(grids), h, w, c + 1), dtype=np.float64)
+    rows = np.empty((len(grids), h, w, c + 1), dtype=dtype)
     for t, g in enumerate(grids):
         rows[t, :, :, :c] = g.data.transpose(1, 2, 0)
     rows = rows.reshape(len(grids) * h * w, c + 1)
@@ -128,20 +135,10 @@ def _pixel_rows(grids, last):
 
 
 def _floored_exp(x):
-    """exp of ``x`` in place, after raising every entry to _EXP_FLOOR."""
-    np.maximum(x, _EXP_FLOOR, out=x)
+    """exp of ``x`` in place, after raising every entry to the _EXP_FLOOR of
+    its dtype."""
+    np.maximum(x, _EXP_FLOOR[x.dtype], out=x)
     return np.exp(x, out=x)
-
-
-def _softmax_rows(logits):
-    """Row softmax over the last axis, stabilized by the row max.
-
-    Works in place: ``logits`` is overwritten with the weights and returned.
-    """
-    logits -= logits.max(axis=-1, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
-    return logits
 
 
 def patch_affinity(query, memory, counter=None):
@@ -199,7 +196,10 @@ class PlmmResult:
 
 
 def _check_bank(q_key, mem_keys, mem_values):
-    """Reject a bank that does not fit the query key, for either matcher."""
+    """Reject a bank that does not fit the query key, for either matcher.
+
+    Returns the dtype the match runs in: that of all its inputs together.
+    """
     if len(mem_keys) != len(mem_values) or not mem_keys:
         raise ParameterError("memory keys and values must be parallel, non-empty lists")
     c_v = mem_values[0].channels
@@ -211,6 +211,7 @@ def _check_bank(q_key, mem_keys, mem_values):
             raise DimensionError("memory value dims do not match the query key")
         if mv.channels != c_v:
             raise DimensionError("memory value channel counts disagree")
+    return np.result_type(q_key.data, *(g.data for g in mem_keys + mem_values))
 
 
 def _check_topk(topk, n, t):
@@ -278,7 +279,7 @@ class _PairBlock(NamedTuple):
     sums: np.ndarray
 
 
-def _pair_blocks(q_key, mem_keys, mem_values, layout, ids):
+def _pair_blocks(q_key, mem_keys, mem_values, layout, ids, dtype):
     """The pixel stage on distinct (query cell, memory cell) pairs, by blocks.
 
     Each pair's logits are computed once: one GEMM per query cell against
@@ -288,9 +289,9 @@ def _pair_blocks(q_key, mem_keys, mem_values, layout, ids):
     times the memory values. Each item combines the pairs of its multiset,
     each rescaled by beta = exp(pair max - item max); in exact arithmetic
     this is the softmax over the item's patch selection and its readout.
-    The logits and the operands gathered for them fit in _LOGIT_BLOCK_BYTES
-    per block of query cells, in buffers allocated once per call: a block's
-    arrays are views that the next block overwrites.
+    The logits and the operands gathered for them, all of ``dtype``, fit in
+    _LOGIT_BLOCK_BYTES per block of query cells, in buffers allocated once
+    per call: a block's arrays are views that the next block overwrites.
 
     Yields a _PairBlock per block:
         q_pix: (B, S^2) flat query pixels of its cells, S the stride;
@@ -316,15 +317,15 @@ def _pair_blocks(q_key, mem_keys, mem_values, layout, ids):
     n_cells = len(cells)
     cy, cx = np.divmod(np.arange(n_cells), layout.n_w + 1)
     cell_pix = ((cy * w + cx) * s)[:, None] + (np.arange(s)[:, None] * w + np.arange(s)).ravel()
-    q_rows = _pixel_rows([q_key], 1.0)
+    q_rows = _pixel_rows([q_key], 1.0, dtype)
     q_rows[:, :-1] *= 2.0
     # -||q - m||^2 up to the row constant -||q||^2, as one dot product
     key_rows = _pixel_rows(mem_keys, np.concatenate(
-        [-(mk.data * mk.data).sum(axis=0).ravel() for mk in mem_keys]))
-    val_rows = _pixel_rows(mem_values, 1.0)
+        [-(mk.data * mk.data).sum(axis=0).ravel() for mk in mem_keys]), dtype)
+    val_rows = _pixel_rows(mem_values, 1.0, dtype)
     count = np.diff(start)
     k_cols, v_cols = key_rows.shape[1], val_rows.shape[1]
-    per_pair = 8 * ss * (ss + k_cols + v_cols)
+    per_pair = key_rows.itemsize * ss * (ss + k_cols + v_cols)
     bounds = []
     lo = 0
     while lo < n_cells:
@@ -333,8 +334,8 @@ def _pair_blocks(q_key, mem_keys, mem_values, layout, ids):
         bounds.append((lo, hi))
         lo = hi
     most = max(start[hi] - start[lo] for lo, hi in bounds) * ss
-    e_buf, key_buf, val_buf = (np.empty(most * cols) for cols in (ss, k_cols, v_cols))
-    max_buf, sums_buf = np.empty(most), np.empty(most * v_cols)
+    e_buf, key_buf, val_buf, max_buf, sums_buf = (
+        np.empty(most * cols, dtype=dtype) for cols in (ss, k_cols, v_cols, 1, v_cols))
     for lo, hi in bounds:
         p0 = start[lo]
         q_pix = cell_pix[cells[lo:hi]]
@@ -391,9 +392,10 @@ def plmm_forward(q_key, mem_keys, mem_values, patch, k,
             computing affinity here (no patch pairs are counted then).
 
     Returns:
-        PlmmResult with the folded (C_v, H, W) readout and the TopKIndex used.
+        PlmmResult with the folded (C_v, H, W) readout, in the dtype of the
+        inputs, and the TopKIndex used.
     """
-    _check_bank(q_key, mem_keys, mem_values)
+    dtype = _check_bank(q_key, mem_keys, mem_values)
     layout = make_layout(q_key.height, q_key.width, patch)
     n = layout.n_patches
     if topk_override is not None:
@@ -408,8 +410,8 @@ def plmm_forward(q_key, mem_keys, mem_values, patch, k,
     # in-patch pixels of each quadrant 2*dy + dx
     corner = (np.arange(s)[:, None] * patch + np.arange(s)).ravel()
     quad_pix = np.array([0, s, s * patch, s * patch + s])[:, None] + corner
-    ro = np.empty((n, c_v, patch * patch), dtype=np.float64)
-    for blk in _pair_blocks(q_key, mem_keys, mem_values, layout, topk.ids):
+    ro = np.empty((n, c_v, patch * patch), dtype=dtype)
+    for blk in _pair_blocks(q_key, mem_keys, mem_values, layout, topk.ids, dtype):
         ro[(blk.items // 4)[:, None, None], np.arange(c_v)[:, None],
            quad_pix[blk.items % 4][:, None, :]] = blk.sums[:, :-1] / blk.sums[:, -1:]
     if counter is not None:
@@ -437,14 +439,15 @@ def plmm_backward(q_key, mem_keys, mem_values, patch, topk, upstream):
 
     Returns:
         (d_query_key, d_memory_keys, d_memory_values) where the first is a
-        (C_k, H, W) array and the others are lists of per-frame arrays.
+        (C_k, H, W) array and the others are lists of per-frame arrays, in
+        the forward pass's dtype.
     """
-    _check_bank(q_key, mem_keys, mem_values)
+    dtype = _check_bank(q_key, mem_keys, mem_values)
     layout = make_layout(q_key.height, q_key.width, patch)
     h, w, t = layout.map_h, layout.map_w, len(mem_keys)
     c_k, c_v = q_key.channels, mem_values[0].channels
     _check_topk(topk, layout.n_patches, t)
-    upstream = np.asarray(upstream, dtype=np.float64)
+    upstream = np.asarray(upstream, dtype=dtype)
     if upstream.shape != (c_v, h, w):
         raise DimensionError(
             f"upstream shape {upstream.shape} does not match the readout "
@@ -452,16 +455,16 @@ def plmm_backward(q_key, mem_keys, mem_values, patch, topk, upstream):
 
     # fold adjoint: divide by coverage; every pixel of a query cell reads
     # the same patches, so each item's readout gets its cell's gradient
-    g_rows = (upstream / coverage_map(layout)).reshape(c_v, -1).T
-    d_q = np.empty((h * w, c_k), dtype=np.float64)
-    d_keys = np.zeros((t * h * w, c_k), dtype=np.float64)
-    d_values = np.zeros((t * h * w, c_v), dtype=np.float64)
-    for blk in _pair_blocks(q_key, mem_keys, mem_values, layout, topk.ids):
+    g_rows = (upstream / coverage_map(layout).astype(dtype)).reshape(c_v, -1).T
+    d_q = np.empty((h * w, c_k), dtype=dtype)
+    d_keys = np.zeros((t * h * w, c_k), dtype=dtype)
+    d_values = np.zeros((t * h * w, c_v), dtype=dtype)
+    for blk in _pair_blocks(q_key, mem_keys, mem_values, layout, topk.ids, dtype):
         g = g_rows[blk.q_pix]
         # softmax adjoint, gathered onto the pairs
         weights = blk.beta / blk.sums[:, None, -1]
         g_ro = np.einsum("ixv,ivx->ix", g[blk.item_cells], blk.sums[:, :-1]) / blk.sums[:, -1]
-        a = np.zeros((blk.groups[-1][3], weights.shape[2]), dtype=np.float64)
+        a = np.zeros((blk.groups[-1][3], weights.shape[2]), dtype=dtype)
         b = np.zeros_like(a)
         np.add.at(a, blk.refs, weights)
         np.add.at(b, blk.refs, weights * g_ro[:, None])
@@ -495,23 +498,28 @@ def dense_readout(q_key, mem_keys, mem_values, counter=None):
     Every query pixel is matched by softmax against every memory pixel of
     every frame; no patches, no top-K. Quadratic in H*W, so query rows are
     processed in blocks whose logits fit in _LOGIT_BLOCK_BYTES, the budget of
-    the patch path.
+    the patch path. It reads out as the patch path does: the floored exp of
+    the logits minus their row max, one GEMM against the value rows [v, 1],
+    then a division by the last column, the softmax denominator; no
+    normalized weight matrix is formed.
     """
-    _check_bank(q_key, mem_keys, mem_values)
+    dtype = _check_bank(q_key, mem_keys, mem_values)
     h, w, c_k = q_key.height, q_key.width, q_key.channels
     c_v = mem_values[0].channels
     t = len(mem_keys)
     hw = h * w
     q_pix = q_key.data.reshape(c_k, hw).T
     m_pix = np.concatenate([mk.data.reshape(c_k, hw).T for mk in mem_keys], axis=0)
-    v_pix = np.concatenate([mv.data.reshape(c_v, hw).T for mv in mem_values], axis=0)
+    val_rows = _pixel_rows(mem_values, 1.0, dtype)
 
-    out = np.empty((hw, c_v), dtype=np.float64)
+    out = np.empty((hw, c_v), dtype=dtype)
     m_sq = (m_pix * m_pix).sum(axis=1)
-    block = max(1, _LOGIT_BLOCK_BYTES // (8 * t * hw))
+    block = max(1, _LOGIT_BLOCK_BYTES // (dtype.itemsize * t * hw))
     for lo in range(0, hw, block):
-        logits = _neg_sqdist(q_pix[lo:lo + block], m_pix, m_sq)
-        out[lo:lo + block] = _softmax_rows(logits) @ v_pix
+        e = _neg_sqdist(q_pix[lo:lo + block], m_pix, m_sq)
+        e -= e.max(axis=1, keepdims=True)
+        sums = _floored_exp(e) @ val_rows
+        out[lo:lo + block] = sums[:, :-1] / sums[:, -1:]
     if counter is not None:
         counter.pixel_pairs += t * hw * hw
     return FeatureGrid(out.T.reshape(c_v, h, w))

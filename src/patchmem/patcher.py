@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, LayoutError, ParameterError
-from .grids import FeatureGrid
+from .grids import FeatureGrid, real_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,11 +100,12 @@ class PatchGrid:
 
     Attributes:
         layout: the PatchLayout the patches follow.
-        data: (N, C, P, P) float64 array.
+        data: (N, C, P, P) array, float32 or float64 as ``real_array``
+            holds it.
     """
 
     def __init__(self, layout, data):
-        data = np.asarray(data, dtype=np.float64)
+        data = real_array(data)
         if data.ndim != 4:
             raise DimensionError(f"patch data must be (N, C, P, P), got {data.shape}")
         n, _, ph, pw = data.shape
@@ -153,12 +154,13 @@ def coverage_map(layout):
 def scatter_add(patches):
     """Adjoint of unfold: sum patches back onto the map without averaging.
 
-    Used by fold and by gradient propagation; returns a raw (C, H, W) array.
+    Used by fold and by gradient propagation; returns a raw (C, H, W) array
+    of the patches' dtype.
     """
     layout = patches.layout
     hw = layout.map_h * layout.map_w
     idx = layout.pix.ravel()
-    acc = np.empty((patches.channels, hw), dtype=np.float64)
+    acc = np.empty((patches.channels, hw), dtype=patches.data.dtype)
     for ch in range(patches.channels):
         acc[ch] = np.bincount(idx, weights=patches.data[:, ch].ravel(), minlength=hw)
     return acc.reshape(patches.channels, layout.map_h, layout.map_w)
@@ -170,4 +172,6 @@ def fold(patches):
     Overlapping contributions are averaged: each output pixel is the sum of
     all patch values covering it divided by its coverage count.
     """
-    return FeatureGrid(scatter_add(patches) / coverage_map(patches.layout)[None])
+    acc = scatter_add(patches)
+    acc /= coverage_map(patches.layout)
+    return FeatureGrid(acc)

@@ -24,6 +24,11 @@ predicted masks are resampled back to the input resolution. Predicted
 frames re-enter memory through their soft (pre-argmax) maps, pooled to the
 two matching strides; the anchor always contributes its exact one-hot seed.
 
+Matching runs in single precision: working images and value pyramids are
+cast to _MATCH_DTYPE, float32, and the encoder and both matchers follow
+their inputs' dtype, so keys, logits and readouts are float32 too.
+Resampling, decoding and the soft maps stay in float64.
+
 Because the bank policy is fixed, the whole schedule is planned before the
 first match (``plan_visits``), and the plan says when each frame is used
 for the last time. The engine evicts on that count: a frame's key pyramid
@@ -52,10 +57,22 @@ from .errors import (
     StateError,
 )
 from .featurizer import EncoderConfig, decode, encode_key, encode_value
-from .grids import CineVolume, LabelVolume, SoftLabelMap, checked_fields, one_hot, resize_bilinear
+from .grids import (
+    CineVolume,
+    FeatureGrid,
+    LabelVolume,
+    SoftLabelMap,
+    checked_fields,
+    one_hot,
+    resize_bilinear,
+)
 from .matcher import dense_readout, plmm_forward
 from .patcher import make_layout
-from .pyramid import match_multiscale
+from .pyramid import FeaturePyramid, match_multiscale
+
+# The dtype of the working images the keys are encoded from and of the
+# value pyramids, so of every match; a fixed choice of the engine.
+_MATCH_DTYPE = np.float32
 
 REGION_BASAL = "basal"
 REGION_MIDDLE = "middle"
@@ -321,6 +338,7 @@ class PropagationEngine:
         if fid not in self._keys:
             img = resize_bilinear(self.volume.frame(z, t), self.work_h, self.work_w)
             np.clip(img, 0.0, 1.0, out=img)
+            img = img.astype(_MATCH_DTYPE, copy=False)
             self._keys[fid] = encode_key(img, self.cfg.encoder)
         return self._keys[fid]
 
@@ -329,7 +347,10 @@ class PropagationEngine:
         self.masks[fid] = labels
         self.provenance[fid] = provenance
         if self._value_uses[fid] > 0:
-            self._values[fid] = encode_value(soft)
+            values = encode_value(soft)
+            self._values[fid] = FeaturePyramid(
+                scale4=FeatureGrid(values.scale4.data.astype(_MATCH_DTYPE, copy=False)),
+                scale3=FeatureGrid(values.scale3.data.astype(_MATCH_DTYPE, copy=False)))
 
     def _check_unsegmented(self, fid):
         if fid in self.provenance:

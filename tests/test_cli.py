@@ -3,9 +3,13 @@
 import argparse
 import copy
 import dataclasses
+import importlib.util
 import json
 import os
+import sys
+from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -539,6 +543,81 @@ class TestPathArguments:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert str(tmp_path) in err[0]
+
+
+class TestOutputsCheckedFirst:
+    """propagate finds an output it cannot write before it matches the study,
+    with the error line and exit 1 that writing it would give."""
+
+    @pytest.fixture
+    def no_matching(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("run_4d was called")
+
+        monkeypatch.setattr(cli, "run_4d", fail)
+
+    @pytest.mark.parametrize("flag", ["--out-masks", "--out-provenance"])
+    def test_directory_output_exits_one(self, tmp_path, capsys, small_study, no_matching,
+                                        flag):
+        vol, seed = small_study
+        outputs = {"--out-masks": str(tmp_path / "m.cgrid"),
+                   "--out-provenance": str(tmp_path / "p.json"), flag: str(tmp_path)}
+        argv = ["propagate", "--volume", str(vol), "--seed-mask", str(seed)]
+        for item in outputs.items():
+            argv += item
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: Is a directory: {tmp_path}"]
+        # the writable output was neither written nor left behind
+        assert list(tmp_path.iterdir()) == []
+
+    def test_check_leaves_existing_and_absent_outputs(self, tmp_path, small_study,
+                                                      monkeypatch):
+        def data_error(*args, **kwargs):
+            raise cli.SchedulingError("no match")
+
+        monkeypatch.setattr(cli, "run_4d", data_error)
+        vol, seed = small_study
+        masks = tmp_path / "m.cgrid"
+        masks.write_bytes(b"earlier")
+        assert main(["propagate", "--volume", str(vol), "--seed-mask", str(seed),
+                     "--out-masks", str(masks),
+                     "--out-provenance", str(tmp_path / "p.json")]) == 2
+        assert masks.read_bytes() == b"earlier"
+        assert [p.name for p in tmp_path.iterdir()] == ["m.cgrid"]
+
+
+@pytest.fixture(scope="module")
+def perfbench_run():
+    """perfbench/run.py as a module, with the environment and sys.path it
+    changes on import restored."""
+    here = Path(__file__).resolve().parent.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_run", here / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ), mock.patch.object(sys, "path", [str(here), *sys.path]):
+        spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkCommands:
+    """The exact argument lists the benchmark runs, on a tiny phantom: a CLI
+    change that drops one of their flags (say ``--t0`` or ``eval
+    --threads``) fails here rather than in every benchmark run."""
+
+    @pytest.mark.parametrize("matcher", ["plmm", "dense"])
+    def test_propagate_and_eval_argv_run(self, tmp_path, capsys, perfbench_run, matcher):
+        wl = perfbench_run.Workload(
+            dict(z_count=3, t_count=2, height=48, width=48, lv_radius_px=8.0,
+                 myo_thickness_px=3.0, rv_offset_px=12.0), matcher, 96)
+        inputs = perfbench_run.write_inputs(tmp_path, wl, seed=1)
+        propagate = perfbench_run.propagate_argv(inputs, wl)
+        evaluate = perfbench_run.eval_argv(inputs)
+        assert "--t0" in propagate and "--threads" in evaluate
+        assert main(propagate) == 0
+        assert main(evaluate) == 0
+        assert capsys.readouterr().err == ""
+        masks = load_container(inputs.path("masks.cgrid"))
+        assert np.array_equal(masks.labels[inputs.z0, 0], inputs.seed_mask)
+        assert (tmp_path / "eval.csv").exists() and (tmp_path / "provenance.json").exists()
 
 
 JSON_VALUES = st.recursive(

@@ -209,8 +209,19 @@ class TestEncodeKey:
         img = np.random.default_rng(shape[0] * shape[1]).random(shape)
         got = encode_key(img, EncoderConfig(key_channels=64))
         want = full_bank_encode_key(img, 64)
+        assert got.scale4.data.dtype == got.scale3.data.dtype == np.float64
         assert np.abs(got.scale4.data - want["scale4"]).max() <= 1e-12
         assert np.abs(got.scale3.data - want["scale3"]).max() <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(288, 288), (576, 576), (48, 80)])
+    def test_float32_frame_gives_float32_keys(self, shape):
+        img = np.random.default_rng(shape[0] * shape[1]).random(shape)
+        assert _nonlinear_channels(img.astype(np.float32)).dtype == np.float32
+        got = encode_key(img.astype(np.float32), EncoderConfig(key_channels=64))
+        want = full_bank_encode_key(img, 64)
+        for name in STRIDES:
+            assert getattr(got, name).data.dtype == np.float32
+            assert np.abs(getattr(got, name).data - want[name]).max() <= 1e-4
 
     def test_peak_memory_at_576(self):
         # only the two nonlinear channels and their temporaries are

@@ -94,6 +94,14 @@ class TestFeatureGrid:
         with pytest.raises(DataError):
             FeatureGrid(data)
 
+    def test_float32_kept_other_dtypes_held_as_float64(self):
+        single = np.random.default_rng(3).random((2, 4, 4)).astype(np.float32)
+        assert FeatureGrid(single).data is single
+        assert downsample_avg(FeatureGrid(single), 2).data.dtype == np.float32
+        for data in (single.astype(np.float16), np.ones((2, 4, 4), dtype=np.int64),
+                     single.tolist()):
+            assert FeatureGrid(data).data.dtype == np.float64
+
 
 class TestCineVolume:
     def test_valid(self):

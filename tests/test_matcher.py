@@ -91,6 +91,17 @@ def loop_plmm_reference(q_key, mem_keys, mem_values, patch, k, topk_ids=None):
     return acc / cov
 
 
+def softmax_rows(logits):
+    """Row softmax over the last axis, stabilized by the row max.
+
+    Works in place: ``logits`` is overwritten with the weights and returned.
+    """
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
+
+
 def unfold_plmm_forward(q_key, mem_keys, mem_values, patch, k, topk_ids=None):
     """plmm_forward on unfolded patches, in one block.
 
@@ -120,7 +131,7 @@ def unfold_plmm_forward(q_key, mem_keys, mem_values, patch, k, topk_ids=None):
     v_sel = val_pix[topk_ids].reshape(n, row, c_v)
     logits = np.matmul(2.0 * q_pix, m_sel.transpose(0, 2, 1))
     logits -= key_sq[topk_ids].reshape(n, 1, row)
-    weights = matcher._softmax_rows(logits)
+    weights = softmax_rows(logits)
     ro_pix = np.matmul(weights, v_sel)
     readout = fold(PatchGrid(layout, ro_pix.transpose(0, 2, 1).reshape(n, c_v, p, p)))
     cache = {"layout": layout, "ids": topk_ids, "weights": weights, "q_pix": q_pix,
@@ -210,7 +221,7 @@ def plmm_weights(q, mk, mv, patch, k):
     layout = make_layout(q.height, q.width, patch)
     q_pg = unfold(q, layout)
     kk, pp = res.topk.k, patch * patch
-    one_hot = np.eye(kk * pp).reshape(kk * pp, kk, patch, patch)
+    one_hot = np.eye(kk * pp, dtype=q.data.dtype).reshape(kk * pp, kk, patch, patch)
     bank = [FeatureGrid(one_hot[:, j]) for j in range(kk)]
     sel = TopKIndex(ids=np.arange(kk)[None], k=kk)
     rows = []
@@ -224,7 +235,7 @@ def plmm_weights(q, mk, mv, patch, k):
 def block_count(q, mk, mv, patch, ids):
     """Number of blocks the pixel stage splits a forward pass into."""
     layout = make_layout(q.height, q.width, patch)
-    return sum(1 for _ in matcher._pair_blocks(q, mk, mv, layout, ids))
+    return sum(1 for _ in matcher._pair_blocks(q, mk, mv, layout, ids, np.float64))
 
 
 def assert_gradients_match(got, want):
@@ -404,8 +415,24 @@ class TestReadout:
         w, res = plmm_weights(keys, [keys], [values], patch=4, k=1)
         # the other logits lie 1e4 and more below the row max; exp of them is
         # taken at the floor, so their weights are at most e^-708, not 0
-        assert np.allclose(w[0], np.eye(16), rtol=0, atol=np.exp(matcher._EXP_FLOOR))
+        floor = matcher._EXP_FLOOR[np.dtype(np.float64)]
+        assert np.allclose(w[0], np.eye(16), rtol=0, atol=np.exp(floor))
         assert np.allclose(res.readout.data, values.data, atol=1e-12)
+
+    def test_one_hot_weights_copy_values_float32(self):
+        # as above in float32: the logits lie over 87 below the row max, so
+        # exp of them is taken at float32's floor
+        yy, xx = np.mgrid[0:4, 0:4]
+        keys = FeatureGrid(100.0 * np.stack([yy, xx]).astype(np.float32))
+        values = FeatureGrid(np.random.default_rng(31).standard_normal((3, 4, 4), np.float32))
+        w, res = plmm_weights(keys, [keys], [values], patch=4, k=1)
+        assert w.dtype == res.readout.data.dtype == np.float32
+        floor = np.float32(matcher._EXP_FLOOR[np.dtype(np.float32)])
+        assert np.allclose(w[0], np.eye(16), rtol=0, atol=np.exp(floor))
+        assert np.array_equal(res.readout.data, values.data)
+        dense = dense_readout(keys, [keys], [values])
+        assert dense.data.dtype == np.float32
+        assert np.array_equal(dense.data, values.data)
 
     def test_folded_oracle_readouts_match(self):
         rng = np.random.default_rng(32)
@@ -784,3 +811,68 @@ class TestDenseReadout:
         monkeypatch.setattr(matcher, "_LOGIT_BLOCK_BYTES", 1 << 62)
         b = dense_readout(q, mk, mv)
         assert np.allclose(a.data, b.data, atol=1e-12)
+
+
+def dense_oracle(q, mk, mv):
+    """dense_readout's (C_v, H, W) readout from the full distance matrix and
+    a normalized weight matrix."""
+    c_k, h, w = q.data.shape
+    q_pix = q.data.reshape(c_k, -1).T
+    m_pix = np.concatenate([m.data.reshape(c_k, -1).T for m in mk])
+    v_pix = np.concatenate([v.data.reshape(v.channels, -1).T for v in mv])
+    weights = softmax_rows(-((q_pix[:, None] - m_pix[None]) ** 2).sum(axis=2))
+    return (weights @ v_pix).T.reshape(-1, h, w)
+
+
+def as_float32(grids):
+    return [FeatureGrid(g.data.astype(np.float32)) for g in grids]
+
+
+class TestDtypeRule:
+    """Both matchers run in the dtype of their inputs: float64 stays float64
+    at the oracles' tolerances, float32 gives float32 within its rounding of
+    the float64 results, and a mix runs in float64."""
+
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(50)
+        q, mk, mv = random_maps(rng, t=2, h=12, w=12, c_key=4, c_val=3)
+        return q, mk, mv, rng.standard_normal((3, 12, 12))
+
+    def test_float64_in_float64_out(self):
+        q, mk, mv, upstream = self.inputs()
+        res = plmm_forward(q, mk, mv, patch=4, k=3)
+        want, cache = unfold_plmm_forward(q, mk, mv, 4, 3)
+        assert res.readout.data.dtype == np.float64
+        assert np.abs(res.readout.data - want.readout.data).max() <= 1e-12
+        d_q, d_keys, d_values = plmm_backward(q, mk, mv, 4, res.topk, upstream)
+        w_q, w_keys, w_values = cached_plmm_backward(cache, upstream)
+        for got, ref in zip([d_q, *d_keys, *d_values], [w_q, *w_keys, *w_values]):
+            assert got.dtype == np.float64
+            assert np.allclose(got, ref, rtol=1e-10, atol=1e-12)
+        dense = dense_readout(q, mk, mv)
+        assert dense.data.dtype == np.float64
+        assert np.abs(dense.data - dense_oracle(q, mk, mv)).max() <= 1e-12
+
+    def test_float32_in_float32_out(self):
+        q, mk, mv, upstream = self.inputs()
+        (q32,), mk32, mv32 = as_float32([q]), as_float32(mk), as_float32(mv)
+        ref = plmm_forward(q, mk, mv, patch=4, k=3)
+        res = plmm_forward(q32, mk32, mv32, patch=4, k=3, topk_override=ref.topk)
+        assert res.readout.data.dtype == np.float32
+        assert np.abs(res.readout.data - ref.readout.data).max() <= 1e-5
+        grads = plmm_backward(q32, mk32, mv32, 4, ref.topk, upstream)
+        want = plmm_backward(q, mk, mv, 4, ref.topk, upstream)
+        for got, ref_grad in zip([grads[0], *grads[1], *grads[2]],
+                                 [want[0], *want[1], *want[2]]):
+            assert got.dtype == np.float32
+            assert np.abs(got - ref_grad).max() <= 1e-5 * np.abs(ref_grad).max()
+        dense = dense_readout(q32, mk32, mv32)
+        assert dense.data.dtype == np.float32
+        assert np.abs(dense.data - dense_readout(q, mk, mv).data).max() <= 1e-5
+
+    def test_mixed_inputs_run_in_float64(self):
+        q, mk, mv, _ = self.inputs()
+        (q32,), mk32 = as_float32([q]), as_float32(mk)
+        assert plmm_forward(q32, mk32, mv, patch=4, k=3).readout.data.dtype == np.float64
+        assert dense_readout(q32, mk32, mv).data.dtype == np.float64

@@ -12,6 +12,8 @@ from patchmem.errors import (
     SchedulingError,
     StateError,
 )
+from patchmem.evalkit import PhantomSpec, gen_phantom, report_by_region
+from patchmem.featurizer import EncoderConfig
 from patchmem.grids import CineVolume
 from patchmem import propagator
 from patchmem.propagator import (
@@ -466,3 +468,33 @@ class TestPlan:
         run_4d(smooth_volume(9, t_count), disc_seed(),
                PropagationConfig(patch=6, k=2, scales=(4,), continuity_mode=mode))
         assert max(live) == peak(9, t_count)
+
+
+class TestMatchPrecision:
+    def test_float32_engine_agrees_with_float64(self, monkeypatch):
+        # criterion 07's phantom and settings, plmm; both runs measured 0
+        # differing voxels and equal Dice, so the bounds leave room only for
+        # rounding on another BLAS
+        volume, truth = gen_phantom(PhantomSpec())
+        seed_mask = truth.labels[4, 0]
+        cfg = PropagationConfig(working_side=288, encoder=EncoderConfig(key_channels=64))
+        dtypes = set()
+        match = propagator.match_multiscale
+
+        def spy(query, memory_keys, memory_values, *args, **kwargs):
+            dtypes.add((query.scale3.data.dtype, memory_values[0].scale3.data.dtype))
+            return match(query, memory_keys, memory_values, *args, **kwargs)
+
+        monkeypatch.setattr(propagator, "match_multiscale", spy)
+        runs = {}
+        for dtype in (np.float32, np.float64):
+            monkeypatch.setattr(propagator, "_MATCH_DTYPE", dtype)
+            result = run_4d(volume, seed_mask, cfg)
+            report = report_by_region(result.masks, truth, partition_regions(9))
+            (dice,) = [r.dice for r in report.rows
+                       if (r.region, r.class_label) == ("whole", "Avg")]
+            runs[dtype] = result.masks.labels, dice
+        assert dtypes == {(np.dtype(d), np.dtype(d)) for d in (np.float32, np.float64)}
+        (single, dice32), (double, dice64) = runs[np.float32], runs[np.float64]
+        assert int((single != double).sum()) <= 1e-4 * double.size
+        assert abs(dice32 - dice64) <= 1e-4
