@@ -65,26 +65,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _resolve_threads(value):
-    if value is not None:
-        n = value
-    else:
-        env = os.environ.get("CSTM_THREADS", "").strip()
-        if env:
-            try:
-                n = int(env)
-            except ValueError:
-                raise ParameterError(
-                    f"CSTM_THREADS must be an integer, got {env!r}")
-        elif hasattr(os, "sched_getaffinity"):
-            n = len(os.sched_getaffinity(0))
-        else:
-            n = os.cpu_count() or 1
-    if n < 1:
-        raise ParameterError(f"thread count must be >= 1, got {n}")
-    return n
-
-
 def _check_writable(path):
     """Raise the OSError that writing ``path`` would, without writing it.
 
@@ -221,14 +201,12 @@ def cmd_eval(args):
     if pred.labels.shape != truth.labels.shape:
         raise DimensionError(
             f"prediction {pred.labels.shape} and truth {truth.labels.shape} disagree")
-    threads = _resolve_threads(args.threads)
     fractions = (args.basal_frac, args.apex_frac)
     _echo({"command": "eval", "pred": args.pred, "truth": args.truth,
            "region_fractions": list(fractions), "method": args.method,
-           "threads": threads, "out_csv": args.out_csv})
+           "out_csv": args.out_csv})
     partition = partition_regions(truth.z_count, fractions)
-    report = report_by_region(pred, truth, partition, method=args.method,
-                              threads=threads)
+    report = report_by_region(pred, truth, partition, method=args.method)
     if args.out_csv:
         report.to_csv(args.out_csv)
     print(report.format_table())
@@ -347,9 +325,8 @@ def build_parser():
     p.add_argument("--apex-frac", type=float, default=1.0 / 3.0)
     p.add_argument("--method", default="plmm",
                    help="method name written into the CSV rows")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: CSTM_THREADS env "
-                        "or the CPUs this process may use)")
+    # eval runs on one thread; the flag stays so that callers may say so
+    p.add_argument("--threads", type=int, choices=[1])
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="measure matching cost against the "

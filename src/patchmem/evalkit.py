@@ -136,30 +136,17 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def _frame_hd_table(pred, truth, spacing, threads=1):
+def _frame_hd_table(pred, truth, spacing):
     """HD95 for every (z, t, label) frame, computed once and shared by the
-    region rows. The task order is fixed, so results do not depend on the
-    worker count."""
+    region rows."""
     z_count, t_count = truth.shape[:2]
-    tasks = [(z, t, label)
-             for label in CLASS_NAMES
-             for z in range(z_count)
-             for t in range(t_count)]
-
-    def one(task):
-        z, t, label = task
-        return hd95(pred[z, t], truth[z, t], label, spacing)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(one, tasks))
-    else:
-        values = [one(task) for task in tasks]
-    return dict(zip(tasks, values))
+    return {(z, t, label): hd95(pred[z, t], truth[z, t], label, spacing)
+            for label in CLASS_NAMES
+            for z in range(z_count)
+            for t in range(t_count)}
 
 
-def report_by_region(pred, truth, partition, method="plmm", threads=1):
+def report_by_region(pred, truth, partition, method="plmm"):
     """Score a predicted LabelVolume against the truth, region by region.
 
     Dice pools all voxels of a region's frames per class; HD95 is averaged
@@ -179,7 +166,7 @@ def report_by_region(pred, truth, partition, method="plmm", threads=1):
         raise DimensionError(
             f"partition covers {partition.z_count} slices, volume has {truth.z_count}")
     spacing = truth.spacing_mm
-    hd_table = _frame_hd_table(pred.labels, truth.labels, spacing, threads)
+    hd_table = _frame_hd_table(pred.labels, truth.labels, spacing)
     regions = [
         ("basal", partition.basal),
         ("middle", partition.middle),

@@ -19,6 +19,7 @@ keys (see ``grids.real_array``).
 The value pathway carries class probabilities: a soft label map is
 area-averaged to the same two strides. Decoding reverses that with bilinear
 upsampling, averages whatever scales are active, clamps, and renormalizes.
+Both follow their inputs' dtype in the same way.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .grids import (
     checked_fields,
     downsample_avg,
     real_array,
+    renormalized,
     resize_bilinear,
 )
 from .pyramid import FeaturePyramid
@@ -191,7 +193,7 @@ def encode_value(labels_soft):
     """Area-average a soft label map down to the two matching strides.
 
     Pooling preserves normalization exactly, so each pooled cell is still a
-    probability vector.
+    probability vector. The pyramid has the map's dtype.
     """
     if not isinstance(labels_soft, SoftLabelMap):
         raise ParameterError("encode_value expects a SoftLabelMap")
@@ -214,7 +216,7 @@ def decode(readout3, readout4):
     Either readout may be None (single-scale mode) but not both. Both are
     bilinearly upsampled to full resolution (stride 8 and 16 respectively),
     averaged when both are present, clamped to [0, 1], and renormalized
-    per pixel.
+    per pixel (``grids.renormalized``). The map has the readouts' dtype.
     """
     if readout3 is None and readout4 is None:
         raise ParameterError("decode needs at least one scale")
@@ -242,10 +244,5 @@ def decode(readout3, readout4):
     if len(ups) == 2:
         fused += ups[1]
         fused *= 0.5
-    np.clip(fused, 0.0, 1.0, out=fused)
-    sums = fused.sum(axis=0, keepdims=True)
-    fused /= np.maximum(sums, 1e-12)
-    # degenerate all-zero pixels fall back to uniform
-    fused[:, sums[0] <= 1e-12] = 1.0 / fused.shape[0]
-    return SoftLabelMap(fused)
+    return SoftLabelMap(renormalized(fused))
 

@@ -1,10 +1,11 @@
 """Dense array containers, resampling primitives, and the CGRID file format.
 
 Real arrays follow one dtype rule (``real_array``): float32 data stays
-float32, as a cine volume loaded from a file and the propagation engine's
-feature grids are, and anything else is held as float64. Soft label maps
-are always float64. Axis order is fixed: volumes are (Z, T, Y, X), feature
-grids are (C, Y, X), single maps are (Y, X).
+float32, as a cine volume loaded from a file and everything the
+propagation engine resamples, encodes and pools is, and anything else is
+held as float64. Cine volumes and their frames, feature grids, soft label
+maps, resampling and pooling all obey it. Axis order is fixed: volumes are
+(Z, T, Y, X), feature grids are (C, Y, X), single maps are (Y, X).
 
 CGRID layout, byte for byte:
 
@@ -201,11 +202,8 @@ class CineVolume:
         return self.intensities.shape[3]
 
     def frame(self, z, t):
-        """Return the (H, W) float64 image at slice z, phase t.
-
-        A float32 volume's frame is widened, which is exact.
-        """
-        return self.intensities[z, t].astype(np.float64, copy=False)
+        """The (H, W) image at slice z, phase t: a view of the stored array."""
+        return self.intensities[z, t]
 
 
 class LabelVolume:
@@ -252,11 +250,12 @@ class SoftLabelMap:
     """Per-pixel class probabilities of shape (L + 1, H, W).
 
     Channel 0 is background; every pixel's channel vector sums to 1
-    within 1e-5.
+    within 1e-5. float32 probabilities are kept as float32, without a
+    copy; anything else is held as float64 (see ``real_array``).
     """
 
     def __init__(self, probabilities):
-        probabilities = np.asarray(probabilities, dtype=np.float64)
+        probabilities = real_array(probabilities)
         if probabilities.ndim != 3:
             raise DimensionError(
                 f"soft label map must have shape (L+1, H, W), got {probabilities.shape}")
@@ -309,6 +308,19 @@ def one_hot(labels, num_classes):
     return SoftLabelMap(probs)
 
 
+def renormalized(scores):
+    """Clip (C, H, W) class scores to [0, 1] and divide each pixel by its sum.
+
+    Works in place and returns ``scores``. A pixel whose clipped scores are
+    all zero becomes uniform.
+    """
+    np.clip(scores, 0.0, 1.0, out=scores)
+    sums = scores.sum(axis=0, keepdims=True)
+    scores /= np.maximum(sums, 1e-12)
+    scores[:, sums[0] <= 1e-12] = 1.0 / scores.shape[0]
+    return scores
+
+
 def resize_bilinear(image, out_h, out_w):
     """Bilinear resampling with half-pixel center alignment.
 
@@ -324,8 +336,12 @@ def resize_bilinear(image, out_h, out_w):
     the same order as the 2-d formula
     ``(1-wr)*((1-wc)*tl + wc*tr) + wr*((1-wc)*bl + wc*br)``, so the result
     is bitwise equal to it. The output is always a fresh array.
+
+    The weights, buffers and output follow ``real_array(image)``: a float32
+    image is resampled in float32 with its weights rounded once from
+    float64, anything else in float64.
     """
-    image = np.asarray(image, dtype=np.float64)
+    image = real_array(image)
     if image.ndim not in (2, 3):
         raise DimensionError(f"resize expects 2-d or 3-d input, got {image.shape}")
     if out_h < 1 or out_w < 1:
@@ -341,16 +357,17 @@ def resize_bilinear(image, out_h, out_w):
     c0 = np.floor(src_c).astype(np.intp)
     r1 = np.minimum(r0 + 1, in_h - 1)
     c1 = np.minimum(c0 + 1, in_w - 1)
-    wr = (src_r - r0).reshape(-1, 1)
-    wc = src_c - c0
+    dtype = image.dtype
+    wr = (src_r - r0).astype(dtype).reshape(-1, 1)
+    wc = (src_c - c0).astype(dtype)
 
     # one plane at a time through reused buffers, so past the output the
     # largest temporary is one plane of bottom rows; columns before rows: a
     # row-first order would not be bitwise equal
-    out = np.empty(image.shape[:-2] + (out_h, out_w), dtype=np.float64)
-    cols = np.empty((in_h, out_w), dtype=np.float64)
+    out = np.empty(image.shape[:-2] + (out_h, out_w), dtype=dtype)
+    cols = np.empty((in_h, out_w), dtype=dtype)
     right = np.empty_like(cols)
-    bot = np.empty((out_h, out_w), dtype=np.float64)
+    bot = np.empty((out_h, out_w), dtype=dtype)
     for src, dst in zip(image.reshape(-1, in_h, in_w), out.reshape(-1, out_h, out_w)):
         np.take(src, c0, axis=1, out=cols, mode="clip")
         cols *= 1.0 - wc

@@ -24,10 +24,12 @@ predicted masks are resampled back to the input resolution. Predicted
 frames re-enter memory through their soft (pre-argmax) maps, pooled to the
 two matching strides; the anchor always contributes its exact one-hot seed.
 
-Matching runs in single precision: working images and value pyramids are
-cast to _MATCH_DTYPE, float32, and the encoder and both matchers follow
-their inputs' dtype, so keys, logits and readouts are float32 too.
-Resampling, decoding and the soft maps stay in float64.
+Precision is chosen once, at the engine's two inputs: each frame and the
+one-hot seed are converted to _MATCH_DTYPE, float32, before they are
+resampled. Nothing after that converts: resampling, the encoder, both
+matchers, decoding, the soft maps and value pooling follow their inputs'
+dtype (``grids.real_array``), so working images, keys, readouts, soft maps
+and value pyramids are all float32.
 
 Because the bank policy is fixed, the whole schedule is planned before the
 first match (``plan_visits``), and the plan says when each frame is used
@@ -59,19 +61,19 @@ from .errors import (
 from .featurizer import EncoderConfig, decode, encode_key, encode_value
 from .grids import (
     CineVolume,
-    FeatureGrid,
     LabelVolume,
     SoftLabelMap,
     checked_fields,
     one_hot,
+    renormalized,
     resize_bilinear,
 )
 from .matcher import dense_readout, plmm_forward
 from .patcher import make_layout
-from .pyramid import FeaturePyramid, match_multiscale
+from .pyramid import match_multiscale
 
-# The dtype of the working images the keys are encoded from and of the
-# value pyramids, so of every match; a fixed choice of the engine.
+# The dtype the frames and the seed are converted to, so of every working
+# image, key, match, soft map and value pyramid; a fixed choice of the engine.
 _MATCH_DTYPE = np.float32
 
 REGION_BASAL = "basal"
@@ -279,15 +281,6 @@ def _release(fids, uses, cache):
             cache.pop(fid, None)
 
 
-def _resampled_probabilities(probs, out_h, out_w):
-    """(C, H, W) class probabilities resized, clipped to [0, 1] and
-    renormalised per pixel."""
-    out = resize_bilinear(probs, out_h, out_w)
-    np.clip(out, 0.0, 1.0, out=out)
-    out /= np.maximum(out.sum(axis=0, keepdims=True), 1e-12)
-    return out
-
-
 class PropagationEngine:
     """Runs the plan one frame at a time, keeping only state a later step needs.
 
@@ -336,9 +329,9 @@ class PropagationEngine:
     def keys_of(self, z, t):
         fid = (z, t)
         if fid not in self._keys:
-            img = resize_bilinear(self.volume.frame(z, t), self.work_h, self.work_w)
+            frame = self.volume.frame(z, t).astype(_MATCH_DTYPE, copy=False)
+            img = resize_bilinear(frame, self.work_h, self.work_w)
             np.clip(img, 0.0, 1.0, out=img)
-            img = img.astype(_MATCH_DTYPE, copy=False)
             self._keys[fid] = encode_key(img, self.cfg.encoder)
         return self._keys[fid]
 
@@ -347,10 +340,7 @@ class PropagationEngine:
         self.masks[fid] = labels
         self.provenance[fid] = provenance
         if self._value_uses[fid] > 0:
-            values = encode_value(soft)
-            self._values[fid] = FeaturePyramid(
-                scale4=FeatureGrid(values.scale4.data.astype(_MATCH_DTYPE, copy=False)),
-                scale3=FeatureGrid(values.scale3.data.astype(_MATCH_DTYPE, copy=False)))
+            self._values[fid] = encode_value(soft)
 
     def _check_unsegmented(self, fid):
         if fid in self.provenance:
@@ -369,8 +359,8 @@ class PropagationEngine:
             raise LabelError("seed mask must be integer-typed")
         fid = (self.z0, 0)
         self._check_unsegmented(fid)
-        soft = one_hot(seed_labels, num_classes).probabilities
-        work = _resampled_probabilities(soft, self.work_h, self.work_w)
+        soft = one_hot(seed_labels, num_classes).probabilities.astype(_MATCH_DTYPE)
+        work = renormalized(resize_bilinear(soft, self.work_h, self.work_w))
         self._finish(fid, seed_labels, SoftLabelMap(work), provenance=[])
 
     # bank assembly and matching --------------------------------------------
@@ -425,8 +415,8 @@ class PropagationEngine:
                                            k=k_eff).readout
 
         soft = decode(readouts.get(3), readouts.get(4))
-        full = _resampled_probabilities(soft.probabilities, self.volume.height,
-                                        self.volume.width)
+        full = renormalized(resize_bilinear(soft.probabilities, self.volume.height,
+                                            self.volume.width))
         ids = [e.frame_id for e in bank]
         self._finish(query, full.argmax(axis=0), soft, provenance=ids)
         _release([query, *ids], self._key_uses, self._keys)

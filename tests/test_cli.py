@@ -388,31 +388,15 @@ class TestEvalCommand:
         assert rc == 2
         assert "spacing" in capsys.readouterr().err
 
-    def test_threads_default_follows_affinity(self, tmp_path, capsys,
-                                              monkeypatch):
+    def test_threads_takes_only_one(self, tmp_path, capsys):
         _, truth = make_phantom(tmp_path, capsys)
-        monkeypatch.delenv("CSTM_THREADS", raising=False)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
-                            raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert main(["eval", "--pred", str(truth), "--truth", str(truth)]) == 0
+        argv = ["eval", "--pred", str(truth), "--truth", str(truth)]
+        assert main(argv + ["--threads", "1"]) == 0
         payload, _ = echoed_json(capsys)
-        assert payload["threads"] == 3
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert main(["eval", "--pred", str(truth), "--truth", str(truth)]) == 0
-        payload, _ = echoed_json(capsys)
-        assert payload["threads"] == 2
-
-    def test_threads_env_fallback(self, tmp_path, capsys, monkeypatch):
-        _, truth = make_phantom(tmp_path, capsys)
-        monkeypatch.setenv("CSTM_THREADS", "2")
-        rc = main(["eval", "--pred", str(truth), "--truth", str(truth)])
-        assert rc == 0
-        payload, _ = echoed_json(capsys)
-        assert payload["threads"] == 2
-        monkeypatch.setenv("CSTM_THREADS", "junk")
-        assert main(["eval", "--pred", str(truth), "--truth", str(truth)]) == 1
+        assert "threads" not in payload
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--threads", "2"])
+        assert err.value.code == 1
 
 
 def write_cgrid(path, header, payload):
@@ -618,6 +602,16 @@ class TestBenchmarkCommands:
         masks = load_container(inputs.path("masks.cgrid"))
         assert np.array_equal(masks.labels[inputs.z0, 0], inputs.seed_mask)
         assert (tmp_path / "eval.csv").exists() and (tmp_path / "provenance.json").exists()
+
+    @pytest.mark.parametrize("name", ["paper-288", "paper-288-dense", "wide-576"])
+    def test_traced_study_passes_its_checks(self, tmp_path, perfbench_run, name):
+        # a traced study checks the closed-form call and pair counts; a
+        # mismatch ends the run "incorrect" with exit 0, so it is caught here
+        wl = perfbench_run.WORKLOADS[name]
+        inputs = perfbench_run.write_inputs(tmp_path, wl, seed=7)
+        study = perfbench_run.run_study(inputs, wl, traced=True)
+        assert study.problems == []
+        assert study.layers is not None
 
 
 JSON_VALUES = st.recursive(

@@ -212,16 +212,6 @@ class TestReportByRegion:
             assert avg.hd95_mm == pytest.approx(np.mean(defined))
             assert avg.n_excluded_hd == sum(r.n_excluded_hd for r in rows)
 
-    def test_threads_do_not_change_results(self, perfect):
-        truth, part = perfect
-        noisy = truth.labels.copy()
-        noisy[:, :, 20:24, 20:24] = 1
-        pred = LabelVolume(noisy, spacing_mm=truth.spacing_mm)
-        one = report_by_region(pred, truth, part, threads=1)
-        four = report_by_region(pred, truth, part, threads=4)
-        for a, b in zip(one.rows, four.rows):
-            assert a == b
-
     def test_csv_layout(self, perfect, tmp_path):
         truth, part = perfect
         report = report_by_region(truth, truth, part, method="dense")

@@ -20,7 +20,13 @@ from patchmem.featurizer import (
     pooled_raw_channels,
     projection_matrix,
 )
-from patchmem.grids import FeatureGrid, downsample_avg, one_hot, resize_bilinear
+from patchmem.grids import (
+    FeatureGrid,
+    SoftLabelMap,
+    downsample_avg,
+    one_hot,
+    resize_bilinear,
+)
 
 STRIDES = {"scale4": 16, "scale3": 8}
 
@@ -250,26 +256,37 @@ class TestEncodeKey:
         assert np.array_equal(mat, fresh)
 
 
+def soft_map(labels, dtype):
+    """The one-hot SoftLabelMap of ``labels`` with probabilities in ``dtype``."""
+    return SoftLabelMap(one_hot(labels, 3).probabilities.astype(dtype))
+
+
 class TestEncodeValue:
+    # a soft map's pyramid keeps its dtype; class fractions of 8x8 and
+    # 16x16 cells are exact in float32 too
     def test_pooled_cells_are_class_fractions(self):
         labels = np.zeros((32, 32), dtype=np.uint8)
         labels[:16, :] = 1
         labels[20:24, 0:8] = 2
-        pyr = encode_value(one_hot(labels, 3))
-        # brute-force fraction for one 16x16 cell at scale 4
-        cell = labels[0:16, 0:16]
-        want = [(cell == c).mean() for c in range(4)]
-        assert np.allclose(pyr.scale4.data[:, 0, 0], want, atol=1e-12)
-        cell3 = labels[16:24, 0:8]
-        want3 = [(cell3 == c).mean() for c in range(4)]
-        assert np.allclose(pyr.scale3.data[:, 2, 0], want3, atol=1e-12)
+        for dtype in (np.float64, np.float32):
+            pyr = encode_value(soft_map(labels, dtype))
+            assert pyr.scale4.data.dtype == pyr.scale3.data.dtype == dtype
+            # brute-force fraction for one 16x16 cell at scale 4
+            cell = labels[0:16, 0:16]
+            want = [(cell == c).mean() for c in range(4)]
+            assert np.allclose(pyr.scale4.data[:, 0, 0], want, atol=1e-12)
+            cell3 = labels[16:24, 0:8]
+            want3 = [(cell3 == c).mean() for c in range(4)]
+            assert np.allclose(pyr.scale3.data[:, 2, 0], want3, atol=1e-12)
 
     def test_normalization_preserved(self):
         rng = np.random.default_rng(72)
         labels = rng.integers(0, 4, size=(48, 48)).astype(np.uint8)
-        pyr = encode_value(one_hot(labels, 3))
-        assert np.allclose(pyr.scale4.data.sum(axis=0), 1.0, atol=1e-12)
-        assert np.allclose(pyr.scale3.data.sum(axis=0), 1.0, atol=1e-12)
+        for dtype in (np.float64, np.float32):
+            pyr = encode_value(soft_map(labels, dtype))
+            assert pyr.scale4.data.dtype == pyr.scale3.data.dtype == dtype
+            assert np.allclose(pyr.scale4.data.sum(axis=0), 1.0, atol=1e-12)
+            assert np.allclose(pyr.scale3.data.sum(axis=0), 1.0, atol=1e-12)
 
     def test_requires_soft_label_map(self):
         with pytest.raises(ParameterError):
@@ -291,21 +308,24 @@ def where_decode_reference(readout3, readout4):
 class TestDecode:
     @pytest.mark.parametrize("scales", [(3,), (4,), (3, 4)])
     def test_bitwise_equal_to_where_form(self, scales):
-        rng = np.random.default_rng(75)
-        # values outside [0, 1] exercise the clip; the negative corner block
-        # clips to all-zero pixels, which must decode to uniform
-        d3 = rng.random((4, 6, 6)) * 1.4 - 0.2
-        d3[:, :2, :2] = -0.5
-        d4 = rng.random((4, 3, 3)) * 1.4 - 0.2
-        d4[:, :1, :1] = -0.5
-        r3 = FeatureGrid(d3) if 3 in scales else None
-        r4 = FeatureGrid(d4) if 4 in scales else None
-        before3, before4 = d3.copy(), d4.copy()
-        got = decode(r3, r4).probabilities
-        want = where_decode_reference(r3, r4)
-        assert np.array_equal(got, want)
-        assert np.array_equal(got[:, 0, 0], np.full(4, 0.25))
-        assert np.array_equal(d3, before3) and np.array_equal(d4, before4)
+        # the soft map has the readouts' dtype
+        for dtype in (np.float64, np.float32):
+            rng = np.random.default_rng(75)
+            # values outside [0, 1] exercise the clip; the negative corner
+            # block clips to all-zero pixels, which must decode to uniform
+            d3 = (rng.random((4, 6, 6)) * 1.4 - 0.2).astype(dtype)
+            d3[:, :2, :2] = -0.5
+            d4 = (rng.random((4, 3, 3)) * 1.4 - 0.2).astype(dtype)
+            d4[:, :1, :1] = -0.5
+            r3 = FeatureGrid(d3) if 3 in scales else None
+            r4 = FeatureGrid(d4) if 4 in scales else None
+            before3, before4 = d3.copy(), d4.copy()
+            got = decode(r3, r4).probabilities
+            want = where_decode_reference(r3, r4)
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got, want)
+            assert np.array_equal(got[:, 0, 0], np.full(4, 0.25))
+            assert np.array_equal(d3, before3) and np.array_equal(d4, before4)
 
     def test_all_zero_pixels_decode_to_uniform(self):
         zeros = FeatureGrid(np.zeros((4, 2, 2)))

@@ -59,8 +59,11 @@ def bilinear_reference(image, out_h, out_w):
 
 def four_corner_reference(image, out_h, out_w):
     """The 2-d four-corner bilinear formula, the bitwise oracle of the
-    separable resize."""
-    image = np.asarray(image, dtype=np.float64)
+    separable resize. It runs in float32 for a float32 image, with the
+    weights rounded once from float64, and in float64 for any other."""
+    image = np.asarray(image)
+    dtype = np.float32 if image.dtype == np.float32 else np.float64
+    image = image.astype(dtype, copy=False)
     in_h, in_w = image.shape[-2], image.shape[-1]
     src_r = (np.arange(out_h, dtype=np.float64) + 0.5) * (in_h / out_h) - 0.5
     src_c = (np.arange(out_w, dtype=np.float64) + 0.5) * (in_w / out_w) - 0.5
@@ -70,13 +73,19 @@ def four_corner_reference(image, out_h, out_w):
     c0 = np.floor(src_c).astype(np.intp)
     r1 = np.minimum(r0 + 1, in_h - 1)
     c1 = np.minimum(c0 + 1, in_w - 1)
-    wr = (src_r - r0).reshape(-1, 1)
-    wc = (src_c - c0).reshape(1, -1)
+    wr = (src_r - r0).astype(dtype).reshape(-1, 1)
+    wc = (src_c - c0).astype(dtype).reshape(1, -1)
     top = image[..., r0, :]
     bot = image[..., r1, :]
     tl, tr = top[..., c0], top[..., c1]
     bl, br = bot[..., c0], bot[..., c1]
     return (1.0 - wr) * ((1.0 - wc) * tl + wc * tr) + wr * ((1.0 - wc) * bl + wc * br)
+
+
+# the two real dtypes that resampling and soft maps keep; float32 results
+# sit within float32 rounding of the float64 ones
+DTYPES = [np.float64, np.float32]
+ATOL = {np.float64: 1e-12, np.float32: 1e-6}
 
 
 class TestFeatureGrid:
@@ -136,28 +145,32 @@ class TestCineVolume:
     def test_float32_kept_and_checked(self):
         data = np.random.default_rng(1).random((2, 3, 4, 4)).astype(np.float32)
         v = CineVolume(data)
-        assert v.intensities.dtype == np.float32
-        assert v.frame(1, 2).dtype == np.float64
-        assert np.array_equal(v.frame(1, 2), data[1, 2].astype(np.float64))
+        assert v.intensities is data
+        # frames are views of the stored array, in its dtype
+        assert v.frame(1, 2).dtype == np.float32
+        assert np.shares_memory(v.frame(1, 2), data)
+        assert np.array_equal(v.frame(1, 2), data[1, 2])
+        wide = CineVolume(data.astype(np.float16))
+        assert wide.intensities.dtype == wide.frame(1, 2).dtype == np.float64
         for bad_value, error in [(np.float32(1.5), DataError), (np.float32("nan"), DataError)]:
             bad = data.copy()
             bad[0, 0, 0, 0] = bad_value
             with pytest.raises(error):
                 CineVolume(bad)
 
-    def test_loaded_volume_is_float32_with_float64_frames(self, tmp_path):
+    def test_loaded_volume_and_its_frames_are_float32(self, tmp_path):
         cine = CineVolume(np.random.default_rng(2).random((2, 3, 8, 8)))
         path = tmp_path / "cine.cgrid"
         save_container(cine, path)
         back = load_container(path)
         assert back.intensities.dtype == np.float32
-        # the frames equal the payload widened to float64, as loads gave before
-        widened = cine.intensities.astype("<f4").astype(np.float64)
+        # the payload is the float64 volume rounded once to float32
+        stored = cine.intensities.astype("<f4")
         for z in range(2):
             for t in range(3):
                 frame = back.frame(z, t)
-                assert frame.dtype == np.float64
-                assert np.array_equal(frame, widened[z, t])
+                assert frame.dtype == np.float32
+                assert np.array_equal(frame, stored[z, t])
 
 
 class TestLabelVolume:
@@ -186,49 +199,72 @@ class TestLabelVolume:
 
 class TestSoftLabelMap:
     def test_one_hot_round_trip(self):
-        rng = np.random.default_rng(3)
-        labels = rng.integers(0, 4, size=(10, 12)).astype(np.uint8)
-        soft = one_hot(labels, num_classes=3)
-        assert soft.probabilities.shape == (4, 10, 12)
-        assert np.array_equal(soft.probabilities.argmax(axis=0), labels)
+        for dtype in DTYPES:
+            rng = np.random.default_rng(3)
+            labels = rng.integers(0, 4, size=(10, 12)).astype(np.uint8)
+            probs = one_hot(labels, num_classes=3).probabilities.astype(dtype)
+            soft = SoftLabelMap(probs)
+            assert soft.probabilities is probs
+            assert soft.probabilities.shape == (4, 10, 12)
+            assert np.array_equal(soft.probabilities.argmax(axis=0), labels)
+
+    def test_other_dtypes_held_as_float64(self):
+        probs = np.zeros((2, 3, 3), dtype=np.float16)
+        probs[0] = 1
+        assert SoftLabelMap(probs).probabilities.dtype == np.float64
+        assert SoftLabelMap(probs.astype(np.uint8)).probabilities.dtype == np.float64
 
     def test_rows_must_normalize(self):
-        probs = np.zeros((2, 3, 3))
-        probs[0] = 0.7
-        probs[1] = 0.2
-        with pytest.raises(DataError):
-            SoftLabelMap(probs)
+        for dtype in DTYPES:
+            probs = np.zeros((2, 3, 3), dtype=dtype)
+            probs[0] = 0.7
+            probs[1] = 0.2
+            with pytest.raises(DataError):
+                SoftLabelMap(probs)
 
 
 class TestResizeBilinear:
     def test_identity_when_same_size(self):
-        rng = np.random.default_rng(1)
-        img = rng.random((7, 9))
-        out = resize_bilinear(img, 7, 9)
-        assert np.allclose(out, img, atol=1e-12)
+        for dtype in DTYPES:
+            rng = np.random.default_rng(1)
+            img = rng.random((7, 9)).astype(dtype)
+            out = resize_bilinear(img, 7, 9)
+            assert out.dtype == dtype
+            assert np.array_equal(out, img)
 
     def test_matches_reference_resampler(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            in_h, in_w = rng.integers(2, 12, size=2)
-            out_h, out_w = rng.integers(2, 20, size=2)
-            img = rng.random((in_h, in_w))
-            got = resize_bilinear(img, out_h, out_w)
-            want = bilinear_reference(img, out_h, out_w)
-            assert np.allclose(got, want, atol=1e-12)
+        for dtype in DTYPES:
+            rng = np.random.default_rng(2)
+            for _ in range(10):
+                in_h, in_w = rng.integers(2, 12, size=2)
+                out_h, out_w = rng.integers(2, 20, size=2)
+                img = rng.random((in_h, in_w)).astype(dtype)
+                got = resize_bilinear(img, out_h, out_w)
+                want = bilinear_reference(img.astype(np.float64), out_h, out_w)
+                assert got.dtype == dtype
+                assert np.allclose(got, want, rtol=0, atol=ATOL[dtype])
 
     def test_channel_stack(self):
-        rng = np.random.default_rng(4)
-        stack = rng.random((3, 5, 5))
-        out = resize_bilinear(stack, 10, 10)
-        assert out.shape == (3, 10, 10)
-        for c in range(3):
-            assert np.allclose(out[c], resize_bilinear(stack[c], 10, 10))
+        for dtype in DTYPES:
+            rng = np.random.default_rng(4)
+            stack = rng.random((3, 5, 5)).astype(dtype)
+            out = resize_bilinear(stack, 10, 10)
+            assert out.shape == (3, 10, 10) and out.dtype == dtype
+            for c in range(3):
+                assert np.array_equal(out[c], resize_bilinear(stack[c], 10, 10))
 
     def test_constant_preserved(self):
-        img = np.full((4, 4), 0.37)
-        out = resize_bilinear(img, 13, 6)
-        assert np.allclose(out, 0.37, atol=1e-12)
+        for dtype in DTYPES:
+            img = np.full((4, 4), 0.37, dtype=dtype)
+            out = resize_bilinear(img, 13, 6)
+            assert out.dtype == dtype
+            assert np.allclose(out, img[0, 0], rtol=0, atol=ATOL[dtype])
+
+    def test_other_dtypes_resampled_in_float64(self):
+        img = np.arange(16, dtype=np.uint8).reshape(4, 4)
+        out = resize_bilinear(img, 8, 8)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, resize_bilinear(img.astype(np.float64), 8, 8))
 
     @pytest.mark.parametrize("in_shape, out_hw", [
         ((7, 9), (7, 9)),
@@ -253,38 +289,44 @@ class TestResizeBilinear:
         ((4, 576, 576), (256, 256)),
     ])
     def test_bitwise_equal_to_four_corner_formula(self, in_shape, out_hw):
-        rng = np.random.default_rng(sum(in_shape) + sum(out_hw))
-        img = rng.random(in_shape)
-        before = img.copy()
-        got = resize_bilinear(img, *out_hw)
-        assert np.array_equal(got, four_corner_reference(img, *out_hw))
-        assert np.array_equal(img, before)
-        assert not np.shares_memory(got, img)
+        for dtype in DTYPES:
+            rng = np.random.default_rng(sum(in_shape) + sum(out_hw))
+            img = rng.random(in_shape).astype(dtype)
+            before = img.copy()
+            got = resize_bilinear(img, *out_hw)
+            assert got.dtype == dtype
+            assert np.array_equal(got, four_corner_reference(img, *out_hw))
+            assert np.array_equal(img, before)
+            assert not np.shares_memory(got, img)
 
     def test_peak_holds_output_plus_one_plane(self):
         # decode's scale-3 upsampling at working side 576: past the output,
         # one plane of bottom rows and the column pass of one plane, with
         # 256 KiB for index arrays and ufunc buffers
-        img = np.random.default_rng(6).random((4, 72, 72))
-        tracemalloc.start()
-        try:
-            out = resize_bilinear(img, 576, 576)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        plane = 576 * 576 * 8
-        column_pass = 2 * 72 * 576 * 8
-        assert peak <= out.nbytes + plane + column_pass + (256 << 10)
+        for dtype in DTYPES:
+            img = np.random.default_rng(6).random((4, 72, 72)).astype(dtype)
+            tracemalloc.start()
+            try:
+                out = resize_bilinear(img, 576, 576)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            itemsize = np.dtype(dtype).itemsize
+            plane = 576 * 576 * itemsize
+            column_pass = 2 * 72 * 576 * itemsize
+            assert out.nbytes == 4 * plane
+            assert peak <= out.nbytes + plane + column_pass + (256 << 10)
 
     def test_bitwise_equal_on_non_contiguous_input(self):
-        rng = np.random.default_rng(5)
-        base = rng.random((3, 20, 30))
-        before = base.copy()
-        for view in (base.transpose(0, 2, 1), base[:, ::2, 1::3], base[1].T):
-            got = resize_bilinear(view, 17, 9)
-            assert np.array_equal(got, four_corner_reference(view, 17, 9))
-            assert not np.shares_memory(got, base)
-        assert np.array_equal(base, before)
+        for dtype in DTYPES:
+            rng = np.random.default_rng(5)
+            base = rng.random((3, 20, 30)).astype(dtype)
+            before = base.copy()
+            for view in (base.transpose(0, 2, 1), base[:, ::2, 1::3], base[1].T):
+                got = resize_bilinear(view, 17, 9)
+                assert np.array_equal(got, four_corner_reference(view, 17, 9))
+                assert not np.shares_memory(got, base)
+            assert np.array_equal(base, before)
 
 
 class TestDownsampleAvg:

@@ -23,6 +23,7 @@ from patchmem.propagator import (
     run_4d,
     working_side_for,
 )
+from patchmem.pyramid import FeaturePyramid
 
 
 def smooth_volume(z, t, h=48, w=48, seed=11):
@@ -471,6 +472,34 @@ class TestPlan:
 
 
 class TestMatchPrecision:
+    @pytest.mark.parametrize("matcher,scales", [
+        ("plmm", (3, 4)), ("plmm", (3,)), ("dense", (3, 4))])
+    def test_every_match_sees_float32(self, monkeypatch, matcher, scales):
+        # a float64 volume and a uint8 seed go in; every key and value
+        # pyramid a matcher receives, the anchor's one-hot values included,
+        # is float32
+        seen = []
+
+        def spy_on(name):
+            match = getattr(propagator, name)
+
+            def spy(query, memory_keys, memory_values, *args, **kwargs):
+                seen.append([query, *memory_keys, *memory_values])
+                return match(query, memory_keys, memory_values, *args, **kwargs)
+            monkeypatch.setattr(propagator, name, spy)
+
+        for name in ("match_multiscale", "plmm_forward", "dense_readout"):
+            spy_on(name)
+        volume = smooth_volume(5, 3)
+        assert volume.intensities.dtype == np.float64
+        run_4d(volume, disc_seed(),
+               PropagationConfig(patch=6, k=2, scales=scales, matcher=matcher))
+        grids = [grid for inputs in seen for item in inputs
+                 for grid in ([item.scale3, item.scale4]
+                              if isinstance(item, FeaturePyramid) else [item])]
+        assert len(seen) == 14 * (2 if matcher == "dense" and len(scales) == 2 else 1)
+        assert {grid.data.dtype for grid in grids} == {np.dtype(np.float32)}
+
     def test_float32_engine_agrees_with_float64(self, monkeypatch):
         # criterion 07's phantom and settings, plmm; both runs measured 0
         # differing voxels and equal Dice, so the bounds leave room only for
