@@ -78,12 +78,20 @@ def _check_writable(path):
         os.remove(path)
 
 
+def _read_json(path, what):
+    """The value a JSON file holds, or a ParameterError naming the file."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    # ValueError covers bad UTF-8, bad JSON and integers past Python's digit
+    # limit; RecursionError covers deeply nested arrays or objects
+    try:
+        return json.loads(blob.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ParameterError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def _load_json_config(path):
-    with open(path, "r") as fh:
-        try:
-            loaded = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"config file {path} is not valid JSON: {exc}")
+    loaded = _read_json(path, "config file")
     if not isinstance(loaded, dict):
         raise ParameterError(f"config file {path} must hold a JSON object")
     return loaded
@@ -214,11 +222,7 @@ def cmd_eval(args):
 
 
 def _parse_bench_grid(path):
-    with open(path, "r") as fh:
-        try:
-            rows = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"grid file {path} is not valid JSON: {exc}")
+    rows = _read_json(path, "grid file")
     if not isinstance(rows, list) or not rows:
         raise ParameterError("bench grid must be a non-empty JSON array")
     return [_from_json(BenchConfig, row, f"bench grid entry {i}")

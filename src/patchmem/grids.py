@@ -388,6 +388,13 @@ def downsample_avg(grid, factor):
     Both spatial dims must be divisible by the factor; pooling windows never
     straddle the border, so the global sum is preserved exactly up to float
     rounding. The result has the input's dtype under ``real_array``.
+
+    The summation order is fixed, and pooled keys and values depend on it
+    bit for bit: first each window's ``factor`` rows are added as whole
+    contiguous rows, in row order; then each window's ``factor`` columns of
+    that row sum are added; then the total is divided once by factor^2.
+    Adding whole rows first keeps the inner loop on contiguous memory, which
+    makes this several times faster than a mean over both window axes.
     """
     data = grid.data if isinstance(grid, FeatureGrid) else real_array(grid)
     if data.ndim != 3:
@@ -398,7 +405,9 @@ def downsample_avg(grid, factor):
     if h % factor or w % factor:
         raise DimensionError(
             f"dims ({h}, {w}) are not divisible by pooling factor {factor}")
-    pooled = data.reshape(c, h // factor, factor, w // factor, factor).mean(axis=(2, 4))
+    rows = data.reshape(c, h // factor, factor, w).sum(axis=2)
+    pooled = rows.reshape(c, h // factor, w // factor, factor).sum(axis=3)
+    pooled /= factor * factor
     return FeatureGrid(pooled)
 
 

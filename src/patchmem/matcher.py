@@ -46,7 +46,7 @@ T*(H*W)^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -96,6 +96,23 @@ class TopKIndex:
 
     ids: np.ndarray
     k: int
+    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def cell_pairs(self, layout, t):
+        """The _cell_pairs tables of this selection on ``layout``'s cell
+        grid over a T-frame bank, built on first use and kept.
+
+        Nothing writes a top-K table, so the tables stay valid. A lifted
+        table (see pyramid.lift_topk) is this same object on a layout with
+        the same cell grid, so a two-scale match builds them once.
+        """
+        key = (layout.n_h, layout.n_w, t)
+        if key not in self._pairs:
+            tables = _cell_pairs(layout, self.ids, t)
+            for table in tables:
+                table.flags.writeable = False
+            self._pairs[key] = tables
+        return self._pairs[key]
 
 
 def _neg_sqdist(a, b, bb=None):
@@ -279,7 +296,7 @@ class _PairBlock(NamedTuple):
     sums: np.ndarray
 
 
-def _pair_blocks(q_key, mem_keys, mem_values, layout, ids, dtype):
+def _pair_blocks(q_key, mem_keys, mem_values, layout, topk, dtype):
     """The pixel stage on distinct (query cell, memory cell) pairs, by blocks.
 
     Each pair's logits are computed once: one GEMM per query cell against
@@ -312,8 +329,8 @@ def _pair_blocks(q_key, mem_keys, mem_values, layout, ids, dtype):
     s, w = layout.stride, layout.map_w
     ss = s * s
     hw = layout.map_h * w
-    cells, start, pair_mem, items, item_start, item_rank, item_refs = _cell_pairs(
-        layout, ids, len(mem_keys))
+    cells, start, pair_mem, items, item_start, item_rank, item_refs = topk.cell_pairs(
+        layout, len(mem_keys))
     n_cells = len(cells)
     cy, cx = np.divmod(np.arange(n_cells), layout.n_w + 1)
     cell_pix = ((cy * w + cx) * s)[:, None] + (np.arange(s)[:, None] * w + np.arange(s)).ravel()
@@ -411,7 +428,7 @@ def plmm_forward(q_key, mem_keys, mem_values, patch, k,
     corner = (np.arange(s)[:, None] * patch + np.arange(s)).ravel()
     quad_pix = np.array([0, s, s * patch, s * patch + s])[:, None] + corner
     ro = np.empty((n, c_v, patch * patch), dtype=dtype)
-    for blk in _pair_blocks(q_key, mem_keys, mem_values, layout, topk.ids, dtype):
+    for blk in _pair_blocks(q_key, mem_keys, mem_values, layout, topk, dtype):
         ro[(blk.items // 4)[:, None, None], np.arange(c_v)[:, None],
            quad_pix[blk.items % 4][:, None, :]] = blk.sums[:, :-1] / blk.sums[:, -1:]
     if counter is not None:
@@ -459,7 +476,7 @@ def plmm_backward(q_key, mem_keys, mem_values, patch, topk, upstream):
     d_q = np.empty((h * w, c_k), dtype=dtype)
     d_keys = np.zeros((t * h * w, c_k), dtype=dtype)
     d_values = np.zeros((t * h * w, c_v), dtype=dtype)
-    for blk in _pair_blocks(q_key, mem_keys, mem_values, layout, topk.ids, dtype):
+    for blk in _pair_blocks(q_key, mem_keys, mem_values, layout, topk, dtype):
         g = g_rows[blk.q_pix]
         # softmax adjoint, gathered onto the pairs
         weights = blk.beta / blk.sums[:, None, -1]

@@ -529,6 +529,35 @@ class TestPathArguments:
         assert str(tmp_path) in err[0]
 
 
+class TestMalformedJsonFiles:
+    """A JSON file that Python's parser cannot take ends in one error line
+    and exit 1, whichever flag names it."""
+
+    @pytest.mark.parametrize("blob", [
+        b'{"seed": ' + b"9" * 5000 + b"}",
+        b"[" * 100000,
+        b'{"seed": 1}\xff',
+    ], ids=["long-integer", "deep-nesting", "bad-utf8"])
+    @pytest.mark.parametrize("argv", [
+        lambda d, vol, seed, path: ["propagate", "--volume", vol, "--seed-mask", seed,
+                                    "--out-masks", f"{d}/m.cgrid", "--config", path],
+        lambda d, vol, seed, path: ["phantom", "--out-volume", f"{d}/v.cgrid",
+                                    "--out-truth", f"{d}/t.cgrid", "--spec-json", path],
+        lambda d, vol, seed, path: ["bench", "--grid-json", path],
+    ], ids=["propagate-config", "phantom-spec-json", "bench-grid-json"])
+    def test_exits_one(self, tmp_path, capsys, small_study, no_propagation, argv, blob):
+        vol, seed = small_study
+        path = tmp_path / "bad.json"
+        path.write_bytes(blob)
+        rc = main(argv(str(tmp_path), str(vol), str(seed), str(path)))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert str(path) in lines[0]
+
+
 class TestOutputsCheckedFirst:
     """propagate finds an output it cannot write before it matches the study,
     with the error line and exit 1 that writing it would give."""

@@ -340,6 +340,20 @@ class TestDownsampleAvg:
                 for j in range(3):
                     block = grid.data[c, 4 * i:4 * i + 4, 4 * j:4 * j + 4]
                     assert np.isclose(out.data[c, i, j], block.mean())
+        # float32 at working-resolution shapes, against float64 block means;
+        # integer data keeps every partial sum exact, and factor^2 is a power of 2
+        for shape in ((4, 576, 576), (2, 288, 288)):
+            for factor in (8, 16):
+                c, h, w = shape
+                for data, exact in ((rng.random(shape, dtype=np.float32), False),
+                                    (rng.integers(0, 16, shape).astype(np.float32), True)):
+                    want = data.astype(np.float64).reshape(
+                        c, h // factor, factor, w // factor, factor).mean(axis=(2, 4))
+                    got = downsample_avg(data, factor).data
+                    assert got.dtype == np.float32
+                    assert got.shape == want.shape
+                    assert np.abs(got - want).max() <= 1e-6
+                    assert np.array_equal(got, want) or not exact
 
     def test_divisibility_enforced(self):
         with pytest.raises(DimensionError):

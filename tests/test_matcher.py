@@ -235,7 +235,8 @@ def plmm_weights(q, mk, mv, patch, k):
 def block_count(q, mk, mv, patch, ids):
     """Number of blocks the pixel stage splits a forward pass into."""
     layout = make_layout(q.height, q.width, patch)
-    return sum(1 for _ in matcher._pair_blocks(q, mk, mv, layout, ids, np.float64))
+    topk = TopKIndex(ids=ids, k=ids.shape[1])
+    return sum(1 for _ in matcher._pair_blocks(q, mk, mv, layout, topk, np.float64))
 
 
 def assert_gradients_match(got, want):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from patchmem import matcher
 from patchmem.errors import LayoutError, ParameterError, PyramidError
 from patchmem.grids import FeatureGrid
 from patchmem.matcher import OpCounter, TopKIndex, plmm_forward
@@ -107,6 +108,25 @@ class TestMatchMultiscale:
         res4 = plmm_forward(q.scale4, [m.scale4 for m in mk],
                             [m.scale4 for m in mv], patch=4, k=1)
         assert np.allclose(ms.readout4.data, res4.readout.data, atol=1e-12)
+
+    def test_cell_pair_tables_built_once(self, monkeypatch):
+        rng = np.random.default_rng(67)
+        q, mk, mv = pyramid_set(rng, t=2, h4=9, w4=9)
+        built = []
+        original = matcher._cell_pairs
+
+        def counted(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(matcher, "_cell_pairs", counted)
+        ms = match_multiscale(q, mk, mv, p4=6, k=2)
+        assert len(built) == 1
+        # a fresh table of the same ids builds its own tables: same readout, bit for bit
+        fresh = plmm_forward(q.scale3, [m.scale3 for m in mk], [m.scale3 for m in mv],
+                             patch=12, k=2, topk_override=TopKIndex(ids=ms.topk.ids.copy(), k=2))
+        assert len(built) == 2
+        assert np.array_equal(ms.readout3.data, fresh.readout.data)
 
     def test_parallel_lists_required(self):
         rng = np.random.default_rng(66)
