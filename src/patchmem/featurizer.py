@@ -5,6 +5,8 @@ compact feature grids. The channel bank is deliberately simple and fully
 deterministic: the raw intensity, Gaussian blurs at a few widths, a
 finite-difference gradient magnitude, a 3x3 local standard deviation, and
 normalized row/column coordinates, each average-pooled to strides 8 and 16.
+Blurs use truncated Gaussian taps (radius ``int(4 sigma + 0.5)``); blurs
+and the 3x3 local mean reflect at the border (``d c b a | a b c d``).
 Intensity, blurs and coordinates are linear in the frame, and so is
 pooling: along an axis, "blur, then pool" is one (n/stride, n) matrix, built
 once per axis length and stride, so these channels are computed at each
@@ -28,7 +30,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DimensionError, ParameterError
 from .grids import (
@@ -68,25 +69,63 @@ class EncoderConfig:
                 f"key_channels must be positive, got {self.key_channels}")
 
 
+def _gaussian_matrix(n, sigma):
+    """The (n, n) matrix of a 1-d Gaussian blur with a reflect border.
+
+    Taps at offsets -r..r, r = int(4 sigma + 0.5), are exp(-x^2 / (2 sigma^2))
+    normalized to sum 1; row i holds the weight of each input sample in
+    output sample i, taps that fold onto one sample summed.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    offsets = np.arange(-radius, radius + 1)
+    taps = np.exp(-0.5 / (sigma * sigma) * offsets ** 2)
+    taps = taps / taps.sum()
+    rows = np.arange(n)[:, None]
+    cols = np.mod(rows + offsets, 2 * n)
+    cols = np.where(cols < n, cols, 2 * n - 1 - cols)  # fold: d c b a | a b c d
+    mat = np.zeros((n, n))
+    np.add.at(mat, (rows, cols), taps)
+    return mat
+
+
 @functools.lru_cache(maxsize=16)
 def _blur_pool_operators(n, stride, dtype=np.float64):
     """Read-only (1 + len(BLUR_SIGMAS), n // stride, n) pooling operators.
 
     Entry 0 average-pools an axis of length n by ``stride``; entry c pools
-    after the ``gaussian_filter1d`` of BLUR_SIGMAS[c - 1], with the taps and
-    reflect border of ``ndimage.gaussian_filter``. So blurring an image and
-    pooling it is ``rows[c] @ image @ cols[c].T``. Built in float64 and
-    rounded once to ``dtype``.
+    after the Gaussian blur of BLUR_SIGMAS[c - 1] (``_gaussian_matrix``). So
+    blurring an image and pooling it is ``rows[c] @ image @ cols[c].T``.
+    Built in float64 and rounded once to ``dtype``.
     """
-    eye = np.eye(n)
     ops = np.empty((1 + len(BLUR_SIGMAS), n // stride, n), dtype=np.float64)
-    ops[0] = eye.reshape(n // stride, stride, n).mean(axis=1)
+    ops[0] = np.eye(n).reshape(n // stride, stride, n).mean(axis=1)
     for c, sigma in enumerate(BLUR_SIGMAS, start=1):
-        np.matmul(ops[0], ndimage.gaussian_filter1d(eye, sigma, axis=0, mode="reflect"),
-                  out=ops[c])
+        np.matmul(ops[0], _gaussian_matrix(n, sigma), out=ops[c])
     ops = ops.astype(dtype, copy=False)
     ops.flags.writeable = False
     return ops
+
+
+def _box_mean3(image, out, tmp):
+    """3x3 mean of an (H, W) frame with a reflect border, into ``out``.
+
+    The summation order is fixed, since keys depend on it bit for bit: each
+    row is the sum of three whole rows, ``(x[y-1] + x[y]) + x[y+1]``, into
+    ``tmp``; then each column of that is ``(t[:, x-1] + t[:, x]) + t[:, x+1]``,
+    into ``out``; then one division by 9. Border samples reflect onto
+    themselves (x[-1] is x[0]). Runs in the buffers' dtype; ``out`` may be
+    ``image``, but ``tmp`` must be a third buffer.
+    """
+    np.add(image[:-1], image[1:], out=tmp[1:])
+    np.add(image[0], image[0], out=tmp[0])
+    tmp[:-1] += image[1:]
+    tmp[-1] += image[-1]
+    np.add(tmp[:, :-1], tmp[:, 1:], out=out[:, 1:])
+    np.add(tmp[:, 0], tmp[:, 0], out=out[:, 0])
+    out[:, :-1] += tmp[:, 1:]
+    out[:, -1] += tmp[:, -1]
+    out /= 9
+    return out
 
 
 def _nonlinear_channels(image):
@@ -94,7 +133,8 @@ def _nonlinear_channels(image):
 
     Returns a (2, H, W) array of the image's dtype, computed in place with
     the operations of ``sqrt(gy*gy + gx*gx)`` and
-    ``sqrt(maximum(mean_sq - mean*mean, 0))`` in their order.
+    ``sqrt(maximum(mean_sq - mean*mean, 0))`` in their order, the means by
+    ``_box_mean3``. The gradient's two buffers are reused for the means.
     """
     out = np.empty((2,) + image.shape, dtype=image.dtype)
     gy, gx = np.gradient(image)
@@ -102,10 +142,8 @@ def _nonlinear_channels(image):
     gx *= gx
     gy += gx
     np.sqrt(gy, out=out[0])
-    del gy, gx
-    mean = ndimage.uniform_filter(image, size=3, mode="reflect")
-    mean_sq = image * image
-    ndimage.uniform_filter(mean_sq, size=3, mode="reflect", output=mean_sq)
+    mean = _box_mean3(image, gy, out[1])
+    mean_sq = _box_mean3(np.multiply(image, image, out=gx), gx, out[1])
     mean *= mean
     mean_sq -= mean
     np.maximum(mean_sq, 0.0, out=mean_sq)

@@ -6,6 +6,7 @@ import dataclasses
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -878,3 +879,14 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as err:
             main(["verify", "--suite", "nonsense"])
         assert err.value.code == 1
+
+
+class TestImports:
+    def test_program_loads_no_scipy(self):
+        # the program runs on numpy alone; scipy only serves the tests as an oracle
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import patchmem.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code, src],
+                              capture_output=True, text=True, check=True, timeout=120)
+        assert proc.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from patchmem.errors import DimensionError, ParameterError, PhantomSpecError
 from patchmem.evalkit import (
@@ -105,6 +106,16 @@ class TestBoundary:
         want[1:4, 1:4] = False
         assert np.array_equal(_boundary(mask), want)
 
+    def test_matches_binary_erosion(self):
+        plus = ndimage.generate_binary_structure(2, 1)
+        rng = np.random.default_rng(85)
+        for _ in range(60):
+            shape = tuple(int(n) for n in rng.integers(1, 40, size=2))
+            mask = rng.random(shape) < rng.uniform(0.3, 1.0)
+            mask[:, 0] |= rng.random() < 0.5  # many masks run along the border
+            want = mask & ~ndimage.binary_erosion(mask, structure=plus, border_value=0)
+            assert np.array_equal(_boundary(mask), want)
+
 
 class TestHd95:
     def test_identical_masks(self):
@@ -129,12 +140,13 @@ class TestHd95:
         assert hd95(pred, truth, 1) == 18.0
 
     def test_matches_brute_force(self):
-        rng = np.random.default_rng(83)
-        for _ in range(15):
-            a, b = random_blob_pair(rng)
-            got = hd95(a, b, 1, spacing_mm=(1.3, 1.3))
-            want = hd95_loops(a, b, 1, (1.3, 1.3))
-            assert got == pytest.approx(want, abs=1e-9)
+        for spacing in [(1.3, 1.3), (1.25, 1.7)]:
+            rng = np.random.default_rng(83)
+            for _ in range(15):
+                a, b = random_blob_pair(rng)
+                got = hd95(a, b, 1, spacing_mm=spacing)
+                want = hd95_loops(a, b, 1, spacing)
+                assert got == pytest.approx(want, abs=1e-9)
 
     def test_empty_mask_is_undefined(self):
         rng = np.random.default_rng(84)

@@ -12,6 +12,7 @@ from patchmem.featurizer import (
     PROJECTION_SEED,
     EncoderConfig,
     _blur_pool_operators,
+    _box_mean3,
     _nonlinear_channels,
     _standardize,
     decode,
@@ -43,6 +44,14 @@ def checkerboard(h, w, cell=8):
     return (((yy // cell) + (xx // cell)) % 2).astype(np.float64) * 0.8 + 0.1
 
 
+def box_mean3(image):
+    """The encoder's 3x3 local mean written out: pad by reflection, add three
+    rows, then three columns of that, then divide by 9."""
+    p = np.pad(image, 1, mode="symmetric")
+    rows = p[:-2] + p[1:-1] + p[2:]
+    return (rows[:, :-2] + rows[:, 1:-1] + rows[:, 2:]) / 9
+
+
 def stacked_feature_bank(image):
     """The raw channel bank at frame resolution, a list of channels joined by np.stack."""
     h, w = image.shape
@@ -51,8 +60,8 @@ def stacked_feature_bank(image):
         channels.append(ndimage.gaussian_filter(image, sigma=sigma, mode="reflect"))
     gy, gx = np.gradient(image)
     channels.append(np.sqrt(gy * gy + gx * gx))
-    mean = ndimage.uniform_filter(image, size=3, mode="reflect")
-    mean_sq = ndimage.uniform_filter(image * image, size=3, mode="reflect")
+    mean = box_mean3(image)
+    mean_sq = box_mean3(image * image)
     channels.append(np.sqrt(np.maximum(mean_sq - mean * mean, 0.0)))
     channels.append(np.repeat(np.arange(h, dtype=np.float64)[:, None], w, axis=1) / (h - 1))
     channels.append(np.repeat(np.arange(w, dtype=np.float64)[None, :], h, axis=0) / (w - 1))
@@ -87,6 +96,18 @@ class TestRawFeatureBank:
         # frame, keep the stacked formula's operations at frame resolution
         img = np.random.default_rng(shape[1]).random(shape)
         assert np.array_equal(_nonlinear_channels(img), stacked_feature_bank(img)[4:6])
+
+    @pytest.mark.parametrize("dtype, bound", [(np.float32, 1.2e-7), (np.float64, 3.1e-15)])
+    def test_box_mean_close_to_uniform_filter(self, dtype, bound):
+        # ndimage keeps a running sum in float64 and rounds once to the
+        # frame's dtype; the encoder adds in the frame's dtype, in fixed order
+        for shape in [(288, 288), (576, 576), (20, 33), (1, 5)]:
+            img = np.random.default_rng(shape[0] + shape[1]).random(shape).astype(dtype)
+            got = _box_mean3(img, np.empty_like(img), np.empty_like(img))
+            assert got.dtype == dtype
+            assert np.array_equal(got, box_mean3(img))
+            want = ndimage.uniform_filter(img, size=3, mode="reflect")
+            assert np.abs(got - want).max() <= bound
 
     @pytest.mark.parametrize("shape", [(288, 288), (576, 576), (48, 80)])
     def test_close_to_pooled_full_bank(self, shape):
@@ -161,6 +182,18 @@ class TestBlurPoolOperators:
             blurred = ndimage.gaussian_filter(img, sigma=sigma, mode="reflect")
             want = downsample_avg(blurred[None], stride).data[0]
             assert np.abs(rows_op[c] @ img @ cols_op[c].T - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [48, 288, 576])
+    @pytest.mark.parametrize("stride", [8, 16])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_ndimage_operators(self, n, stride, dtype):
+        eye = np.eye(n)
+        pool = eye.reshape(n // stride, stride, n).mean(axis=1)
+        want = [pool] + [pool @ ndimage.gaussian_filter1d(eye, sigma, axis=0, mode="reflect")
+                         for sigma in BLUR_SIGMAS]
+        got = _blur_pool_operators(n, stride, dtype)
+        assert got.dtype == dtype
+        assert np.array_equal(got, np.stack(want).astype(dtype))
 
     def test_cached_and_read_only(self):
         ops = _blur_pool_operators(48, 8)
