@@ -251,8 +251,9 @@ def _cell_pairs(layout, ids, t):
     patch's selection, a multiset when selected patches overlap or repeat.
 
     Returns the index tables
-        cells: query cells in processing order: by pair count, so that cells
-            of one count share a batched GEMM, then by index;
+        cells: query cells in processing order: by pair count, so that a
+            block's cells have near-equal counts and the padding of their
+            pair lists to one count stays small, then by index;
         start: offsets of each such cell's pairs;
         mem: the memory cell of each pair, ascending within a query cell;
         items, item_start: the items grouped by cell in processing order,
@@ -288,7 +289,10 @@ class _PairBlock(NamedTuple):
 
     q_pix: np.ndarray
     q: np.ndarray
-    groups: list
+    m_pix: np.ndarray
+    keys: np.ndarray
+    values: np.ndarray
+    e: np.ndarray
     items: np.ndarray
     item_cells: np.ndarray
     refs: np.ndarray
@@ -299,29 +303,30 @@ class _PairBlock(NamedTuple):
 def _pair_blocks(q_key, mem_keys, mem_values, layout, topk, dtype):
     """The pixel stage on distinct (query cell, memory cell) pairs, by blocks.
 
-    Each pair's logits are computed once: one GEMM per query cell against
-    the stacked pixels of its memory cells, batched over the cells of one
-    pair count. Per pair and query pixel come the row max, then e, the
-    floored exp of the logits minus that max, and the sums of e and of e
-    times the memory values. Each item combines the pairs of its multiset,
-    each rescaled by beta = exp(pair max - item max); in exact arithmetic
-    this is the softmax over the item's patch selection and its readout.
-    The logits and the operands gathered for them, all of ``dtype``, fit in
-    _LOGIT_BLOCK_BYTES per block of query cells, in buffers allocated once
-    per call: a block's arrays are views that the next block overwrites.
+    A block is a run of query cells in processing order, whose pair counts
+    are near-equal; each cell's pairs are padded to the block's largest
+    count c by repeating its last pair, and one batched GEMM per block
+    computes each pair's logits once: each cell's key rows against the
+    stacked pixels of its c slots. Per slot and query pixel come the row
+    max, then e, the floored exp of the logits minus that max, and the sums
+    of e and of e times the memory values. Each item combines the pairs of
+    its multiset, each rescaled by beta = exp(pair max - item max); in exact
+    arithmetic this is the softmax over the item's patch selection and its
+    readout. Padded slots are never read. The logits and the operands
+    gathered for them, all of ``dtype``, padded slots included, fit in
+    _LOGIT_BLOCK_BYTES per block, in buffers allocated once per call: a
+    block's arrays are views that the next block overwrites.
 
-    Yields a _PairBlock per block:
+    Yields a _PairBlock per block of B cells from processing position lo:
         q_pix: (B, S^2) flat query pixels of its cells, S the stride;
         q: (B, S^2, C_k + 1) their key rows as [2q, 1];
-        groups: per run of cells with one pair count c, the tuple (c0, c1,
-            g0, g1, m_pix, keys, values, e): the block's cells c0..c1 and
-            pairs g0..g1; the (G, S^2, c) flat bank pixels of the pairs,
-            memory pixel before pair, so that a cell's rows stack its
-            pairs' pixels; their key rows [m, -|m|^2] and value rows
-            [v, 1] there; and e, (G, S^2, c, S^2), the last axis the query
-            pixel;
+        m_pix: (B, S^2, c) flat bank pixels of the slots, memory pixel
+            before slot, so that a cell's rows stack its slots' pixels;
+        keys, values: their key rows [m, -|m|^2] and value rows [v, 1];
+        e: (B, S^2, c, S^2), the last axis the query pixel;
         items, item_cells: its items and their cells' positions in q;
-        refs: (I, 4K) block pair index of each item's memory cells;
+        refs: (I, 4K) slot of each item's memory cells, (cell - lo) * c +
+            (pair - start[cell]);
         beta: (I, 4K, S^2), per query pixel;
         sums: (I, C_v + 1, S^2): the items' unnormalized readouts and, last,
             their softmax denominators.
@@ -343,54 +348,45 @@ def _pair_blocks(q_key, mem_keys, mem_values, layout, topk, dtype):
     count = np.diff(start)
     k_cols, v_cols = key_rows.shape[1], val_rows.shape[1]
     per_pair = key_rows.itemsize * ss * (ss + k_cols + v_cols)
+    # cells lo..hi-1 take (hi - lo) * count[hi - 1] slots, ascending in hi
     bounds = []
     lo = 0
     while lo < n_cells:
-        hi = max(lo + 1, np.searchsorted(start, start[lo] + _LOGIT_BLOCK_BYTES // per_pair,
-                                          side="right") - 1)
+        slots = np.arange(1, n_cells - lo + 1) * count[lo:]
+        hi = lo + max(1, np.searchsorted(slots, _LOGIT_BLOCK_BYTES // per_pair, side="right"))
         bounds.append((lo, hi))
         lo = hi
-    most = max(start[hi] - start[lo] for lo, hi in bounds) * ss
+    most = max((hi - lo) * count[hi - 1] for lo, hi in bounds) * ss
     e_buf, key_buf, val_buf, max_buf, sums_buf = (
         np.empty(most * cols, dtype=dtype) for cols in (ss, k_cols, v_cols, 1, v_cols))
     for lo, hi in bounds:
-        p0 = start[lo]
+        g, c = hi - lo, count[hi - 1]
         q_pix = cell_pix[cells[lo:hi]]
         q = np.take(q_rows, q_pix, axis=0)
-        mem = pair_mem[p0:start[hi]]
-        pix = ((mem // n_cells) * hw)[:, None] + cell_pix[mem % n_cells]
-        pair_max = max_buf[:len(mem) * ss].reshape(len(mem), ss)
-        pair_sums = sums_buf[:len(mem) * ss * v_cols].reshape(len(mem), v_cols, ss)
-        groups = []
-        c0 = lo
-        while c0 < hi:
-            c = count[c0]
-            c1 = min(hi, np.searchsorted(count, c, side="right"))
-            g = c1 - c0
-            g0, g1 = start[c0] - p0, start[c1] - p0
-            m_pix = pix[g0:g1].reshape(g, c, ss).transpose(0, 2, 1)
-            keys = key_buf[g0 * ss * k_cols:g1 * ss * k_cols].reshape(g, ss, c, k_cols)
-            # the indices are in range; "raise" would buffer the whole output
-            np.take(key_rows, m_pix, axis=0, out=keys, mode="clip")
-            values = val_buf[g0 * ss * v_cols:g1 * ss * v_cols].reshape(g, ss, c, v_cols)
-            np.take(val_rows, m_pix, axis=0, out=values, mode="clip")
-            e = e_buf[g0 * ss * ss:g1 * ss * ss].reshape(g, ss * c, ss)
-            np.matmul(keys.reshape(g, ss * c, -1), q[c0 - lo:c1 - lo].transpose(0, 2, 1), out=e)
-            e = e.reshape(g, ss, c, ss)
-            mx = np.max(e, axis=1, out=pair_max[g0:g1].reshape(g, c, ss))
-            e -= mx[:, None]
-            _floored_exp(e)
-            np.matmul(values.transpose(0, 2, 3, 1), e.transpose(0, 2, 1, 3),
-                      out=pair_sums[g0:g1].reshape(g, c, -1, ss))
-            groups.append((c0 - lo, c1 - lo, g0, g1, m_pix, keys, values, e))
-            c0 = c1
+        mem = pair_mem[start[lo:hi, None] + np.minimum(np.arange(c), count[lo:hi, None] - 1)]
+        m_pix = (((mem // n_cells) * hw)[:, :, None] + cell_pix[mem % n_cells]).transpose(0, 2, 1)
+        keys = key_buf[:g * ss * c * k_cols].reshape(g, ss, c, k_cols)
+        # the indices are in range; "raise" would buffer the whole output
+        np.take(key_rows, m_pix, axis=0, out=keys, mode="clip")
+        values = val_buf[:g * ss * c * v_cols].reshape(g, ss, c, v_cols)
+        np.take(val_rows, m_pix, axis=0, out=values, mode="clip")
+        e = e_buf[:g * ss * c * ss].reshape(g, ss, c, ss)
+        np.matmul(keys.reshape(g, ss * c, -1), q.transpose(0, 2, 1), out=e.reshape(g, ss * c, ss))
+        pair_max = np.max(e, axis=1, out=max_buf[:g * c * ss].reshape(g, c, ss))
+        e -= pair_max[:, None]
+        _floored_exp(e)
+        pair_sums = sums_buf[:g * c * v_cols * ss].reshape(g, c, v_cols, ss)
+        np.matmul(values.transpose(0, 2, 3, 1), e.transpose(0, 2, 1, 3), out=pair_sums)
         i0, i1 = item_start[lo], item_start[hi]
-        refs = item_refs[i0:i1] - p0
-        beta = np.take(pair_max, refs, axis=0)
+        rank = item_rank[i0:i1]
+        refs = (rank - lo)[:, None] * c + item_refs[i0:i1] - start[rank][:, None]
+        beta = np.take(pair_max.reshape(g * c, ss), refs, axis=0)
         beta -= beta.max(axis=1, keepdims=True)
         _floored_exp(beta)
-        sums = (np.take(pair_sums, refs, axis=0) * beta[:, :, None]).sum(axis=1)
-        yield _PairBlock(q_pix, q, groups, items[i0:i1], item_rank[i0:i1] - lo, refs, beta, sums)
+        sums = (np.take(pair_sums.reshape(g * c, v_cols, ss), refs, axis=0)
+                * beta[:, :, None]).sum(axis=1)
+        yield _PairBlock(q_pix, q, m_pix, keys, values, e, items[i0:i1], rank - lo, refs,
+                         beta, sums)
 
 
 def plmm_forward(q_key, mem_keys, mem_values, patch, k,
@@ -481,27 +477,25 @@ def plmm_backward(q_key, mem_keys, mem_values, patch, topk, upstream):
         # softmax adjoint, gathered onto the pairs
         weights = blk.beta / blk.sums[:, None, -1]
         g_ro = np.einsum("ixv,ivx->ix", g[blk.item_cells], blk.sums[:, :-1]) / blk.sums[:, -1]
-        a = np.zeros((blk.groups[-1][3], weights.shape[2]), dtype=dtype)
+        n_g, ss, c, _ = blk.e.shape
+        # a = b = 0 on padded slots, so they add exactly 0 to every gradient
+        a = np.zeros((n_g * c, ss), dtype=dtype)
         b = np.zeros_like(a)
         np.add.at(a, blk.refs, weights)
         np.add.at(b, blk.refs, weights * g_ro[:, None])
-        for c0, c1, g0, g1, m_pix, keys, values, e in blk.groups:
-            n_g, ss, c, _ = e.shape
-            rows = ss * c
-            gq = g[c0:c1]
-            a_g = a[g0:g1].reshape(n_g, 1, c, ss)
-            g_v = np.matmul(values[..., :-1].reshape(n_g, rows, c_v), gq.transpose(0, 2, 1))
-            d_logit = e * (a_g * g_v.reshape(e.shape) - b[g0:g1].reshape(n_g, 1, c, ss))
-            d_logit = d_logit.reshape(n_g, rows, ss)
-            # similarity adjoint: logits[x, m] = 2 q_x.m - ||m||^2, and the
-            # dropped -||q_x||^2 gets nothing: each item's d_logit rows sum to 0
-            k_m = keys[..., :-1].reshape(n_g, rows, c_k)
-            d_q[blk.q_pix[c0:c1]] = 2.0 * np.matmul(d_logit.transpose(0, 2, 1), k_m)
-            d_m = np.matmul(d_logit, blk.q[c0:c1, :, :-1])
-            d_m -= 2.0 * d_logit.sum(axis=2)[:, :, None] * k_m
-            np.add.at(d_keys, m_pix.ravel(), d_m.reshape(-1, c_k))
-            d_v = np.matmul((e * a_g).reshape(n_g, rows, ss), gq)
-            np.add.at(d_values, m_pix.ravel(), d_v.reshape(-1, c_v))
+        a = a.reshape(n_g, 1, c, ss)
+        g_v = np.matmul(blk.values[..., :-1].reshape(n_g, -1, c_v), g.transpose(0, 2, 1))
+        d_logit = blk.e * (a * g_v.reshape(blk.e.shape) - b.reshape(n_g, 1, c, ss))
+        d_logit = d_logit.reshape(n_g, -1, ss)
+        # similarity adjoint: logits[x, m] = 2 q_x.m - ||m||^2, and the
+        # dropped -||q_x||^2 gets nothing: each item's d_logit rows sum to 0
+        k_m = blk.keys[..., :-1].reshape(n_g, -1, c_k)
+        d_q[blk.q_pix] = 2.0 * np.matmul(d_logit.transpose(0, 2, 1), k_m)
+        d_m = np.matmul(d_logit, blk.q[:, :, :-1])
+        d_m -= 2.0 * d_logit.sum(axis=2)[:, :, None] * k_m
+        np.add.at(d_keys, blk.m_pix.ravel(), d_m.reshape(-1, c_k))
+        d_v = np.matmul((blk.e * a).reshape(n_g, -1, ss), g)
+        np.add.at(d_values, blk.m_pix.ravel(), d_v.reshape(-1, c_v))
 
     def _to_grids(rows, channels):
         return [rows[ti * h * w:(ti + 1) * h * w].T.reshape(channels, h, w) for ti in range(t)]

@@ -232,11 +232,28 @@ def plmm_weights(q, mk, mv, patch, k):
     return np.stack(rows), res
 
 
-def block_count(q, mk, mv, patch, ids):
-    """Number of blocks the pixel stage splits a forward pass into."""
+def pair_blocks(q, mk, mv, patch, ids):
+    """The pixel stage's blocks of a forward pass, each with the pair counts
+    of its query cells, in the dtype of the inputs."""
     layout = make_layout(q.height, q.width, patch)
     topk = TopKIndex(ids=ids, k=ids.shape[1])
-    return sum(1 for _ in matcher._pair_blocks(q, mk, mv, layout, topk, np.float64))
+    count = np.diff(topk.cell_pairs(layout, len(mk))[1])
+    lo = 0
+    for blk in matcher._pair_blocks(q, mk, mv, layout, topk, matcher._check_bank(q, mk, mv)):
+        yield blk, count[lo:lo + len(blk.q_pix)]
+        lo += len(blk.q_pix)
+
+
+def block_count(q, mk, mv, patch, ids):
+    """Number of blocks the pixel stage splits a forward pass into."""
+    return sum(1 for _ in pair_blocks(q, mk, mv, patch, ids))
+
+
+def one_block_counts(q, mk, mv, patch, ids):
+    """The pair counts of the query cells of the one block a forward pass
+    runs in; fails if it runs in more than one."""
+    (_, counts), = pair_blocks(q, mk, mv, patch, ids)
+    return counts
 
 
 def assert_gradients_match(got, want):
@@ -498,20 +515,22 @@ class TestPlmmForward:
     def test_blocks_equal_one_block_bitwise(self, monkeypatch, budget_mib):
         # scale 3 at working side 576: N = 121 query patches of P = 12 on
         # 144 query cells, which the default budget and 4 MiB split into
-        # blocks of a few cells each
+        # blocks of a few cells each; in one block, every cell's pairs are
+        # padded to the largest count. float32 is the engine's dtype
         rng = np.random.default_rng(43)
         q, mk, mv = random_maps(rng, t=3, h=72, w=72, c_key=64, c_val=4)
-        if budget_mib is not None:
-            monkeypatch.setattr(matcher, "_LOGIT_BLOCK_BYTES", budget_mib << 20)
-        counter = OpCounter()
-        blocked = plmm_forward(q, mk, mv, patch=12, k=4, counter=counter)
-        assert counter.pixel_pairs == 121 * 4 * 144 * 144
-        assert block_count(q, mk, mv, 12, blocked.topk.ids) > 10
-        monkeypatch.setattr(matcher, "_LOGIT_BLOCK_BYTES", 1 << 62)
-        assert block_count(q, mk, mv, 12, blocked.topk.ids) == 1
-        whole = plmm_forward(q, mk, mv, patch=12, k=4)
-        assert np.array_equal(blocked.topk.ids, whole.topk.ids)
-        assert np.array_equal(blocked.readout.data, whole.readout.data)
+        budget = matcher._LOGIT_BLOCK_BYTES if budget_mib is None else budget_mib << 20
+        for (q,), mk, mv in [([q], mk, mv), (as_float32([q]), as_float32(mk), as_float32(mv))]:
+            monkeypatch.setattr(matcher, "_LOGIT_BLOCK_BYTES", budget)
+            counter = OpCounter()
+            blocked = plmm_forward(q, mk, mv, patch=12, k=4, counter=counter)
+            assert counter.pixel_pairs == 121 * 4 * 144 * 144
+            assert block_count(q, mk, mv, 12, blocked.topk.ids) > 10
+            monkeypatch.setattr(matcher, "_LOGIT_BLOCK_BYTES", 1 << 62)
+            assert len(np.unique(one_block_counts(q, mk, mv, 12, blocked.topk.ids))) > 1
+            whole = plmm_forward(q, mk, mv, patch=12, k=4)
+            assert np.array_equal(blocked.topk.ids, whole.topk.ids)
+            assert np.array_equal(blocked.readout.data, whole.readout.data)
 
     def test_counters_closed_form(self):
         rng = np.random.default_rng(33)
@@ -646,6 +665,7 @@ class TestChannelsLastGather:
         assert n_blocks == 144 if budget_kib else n_blocks > 2
         blocked = plmm_backward(q, mk, mv, 6, topk, upstream)
         monkeypatch.setattr(matcher, "_LOGIT_BLOCK_BYTES", 1 << 62)
+        assert len(np.unique(one_block_counts(q, mk, mv, 6, topk.ids))) > 1
         whole = plmm_backward(q, mk, mv, 6, topk, upstream)
         assert np.array_equal(blocked[0], whole[0])
         for a, b in zip(blocked[1] + blocked[2], whole[1] + whole[2]):
@@ -775,6 +795,25 @@ class TestCellStage:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+    @pytest.mark.parametrize("budget_mib", [None, 4])
+    def test_block_budget_counts_padded_pairs(self, monkeypatch, budget_mib):
+        # every cell's pairs are padded to its block's largest count, and the
+        # padded block, logits with their gathered keys and values, fits the
+        # budget unless it is one cell over it
+        rng = np.random.default_rng(51)
+        q, mk, mv = random_maps(rng, t=3, h=72, w=72, c_key=64, c_val=4)
+        if budget_mib is not None:
+            monkeypatch.setattr(matcher, "_LOGIT_BLOCK_BYTES", budget_mib << 20)
+        ids = plmm_forward(q, mk, mv, patch=12, k=4).topk.ids
+        mixed = 0
+        for blk, counts in pair_blocks(q, mk, mv, 12, ids):
+            assert blk.e.shape[2] == counts.max()
+            if len(counts) > 1:
+                assert (blk.e.nbytes + blk.keys.nbytes + blk.values.nbytes
+                        <= matcher._LOGIT_BLOCK_BYTES)
+            mixed += len(np.unique(counts)) > 1
+        assert mixed >= 1
 
 
 class TestDenseReadout:
