@@ -13,10 +13,13 @@ once per axis length and stride, so these channels are computed at each
 stride directly by two small matrix products and no frame-sized copy of
 them exists. Only gradient magnitude and local std are computed at frame
 resolution and then pooled. The pooled bank is standardized per channel
-per frame and projected to a fixed channel count with a seeded random
-linear map shared by all frames and both scales. Every step runs in the
-frame's dtype: a float32 frame gives float32 keys, any other frame float64
-keys (see ``grids.real_array``).
+per frame and projected by a seeded random (key_channels, RAW_CHANNELS)
+matrix P shared by all frames and both scales. The matchers read keys only
+through squared distances, and ||P d|| = ||R d|| for R the triangular
+factor of P = QR, so the encoder applies R: keys have min(key_channels,
+RAW_CHANNELS) channels, and ``key_channels`` picks the metric
+R^T R = P^T P. Every step runs in the frame's dtype: a float32 frame gives
+float32 keys, any other frame float64 keys (see ``grids.real_array``).
 
 The value pathway carries class probabilities: a soft label map is
 area-averaged to the same two strides. Decoding reverses that with bilinear
@@ -57,7 +60,9 @@ class EncoderConfig:
     """Settings for the handcrafted key encoder.
 
     Attributes:
-        key_channels: output channel count after projection.
+        key_channels: the row count of the random projection P, which fixes
+            the key metric; keys have min(key_channels, RAW_CHANNELS)
+            channels (see ``projection_factor``).
     """
 
     key_channels: int = 32
@@ -202,6 +207,27 @@ def projection_matrix(key_channels):
     return mat
 
 
+@functools.lru_cache(maxsize=16)
+def projection_factor(key_channels):
+    """R of the QR decomposition of P = ``projection_matrix(key_channels)``.
+
+    An upper-triangular (min(key_channels, RAW_CHANNELS), RAW_CHANNELS)
+    array, read-only. Q has orthonormal columns, so R d and P d have the
+    same length for every d: keys projected by R have the squared distances
+    of keys projected by P, in at most RAW_CHANNELS channels. Built by
+    modified Gram-Schmidt on P's columns, a few vector products where
+    LAPACK's QR would page in half a megabyte of library code.
+    """
+    cols = np.array(projection_matrix(key_channels))
+    mat = np.zeros((min(key_channels, RAW_CHANNELS), RAW_CHANNELS))
+    for j, row in enumerate(mat):
+        unit = cols[:, j] / np.sqrt(cols[:, j] @ cols[:, j])
+        row[j:] = unit @ cols[:, j:]
+        cols[:, j:] -= np.outer(unit, row[j:])
+    mat.flags.writeable = False
+    return mat
+
+
 def _standardize(data):
     """Zero-mean unit-variance per channel, variance clamped at 1e-6."""
     mean = data.mean(axis=(1, 2), keepdims=True)
@@ -212,17 +238,19 @@ def _standardize(data):
 def encode_key(image, cfg=EncoderConfig()):
     """Encode one frame into a two-scale key pyramid.
 
-    The frame dims must be divisible by 16. The keys have the dtype of
+    The frame dims must be divisible by 16. The standardized bank is
+    projected by ``projection_factor(cfg.key_channels)``, so keys have
+    min(cfg.key_channels, RAW_CHANNELS) channels. The keys have the dtype of
     ``pooled_raw_channels``: float32 for a float32 frame, else float64.
     Identical inputs produce bit-identical outputs.
     """
-    proj = projection_matrix(cfg.key_channels)
+    proj = projection_factor(cfg.key_channels)
     grids = {}
     for name, raw in pooled_raw_channels(image).items():
         std = _standardize(raw)
         c, gh, gw = std.shape
         projected = (proj.astype(std.dtype, copy=False) @ std.reshape(c, gh * gw)).reshape(
-            cfg.key_channels, gh, gw)
+            len(proj), gh, gw)
         grids[name] = FeatureGrid(projected)
     return FeaturePyramid(scale4=grids["scale4"], scale3=grids["scale3"])
 

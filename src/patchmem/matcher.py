@@ -63,6 +63,11 @@ from .patcher import PatchGrid, coverage_map, fold, make_layout, unfold
 # budget forms a block of its own.
 _LOGIT_BLOCK_BYTES = 1 << 20
 
+# Most padded slots a block of the pixel stage may add, as a share of its
+# real pairs: without the cap, a small map that fits the budget in one
+# block pads its cells to about 1.5x its pairs.
+_PAD_SHARE = 0.125
+
 # Pixel logits are raised to a floor of their dtype, after their row max is
 # subtracted, before exp: about ln of the dtype's smallest normal number
 # (2.2e-308 for float64, 1.2e-38 for float32), so e^floor is still normal,
@@ -312,7 +317,8 @@ def _pair_blocks(q_key, mem_keys, mem_values, layout, topk, dtype):
     of e and of e times the memory values. Each item combines the pairs of
     its multiset, each rescaled by beta = exp(pair max - item max); in exact
     arithmetic this is the softmax over the item's patch selection and its
-    readout. Padded slots are never read. The logits and the operands
+    readout. Padded slots are never read; a block ends before they would
+    pass _PAD_SHARE of its real pairs. The logits and the operands
     gathered for them, all of ``dtype``, padded slots included, fit in
     _LOGIT_BLOCK_BYTES per block, in buffers allocated once per call: a
     block's arrays are views that the next block overwrites.
@@ -353,7 +359,9 @@ def _pair_blocks(q_key, mem_keys, mem_values, layout, topk, dtype):
     lo = 0
     while lo < n_cells:
         slots = np.arange(1, n_cells - lo + 1) * count[lo:]
-        hi = lo + max(1, np.searchsorted(slots, _LOGIT_BLOCK_BYTES // per_pair, side="right"))
+        padded = np.flatnonzero(slots > (1.0 + _PAD_SHARE) * np.cumsum(count[lo:]))
+        fits = np.searchsorted(slots, _LOGIT_BLOCK_BYTES // per_pair, side="right")
+        hi = lo + max(1, min([fits, *padded[:1]]))
         bounds.append((lo, hi))
         lo = hi
     most = max((hi - lo) * count[hi - 1] for lo, hi in bounds) * ss

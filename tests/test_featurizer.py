@@ -19,6 +19,7 @@ from patchmem.featurizer import (
     encode_key,
     encode_value,
     pooled_raw_channels,
+    projection_factor,
     projection_matrix,
 )
 from patchmem.grids import (
@@ -28,6 +29,13 @@ from patchmem.grids import (
     one_hot,
     resize_bilinear,
 )
+from patchmem.matcher import (
+    dense_readout,
+    patch_affinity,
+    plmm_forward,
+    topk_select,
+)
+from patchmem.patcher import make_layout, unfold
 
 STRIDES = {"scale4": 16, "scale3": 8}
 
@@ -79,6 +87,28 @@ def full_bank_encode_key(image, key_channels):
         c, gh, gw = std.shape
         out[name] = (proj @ std.reshape(c, gh * gw)).reshape(key_channels, gh, gw)
     return out
+
+
+def pixel_sqdists(keys, pixels):
+    """(n, n) squared distances between the key vectors of ``pixels``, flat
+    indices into a (C, H, W) key grid, by explicit differences in float64."""
+    x = keys.reshape(len(keys), -1)[:, pixels].T.astype(np.float64)
+    d = x[:, None, :] - x[None, :, :]
+    return (d * d).sum(axis=2)
+
+
+def assert_same_sqdists(got, want, rtol):
+    """Squared distances between 300 fixed pixels of each scale (all of them
+    if fewer) of ``got`` lie within ``rtol`` of ``want``'s, pair by pair."""
+    for name in STRIDES:
+        keys = getattr(got, name).data
+        n = keys.shape[1] * keys.shape[2]
+        pixels = np.random.default_rng(n).choice(n, min(n, 300), replace=False)
+        d_got, d_want = pixel_sqdists(keys, pixels), pixel_sqdists(want[name], pixels)
+        off = ~np.eye(len(pixels), dtype=bool)
+        assert d_want[off].min() > 0
+        assert (np.abs(d_got - d_want)[off] <= rtol * d_want[off]).all()
+        assert (d_got[~off] == 0).all()
 
 
 class TestRawFeatureBank:
@@ -212,9 +242,18 @@ class TestEncoderConfig:
 
 class TestEncodeKey:
     def test_pyramid_dims(self):
+        # the default 32 projected channels span 8 dimensions: 8 key channels
         pyr = encode_key(checkerboard(48, 64))
-        assert pyr.scale4.data.shape == (32, 3, 4)
-        assert pyr.scale3.data.shape == (32, 6, 8)
+        assert pyr.scale4.data.shape == (8, 3, 4)
+        assert pyr.scale3.data.shape == (8, 6, 8)
+
+    @pytest.mark.parametrize("key_channels", [1, 4, 8, 32, 64, 128])
+    def test_key_width_is_projection_rank(self, key_channels):
+        width = min(key_channels, 8)
+        assert projection_factor(key_channels).shape == (width, 8)
+        pyr = encode_key(checkerboard(48, 64), EncoderConfig(key_channels=key_channels))
+        assert pyr.scale4.data.shape == (width, 3, 4)
+        assert pyr.scale3.data.shape == (width, 6, 8)
 
     def test_deterministic(self):
         img = checkerboard(32, 32)
@@ -245,22 +284,26 @@ class TestEncodeKey:
 
     @pytest.mark.parametrize("shape", [(288, 288), (576, 576), (48, 80)])
     def test_matches_full_bank_oracle(self, shape):
+        # the matchers read keys only through squared distances, and those
+        # of the 8-channel keys are the 64-channel oracle's
         img = np.random.default_rng(shape[0] * shape[1]).random(shape)
         got = encode_key(img, EncoderConfig(key_channels=64))
         want = full_bank_encode_key(img, 64)
         assert got.scale4.data.dtype == got.scale3.data.dtype == np.float64
-        assert np.abs(got.scale4.data - want["scale4"]).max() <= 1e-12
-        assert np.abs(got.scale3.data - want["scale3"]).max() <= 1e-12
+        assert_same_sqdists(got, want, rtol=1e-12)
 
     @pytest.mark.parametrize("shape", [(288, 288), (576, 576), (48, 80)])
     def test_float32_frame_gives_float32_keys(self, shape):
+        # float32 rounding of the bank and its standardization moves a
+        # distance by at most 2.8e-5 of itself on these frames (6.9e-14 in
+        # float64)
         img = np.random.default_rng(shape[0] * shape[1]).random(shape)
         assert _nonlinear_channels(img.astype(np.float32)).dtype == np.float32
         got = encode_key(img.astype(np.float32), EncoderConfig(key_channels=64))
         want = full_bank_encode_key(img, 64)
         for name in STRIDES:
             assert getattr(got, name).data.dtype == np.float32
-            assert np.abs(getattr(got, name).data - want[name]).max() <= 1e-4
+        assert_same_sqdists(got, want, rtol=1e-4)
 
     def test_peak_memory_at_576(self):
         # only the two nonlinear channels and their temporaries are
@@ -287,6 +330,48 @@ class TestEncodeKey:
         assert not mat.flags.writeable
         fresh = np.random.default_rng(PROJECTION_SEED).standard_normal((64, 8)) / np.sqrt(8)
         assert np.array_equal(mat, fresh)
+
+    @pytest.mark.parametrize("key_channels", [4, 64])
+    def test_projection_factor_memoized_read_only(self, key_channels):
+        r = projection_factor(key_channels)
+        assert projection_factor(key_channels) is r
+        assert not r.flags.writeable
+        with pytest.raises(ValueError):
+            r[0, 0] = 1.0
+        # upper triangular, with the metric of the full projection
+        assert np.array_equal(r, np.triu(r))
+        p = projection_matrix(key_channels)
+        assert np.abs(r.T @ r - p.T @ p).max() <= 1e-14 * np.abs(p.T @ p).max()
+
+
+class TestFactorKeysMatchAsFullKeys:
+    """Keys projected by R give the matchers the distances that keys
+    projected by the full P give, so the same top-K tables and readouts."""
+
+    def test_same_topk_and_readouts(self):
+        # in float64 the scores differ by about 1e-15 of their range and the
+        # readouts by under 6e-14, while the K-th and (K+1)-th scores of a
+        # row lie at least 3.8e-5 of the range apart
+        rng = np.random.default_rng(79)
+        frames = [ndimage.gaussian_filter(rng.random((192, 192)), 3.0) for _ in range(3)]
+        cfg = EncoderConfig(key_channels=64)
+        for name, patch in (("scale4", 4), ("scale3", 6)):
+            r_keys = [getattr(encode_key(f, cfg), name) for f in frames]
+            p_keys = [FeatureGrid(full_bank_encode_key(f, 64)[name]) for f in frames]
+            assert (r_keys[0].channels, p_keys[0].channels) == (8, 64)
+            values = [FeatureGrid(rng.random((3,) + r_keys[0].data.shape[1:]))
+                      for _ in frames[1:]]
+            layout = make_layout(r_keys[0].height, r_keys[0].width, patch)
+            scores = [patch_affinity(unfold(keys[0], layout),
+                                     [unfold(k, layout) for k in keys[1:]])
+                      for keys in (r_keys, p_keys)]
+            assert np.abs(scores[0] - scores[1]).max() <= 1e-13 * np.abs(scores[1]).max()
+            topk = [topk_select(sc, 4) for sc in scores]
+            assert np.array_equal(topk[0].ids, topk[1].ids)
+            for match in (lambda keys: plmm_forward(keys[0], keys[1:], values, patch, 4).readout,
+                          lambda keys: dense_readout(keys[0], keys[1:], values)):
+                got, want = match(r_keys).data, match(p_keys).data
+                assert np.abs(got - want).max() <= 1e-12
 
 
 def soft_map(labels, dtype):

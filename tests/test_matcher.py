@@ -244,6 +244,12 @@ def pair_blocks(q, mk, mv, patch, ids):
         lo += len(blk.q_pix)
 
 
+def unblocked(monkeypatch):
+    """Let the pixel stage run in one block: no byte budget, no padding cap."""
+    monkeypatch.setattr(matcher, "_LOGIT_BLOCK_BYTES", 1 << 62)
+    monkeypatch.setattr(matcher, "_PAD_SHARE", np.inf)
+
+
 def block_count(q, mk, mv, patch, ids):
     """Number of blocks the pixel stage splits a forward pass into."""
     return sum(1 for _ in pair_blocks(q, mk, mv, patch, ids))
@@ -520,13 +526,15 @@ class TestPlmmForward:
         rng = np.random.default_rng(43)
         q, mk, mv = random_maps(rng, t=3, h=72, w=72, c_key=64, c_val=4)
         budget = matcher._LOGIT_BLOCK_BYTES if budget_mib is None else budget_mib << 20
+        share = matcher._PAD_SHARE
         for (q,), mk, mv in [([q], mk, mv), (as_float32([q]), as_float32(mk), as_float32(mv))]:
             monkeypatch.setattr(matcher, "_LOGIT_BLOCK_BYTES", budget)
+            monkeypatch.setattr(matcher, "_PAD_SHARE", share)
             counter = OpCounter()
             blocked = plmm_forward(q, mk, mv, patch=12, k=4, counter=counter)
             assert counter.pixel_pairs == 121 * 4 * 144 * 144
             assert block_count(q, mk, mv, 12, blocked.topk.ids) > 10
-            monkeypatch.setattr(matcher, "_LOGIT_BLOCK_BYTES", 1 << 62)
+            unblocked(monkeypatch)
             assert len(np.unique(one_block_counts(q, mk, mv, 12, blocked.topk.ids))) > 1
             whole = plmm_forward(q, mk, mv, patch=12, k=4)
             assert np.array_equal(blocked.topk.ids, whole.topk.ids)
@@ -664,7 +672,7 @@ class TestChannelsLastGather:
         n_blocks = block_count(q, mk, mv, 6, topk.ids)
         assert n_blocks == 144 if budget_kib else n_blocks > 2
         blocked = plmm_backward(q, mk, mv, 6, topk, upstream)
-        monkeypatch.setattr(matcher, "_LOGIT_BLOCK_BYTES", 1 << 62)
+        unblocked(monkeypatch)
         assert len(np.unique(one_block_counts(q, mk, mv, 6, topk.ids))) > 1
         whole = plmm_backward(q, mk, mv, 6, topk, upstream)
         assert np.array_equal(blocked[0], whole[0])
@@ -814,6 +822,24 @@ class TestCellStage:
                         <= matcher._LOGIT_BLOCK_BYTES)
             mixed += len(np.unique(counts)) > 1
         assert mixed >= 1
+
+    @pytest.mark.parametrize("c_key", [3, 64])
+    def test_padding_share_is_capped(self, monkeypatch, c_key):
+        # a 12 x 12 map with P = 4 has 36 query cells of 14 to 51 pairs, which
+        # the budget alone fits in 1 (3 channels) or 4 (64 channels) blocks,
+        # padded to 1.54x or 1.15x the distinct pairs; capped, 1.09x and 1.08x
+        rng = np.random.default_rng(52)
+        q, mk, mv = random_maps(rng, t=3, h=12, w=12, c_key=c_key, c_val=4)
+        ids = plmm_forward(q, mk, mv, patch=4, k=4).topk.ids
+        cap = 1 + matcher._PAD_SHARE
+        blocks = [(blk.e.shape[0] * blk.e.shape[2], counts.sum())
+                  for blk, counts in pair_blocks(q, mk, mv, 4, ids)]
+        assert all(padded <= cap * real for padded, real in blocks)
+        padded, real = np.sum(blocks, axis=0)
+        monkeypatch.setattr(matcher, "_PAD_SHARE", np.inf)
+        uncapped = sum(blk.e.shape[0] * blk.e.shape[2]
+                       for blk, _ in pair_blocks(q, mk, mv, 4, ids))
+        assert uncapped > cap * real >= padded > real
 
 
 class TestDenseReadout:
