@@ -364,6 +364,10 @@ def main(argv=None):
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:
+        # a backstop: the configuration checks refuse the sizes known to fail
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -53,6 +53,9 @@ BLUR_SIGMAS = (1.0, 2.0, 4.0)
 # intensity, the blurs, gradient magnitude, local std, row and column
 RAW_CHANNELS = 3 + len(BLUR_SIGMAS) + 2
 PROJECTION_SEED = 1234
+# Largest key_channels: P is drawn in full, (key_channels, RAW_CHANNELS)
+# float64, before its triangular factor is taken; 4096 rows are 256 KB.
+MAX_KEY_CHANNELS = 4096
 
 
 @dataclass(frozen=True)
@@ -62,16 +65,17 @@ class EncoderConfig:
     Attributes:
         key_channels: the row count of the random projection P, which fixes
             the key metric; keys have min(key_channels, RAW_CHANNELS)
-            channels (see ``projection_factor``).
+            channels (see ``projection_factor``). At most
+            MAX_KEY_CHANNELS.
     """
 
     key_channels: int = 32
 
     def __post_init__(self):
         checked_fields(self, ParameterError)
-        if self.key_channels < 1:
+        if not 1 <= self.key_channels <= MAX_KEY_CHANNELS:
             raise ParameterError(
-                f"key_channels must be positive, got {self.key_channels}")
+                f"key_channels must lie in 1..{MAX_KEY_CHANNELS}, got {self.key_channels}")
 
 
 def _gaussian_matrix(n, sigma):

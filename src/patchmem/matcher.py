@@ -14,10 +14,12 @@ scores are computed with the Gram expansion ``2 a.b - ||a||^2 - ||b||^2``,
 which rounds: an identical pair scores 0 only up to a few units of rounding
 of ``||a||^2``, of either sign, and swapping the two arguments can change
 the last bits of a score. Softmax rows are stabilized by subtracting the
-row maximum. The patch path computes its pixel logits as
-``2 q.m - ||m||^2``, one dot product of ``[2q, 1]`` with ``[m, -||m||^2]``:
-the dropped ``-||q||^2`` is constant along each softmax row, so the weights
-do not change.
+row maximum, and logits are raised to ``_EXP_FLOOR`` before exp, half the
+log of the dtype's smallest normal number, so that no weight, and no
+product of two weights, is subnormal. The patch path computes its pixel
+logits as ``2 q.m - ||m||^2``, one dot product of ``[2q, 1]`` with
+``[m, -||m||^2]``: the dropped ``-||q||^2`` is constant along each softmax
+row, so the weights do not change.
 
 The pixel stage works on cells, the stride x stride tiles the layout is
 built from: a query patch is 2 x 2 query cells and a selected memory patch
@@ -64,17 +66,26 @@ from .patcher import PatchGrid, coverage_map, fold, make_layout, unfold
 _LOGIT_BLOCK_BYTES = 1 << 20
 
 # Most padded slots a block of the pixel stage may add, as a share of its
-# real pairs: without the cap, a small map that fits the budget in one
-# block pads its cells to about 1.5x its pairs.
+# real pairs: without the cap, a map that fits the budget in one block pads
+# its cells to about 1.3-1.9x its pairs. A map whose padding as one block
+# fills under this share of the budget is not capped: on a 2-vCPU Xeon a
+# block's fixed cost, about 0.1 ms, is the arithmetic of about 100 KB of
+# slots, more than such a map's padding.
 _PAD_SHARE = 0.125
 
-# Pixel logits are raised to a floor of their dtype, after their row max is
-# subtracted, before exp: about ln of the dtype's smallest normal number
-# (2.2e-308 for float64, 1.2e-38 for float32), so e^floor is still normal,
-# while numpy's exp of anything lower (a subnormal or zero result) takes a
-# path 15-200x slower. Beside the row max's e^0 = 1, a raised term lies far
-# below the rounding of any sum.
-_EXP_FLOOR = {np.dtype(np.float64): -708.0, np.dtype(np.float32): -87.0}
+# Logits are raised to a floor F of their dtype, after their row max is
+# subtracted, before exp: F = ceil(ln(tiny) / 2), tiny the dtype's smallest
+# normal number, so -354 for float64 and -43 for float32. Then e^F and the
+# product of two floored factors, e^(2F) >= tiny, are still normal: numpy
+# sets no flush-to-zero, and on x86 a subnormal operand or result takes a
+# microcode assist (a pixel-stage readout GEMM with 70 % of its weights at
+# e^-87 ran 12x slower on a Xeon than with them at e^-43). A raised
+# term overstates its weight by at most e^F against the row max's e^0 = 1,
+# so a row of n terms moves its sum by at most n e^F: 8e-16 for the 3,888
+# memory pixels of a float32 dense row at working side 288, far below half
+# an ulp of 1 (6e-8). Only weights already below about e^F change.
+_EXP_FLOOR = {np.dtype(d): float(np.ceil(np.log(np.finfo(d).tiny) / 2))
+              for d in (np.float64, np.float32)}
 
 
 @dataclass
@@ -158,7 +169,9 @@ def _pixel_rows(grids, last, dtype):
 
 def _floored_exp(x):
     """exp of ``x`` in place, after raising every entry to the _EXP_FLOOR of
-    its dtype."""
+    its dtype, ceil(ln(tiny) / 2): every result and every product of two
+    results is a normal number, and a raised entry's weight grows by at
+    most e^floor (2.1e-19 in float32) against a row max of 1."""
     np.maximum(x, _EXP_FLOOR[x.dtype], out=x)
     return np.exp(x, out=x)
 
@@ -318,10 +331,12 @@ def _pair_blocks(q_key, mem_keys, mem_values, layout, topk, dtype):
     its multiset, each rescaled by beta = exp(pair max - item max); in exact
     arithmetic this is the softmax over the item's patch selection and its
     readout. Padded slots are never read; a block ends before they would
-    pass _PAD_SHARE of its real pairs. The logits and the operands
-    gathered for them, all of ``dtype``, padded slots included, fit in
-    _LOGIT_BLOCK_BYTES per block, in buffers allocated once per call: a
-    block's arrays are views that the next block overwrites.
+    pass _PAD_SHARE of its real pairs, unless the whole map padded as one
+    block adds under _PAD_SHARE of _LOGIT_BLOCK_BYTES, less than a cut
+    costs. The logits and the operands gathered for them, all of
+    ``dtype``, padded slots included, fit in _LOGIT_BLOCK_BYTES per block,
+    in buffers allocated once per call: a block's arrays are views that the
+    next block overwrites.
 
     Yields a _PairBlock per block of B cells from processing position lo:
         q_pix: (B, S^2) flat query pixels of its cells, S the stride;
@@ -354,12 +369,18 @@ def _pair_blocks(q_key, mem_keys, mem_values, layout, topk, dtype):
     count = np.diff(start)
     k_cols, v_cols = key_rows.shape[1], val_rows.shape[1]
     per_pair = key_rows.itemsize * ss * (ss + k_cols + v_cols)
+    # a cut saves at most the padding of the whole map as one block; when that
+    # is under _PAD_SHARE of the budget, it saves less than the fixed cost of
+    # one more block, so only the budget cuts
+    cap = 1.0 + _PAD_SHARE
+    if (n_cells * count[-1] - start[-1]) * per_pair <= _PAD_SHARE * _LOGIT_BLOCK_BYTES:
+        cap = np.inf
     # cells lo..hi-1 take (hi - lo) * count[hi - 1] slots, ascending in hi
     bounds = []
     lo = 0
     while lo < n_cells:
         slots = np.arange(1, n_cells - lo + 1) * count[lo:]
-        padded = np.flatnonzero(slots > (1.0 + _PAD_SHARE) * np.cumsum(count[lo:]))
+        padded = np.flatnonzero(slots > cap * np.cumsum(count[lo:]))
         fits = np.searchsorted(slots, _LOGIT_BLOCK_BYTES // per_pair, side="right")
         hi = lo + max(1, min([fits, *padded[:1]]))
         bounds.append((lo, hi))

@@ -72,6 +72,11 @@ from .matcher import dense_readout, plmm_forward
 from .patcher import make_layout
 from .pyramid import match_multiscale
 
+# Largest working side, explicit or derived from the patch size: the engine
+# resamples each frame to it and decodes soft maps at it, so one 4-class
+# float32 map of a 2048 x 2048 frame takes 64 MB.
+MAX_WORKING_SIDE = 2048
+
 # The dtype the frames and the seed are converted to, so of every working
 # image, key, match, soft map and value pyramid; a fixed choice of the engine.
 _MATCH_DTYPE = np.float32
@@ -159,7 +164,9 @@ class PropagationConfig:
         matcher: "plmm" for patch-level matching, "dense" for the
             all-pairs reference.
         working_side: fixed working resolution (must be admissible);
-            None picks the smallest admissible size per axis.
+            None picks the smallest admissible size per axis. Either way,
+            a side over MAX_WORKING_SIDE is refused before the run
+            allocates anything.
         encoder: key encoder settings.
     """
 
@@ -312,6 +319,10 @@ class PropagationEngine:
         else:
             self.work_h = working_side_for(volume.height, cfg.patch)
             self.work_w = working_side_for(volume.width, cfg.patch)
+        side = max(self.work_h, self.work_w)
+        if side > MAX_WORKING_SIDE:
+            raise ParameterError(f"working side {side} for patch {cfg.patch} exceeds "
+                                 f"the largest supported, {MAX_WORKING_SIDE}")
 
         self.plan = plan_visits(self.partition, self.z0, volume.t_count,
                                 cfg.apex_t_max, cfg.continuity_mode)

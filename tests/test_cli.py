@@ -530,6 +530,40 @@ class TestPathArguments:
         assert str(tmp_path) in err[0]
 
 
+class TestOversizedConfig:
+    """A configuration too large to run is refused before anything is
+    allocated, with one error line and exit 1; a MemoryError that still
+    happens ends the same way."""
+
+    @pytest.mark.parametrize("extra,config", [
+        (["--patch", "1000000"], None),
+        (["--patch", "6", "--working-side", "2064"], None),
+        ([], {"encoder": {"key_channels": 100_000_000}}),
+    ], ids=["patch", "working-side", "key-channels"])
+    def test_exits_one(self, tmp_path, capsys, small_study, extra, config):
+        vol, seed = small_study
+        argv = ["propagate", "--volume", str(vol), "--seed-mask", str(seed),
+                "--out-masks", str(tmp_path / "m.cgrid"), *extra]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_memory_error_exits_one(self, tmp_path, capsys, small_study, monkeypatch):
+        def out_of_memory(volume, seed, cfg):
+            raise MemoryError("Unable to allocate 1.86 TiB for an array")
+
+        monkeypatch.setattr(cli, "run_4d", out_of_memory)
+        vol, seed = small_study
+        rc = main(["propagate", "--volume", str(vol), "--seed-mask", str(seed),
+                   "--out-masks", str(tmp_path / "m.cgrid")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: out of memory: Unable to allocate 1.86 TiB for an array"]
+
+
 class TestMalformedJsonFiles:
     """A JSON file that Python's parser cannot take ends in one error line
     and exit 1, whichever flag names it."""

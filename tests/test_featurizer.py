@@ -234,7 +234,7 @@ class TestBlurPoolOperators:
 
 
 class TestEncoderConfig:
-    @pytest.mark.parametrize("value", [0, -1, "a", 2.5, True, None])
+    @pytest.mark.parametrize("value", [0, -1, "a", 2.5, True, None, 4097, 10 ** 8])
     def test_key_channels_checked(self, value):
         with pytest.raises(ParameterError, match="key_channels"):
             EncoderConfig(key_channels=value)

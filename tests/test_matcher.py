@@ -14,12 +14,15 @@ patch, so it agrees with these oracles to rounding, not bit for bit.
 """
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from patchmem import matcher
+from patchmem import matcher, propagator, pyramid
 from patchmem.errors import DimensionError, ParameterError
+from patchmem.evalkit import PhantomSpec, gen_phantom
+from patchmem.featurizer import EncoderConfig
 from patchmem.grids import FeatureGrid
 from patchmem.matcher import (
     OpCounter,
@@ -32,6 +35,7 @@ from patchmem.matcher import (
     topk_select,
 )
 from patchmem.patcher import PatchGrid, coverage_map, fold, make_layout, scatter_add, unfold
+from patchmem.propagator import PropagationConfig, run_4d
 
 
 def loop_plmm_reference(q_key, mem_keys, mem_values, patch, k, topk_ids=None):
@@ -438,14 +442,14 @@ class TestReadout:
         values = FeatureGrid(np.random.default_rng(31).standard_normal((3, 4, 4)))
         w, res = plmm_weights(keys, [keys], [values], patch=4, k=1)
         # the other logits lie 1e4 and more below the row max; exp of them is
-        # taken at the floor, so their weights are at most e^-708, not 0
+        # taken at _EXP_FLOOR, so their weights are at most e^_EXP_FLOOR, not 0
         floor = matcher._EXP_FLOOR[np.dtype(np.float64)]
         assert np.allclose(w[0], np.eye(16), rtol=0, atol=np.exp(floor))
         assert np.allclose(res.readout.data, values.data, atol=1e-12)
 
     def test_one_hot_weights_copy_values_float32(self):
-        # as above in float32: the logits lie over 87 below the row max, so
-        # exp of them is taken at float32's floor
+        # as above in float32: the logits lie far below float32's
+        # _EXP_FLOOR under the row max, so exp of them is taken at the floor
         yy, xx = np.mgrid[0:4, 0:4]
         keys = FeatureGrid(100.0 * np.stack([yy, xx]).astype(np.float32))
         values = FeatureGrid(np.random.default_rng(31).standard_normal((3, 4, 4), np.float32))
@@ -841,6 +845,19 @@ class TestCellStage:
                        for blk, _ in pair_blocks(q, mk, mv, 4, ids))
         assert uncapped > cap * real >= padded > real
 
+    def test_small_map_runs_in_one_block(self):
+        # the first instance of acceptance criterion 02: 16 query cells of 6
+        # to 14 pairs pad to 1.34x as one block, yet that padding, 18 KB, is
+        # under _PAD_SHARE of the budget, less than the fixed cost of a cut,
+        # so the cap leaves the map in one block
+        rng = np.random.default_rng(1002)
+        q, mk, mv = (FeatureGrid(rng.standard_normal((2, 8, 8))),
+                     [FeatureGrid(rng.standard_normal((2, 8, 8)))],
+                     [FeatureGrid(rng.standard_normal((2, 8, 8)))])
+        ids = plmm_forward(q, mk, mv, patch=4, k=2).topk.ids
+        counts = one_block_counts(q, mk, mv, 4, ids)
+        assert len(counts) == 16 and 16 * counts.max() > (1 + matcher._PAD_SHARE) * counts.sum()
+
 
 class TestDenseReadout:
     def test_matches_loop_reference(self):
@@ -942,3 +959,75 @@ class TestDtypeRule:
         (q32,), mk32 = as_float32([q]), as_float32(mk)
         assert plmm_forward(q32, mk32, mv, patch=4, k=3).readout.data.dtype == np.float64
         assert dense_readout(q32, mk32, mv).data.dtype == np.float64
+
+
+def subnormals(x):
+    """Number of subnormal entries of a float array."""
+    return int(np.count_nonzero((x != 0) & (np.abs(x) < np.finfo(x.dtype).tiny)))
+
+
+class TestExpFloor:
+    """Logits are raised to _EXP_FLOOR before exp so that no weight, and no
+    product of two weights, is subnormal: numpy flushes nothing to zero, and
+    on x86 each subnormal operand or result takes a slow microcode assist."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_product_of_two_floored_weights_is_normal(self, dtype):
+        floor = matcher._EXP_FLOOR[np.dtype(dtype)]
+        tiny = np.finfo(dtype).tiny
+        assert floor == int(floor) and np.exp(dtype(2 * floor)) >= tiny
+        # the lowest integer floor that keeps it so
+        assert np.exp(2.0 * (floor - 1)) < tiny
+
+    @staticmethod
+    def census(monkeypatch, matcher_name):
+        """Subnormal entries met by one matcher over a 3 x 2 phantom study at
+        the benchmark's settings: working side 288, 64-channel keys (8 wide),
+        patch 6, K 4, both scales, float32, 4-class soft values."""
+        found = Counter()
+        floored_exp, pair_blocks = matcher._floored_exp, matcher._pair_blocks
+        plmm, dense = pyramid.plmm_forward, propagator.dense_readout
+
+        def counted_exp(x):  # e and beta of both matchers
+            out = floored_exp(x)
+            found["e, beta"] += subnormals(out)
+            return out
+
+        def counted_blocks(*args):
+            for blk in pair_blocks(*args):
+                found["item sums"] += subnormals(blk.sums)
+                found["item readouts"] += subnormals(blk.sums[:, :-1] / blk.sums[:, -1:])
+                yield blk
+
+        def counted_plmm(*args, **kwargs):
+            res = plmm(*args, **kwargs)
+            found["readout"] += subnormals(res.readout.data)
+            return res
+
+        def counted_dense(*args, **kwargs):
+            out = dense(*args, **kwargs)
+            found["readout"] += subnormals(out.data)
+            return out
+
+        monkeypatch.setattr(matcher, "_floored_exp", counted_exp)
+        monkeypatch.setattr(matcher, "_pair_blocks", counted_blocks)
+        monkeypatch.setattr(pyramid, "plmm_forward", counted_plmm)
+        monkeypatch.setattr(propagator, "dense_readout", counted_dense)
+        volume, truth = gen_phantom(PhantomSpec(z_count=3, t_count=2, seed=7))
+        cfg = PropagationConfig(z0=1, patch=6, k=4, matcher=matcher_name, working_side=288,
+                                encoder=EncoderConfig(key_channels=64))
+        run_4d(volume, truth.labels[1, 0], cfg)
+        return found
+
+    @pytest.mark.parametrize("matcher_name", ["plmm", "dense"])
+    def test_no_subnormal_in_a_study(self, monkeypatch, matcher_name):
+        assert sum(self.census(monkeypatch, matcher_name).values()) == 0
+
+    def test_census_sees_a_floor_at_ln_tiny(self, monkeypatch):
+        # with the floor at ln(tiny) = -87.3, rounded up, e^floor is normal
+        # but its product with a value below 0.71, or with a second floored
+        # weight, is not: the same study meets hundreds of subnormals
+        floor = float(np.ceil(np.log(np.finfo(np.float32).tiny)))
+        monkeypatch.setitem(matcher._EXP_FLOOR, np.dtype(np.float32), floor)
+        found = self.census(monkeypatch, "plmm")
+        assert found["e, beta"] == 0 and found["item sums"] > 100

@@ -217,6 +217,16 @@ class TestWorkingResolution:
         with pytest.raises(ParameterError):
             run_4d(vol, disc_seed(), cfg)
 
+    @pytest.mark.parametrize("overrides", [
+        dict(patch=6, working_side=2064),
+        dict(patch=1_000_000, working_side=None),
+    ], ids=["explicit", "derived-from-patch"])
+    def test_side_over_the_bound_is_refused(self, overrides):
+        # 2064 is admissible for patch 6; patch 10^6 derives a side of 1.6e7
+        cfg = PropagationConfig(scales=(4,), **overrides)
+        with pytest.raises(ParameterError, match="working side"):
+            PropagationEngine(smooth_volume(3, 2), cfg)
+
     def test_work_dims_reported(self):
         vol = smooth_volume(3, 2)
         result = run_4d(vol, disc_seed(), FAST)
