@@ -10,16 +10,16 @@ the query frame at a fraction of the cost of all-pairs pixel matching, which
 
 Similarity is the negated squared Euclidean distance, so in exact
 arithmetic identical vectors score 0 and everything else is negative. The
-scores are computed with the Gram expansion ``2 a.b - ||a||^2 - ||b||^2``,
-which rounds: an identical pair scores 0 only up to a few units of rounding
-of ``||a||^2``, of either sign, and swapping the two arguments can change
-the last bits of a score. Softmax rows are stabilized by subtracting the
-row maximum, and logits are raised to ``_EXP_FLOOR`` before exp, half the
-log of the dtype's smallest normal number, so that no weight, and no
-product of two weights, is subnormal. The patch path computes its pixel
-logits as ``2 q.m - ||m||^2``, one dot product of ``[2q, 1]`` with
-``[m, -||m||^2]``: the dropped ``-||q||^2`` is constant along each softmax
-row, so the weights do not change.
+patch affinity uses the Gram expansion ``2 a.b - ||a||^2 - ||b||^2``, which
+rounds: an identical pair scores 0 only up to a few units of rounding of
+``||a||^2``, of either sign, and swapping the arguments can change the last
+bits of a score. Both matchers score pixels by one dot product of query
+rows ``[2q, 1]`` with bank rows ``[m, -||m||^2]``, dropping ``-||q||^2``,
+which is constant along each softmax row. Softmax rows are stabilized by
+subtracting the row maximum, and logits are raised to ``_EXP_FLOOR`` before
+exp, half the log of the dtype's smallest normal number, so that no weight,
+and no product of two weights, is subnormal. Both read out by one product
+with value rows ``[v, 1]``, whose last column is the softmax denominator.
 
 The pixel stage works on cells, the stride x stride tiles the layout is
 built from: a query patch is 2 x 2 query cells and a selected memory patch
@@ -57,13 +57,19 @@ from .errors import DimensionError, ParameterError
 from .grids import FeatureGrid
 from .patcher import PatchGrid, coverage_map, fold, make_layout, unfold
 
-# Byte budget of one block: the pixel logits of a block of query cells with
-# the keys and values gathered for them, or the logits of a block of query
-# pixels in the dense path. Gather, logits, softmax and readout run block by
-# block, so the largest intermediate stays about the size of one core's L2
-# cache instead of growing with the query size; a query cell or pixel over
-# budget forms a block of its own.
+# Byte budget of one block of the pixel stage: the logits of a block of query
+# cells with the keys and values gathered for them. Gather, logits, softmax
+# and readout run block by block, so the largest intermediate stays about one
+# core's L2 cache; a query cell over budget forms a block of its own.
 _LOGIT_BLOCK_BYTES = 1 << 20
+
+# Byte budget of the logits of a block of query pixels in the dense path. Its
+# five numpy calls per block make small blocks that stay in L2 pay: the 70
+# dense_readout calls of a paper-288-dense study (seed 7, one BLAS thread, Xeon
+# with 2 MiB of L2 per core) took 286 ms at 512 KiB, 341 at 1 MiB, faster in 19
+# of 20 alternating rounds (256 KiB: 13). The pixel stage, ~25 calls per block,
+# took 2 % longer at 512 KiB and 25 % at 256 KiB.
+_DENSE_BLOCK_BYTES = 1 << 19
 
 # Most padded slots a block of the pixel stage may add, as a share of its
 # real pairs: without the cap, a map that fits the budget in one block pads
@@ -131,17 +137,14 @@ class TopKIndex:
         return self._pairs[key]
 
 
-def _neg_sqdist(a, b, bb=None):
+def _neg_sqdist(a, b):
     """Pairwise -||a_i - b_j||^2 via the Gram expansion, (n, m) for (n,d),(m,d).
 
     Not exact: a_i == b_j can score a tiny nonzero value, and
-    _neg_sqdist(a, b) need not equal _neg_sqdist(b, a).T bit for bit. A
-    caller that scores many blocks of rows against one ``b`` passes its
-    squared row norms as ``bb``.
+    _neg_sqdist(a, b) need not equal _neg_sqdist(b, a).T bit for bit.
     """
     aa = (a * a).sum(axis=1)
-    if bb is None:
-        bb = (b * b).sum(axis=1)
+    bb = (b * b).sum(axis=1)
     # the operations of 2 a.b - aa - bb in their order, in one buffer
     s = a @ b.T
     s *= 2.0
@@ -165,6 +168,17 @@ def _pixel_rows(grids, last, dtype):
     rows = rows.reshape(len(grids) * h * w, c + 1)
     rows[:, c] = last
     return rows
+
+
+def _match_rows(q_key, mem_keys, mem_values, dtype):
+    """The query rows [2q, 1], bank key rows [m, -||m||^2] and value rows
+    [v, 1] of a match: a query row dotted with a key row is -||q - m||^2 up
+    to the row constant -||q||^2."""
+    q_rows = _pixel_rows([q_key], 1.0, dtype)
+    q_rows[:, :-1] *= 2.0
+    key_rows = _pixel_rows(mem_keys, np.concatenate(
+        [-(mk.data * mk.data).sum(axis=0).ravel() for mk in mem_keys]), dtype)
+    return q_rows, key_rows, _pixel_rows(mem_values, 1.0, dtype)
 
 
 def _floored_exp(x):
@@ -360,12 +374,7 @@ def _pair_blocks(q_key, mem_keys, mem_values, layout, topk, dtype):
     n_cells = len(cells)
     cy, cx = np.divmod(np.arange(n_cells), layout.n_w + 1)
     cell_pix = ((cy * w + cx) * s)[:, None] + (np.arange(s)[:, None] * w + np.arange(s)).ravel()
-    q_rows = _pixel_rows([q_key], 1.0, dtype)
-    q_rows[:, :-1] *= 2.0
-    # -||q - m||^2 up to the row constant -||q||^2, as one dot product
-    key_rows = _pixel_rows(mem_keys, np.concatenate(
-        [-(mk.data * mk.data).sum(axis=0).ravel() for mk in mem_keys]), dtype)
-    val_rows = _pixel_rows(mem_values, 1.0, dtype)
+    q_rows, key_rows, val_rows = _match_rows(q_key, mem_keys, mem_values, dtype)
     count = np.diff(start)
     k_cols, v_cols = key_rows.shape[1], val_rows.shape[1]
     per_pair = key_rows.itemsize * ss * (ss + k_cols + v_cols)
@@ -536,30 +545,21 @@ def dense_readout(q_key, mem_keys, mem_values, counter=None):
     """All-pairs pixel matching, the reference path.
 
     Every query pixel is matched by softmax against every memory pixel of
-    every frame; no patches, no top-K. Quadratic in H*W, so query rows are
-    processed in blocks whose logits fit in _LOGIT_BLOCK_BYTES, the budget of
-    the patch path. It reads out as the patch path does: the floored exp of
-    the logits minus their row max, one GEMM against the value rows [v, 1],
-    then a division by the last column, the softmax denominator; no
-    normalized weight matrix is formed.
+    every frame; no patches, no top-K. Quadratic in H*W, so query rows run
+    in blocks whose logits fit in _DENSE_BLOCK_BYTES. As in the pixel stage,
+    a block's logits are one GEMM of its rows [2q, 1] with the bank rows
+    [m, -||m||^2], and the floored exp of the logits minus their row max
+    meets the value rows [v, 1] in one GEMM, divided by its last column.
     """
     dtype = _check_bank(q_key, mem_keys, mem_values)
-    h, w, c_k = q_key.height, q_key.width, q_key.channels
-    c_v = mem_values[0].channels
-    t = len(mem_keys)
-    hw = h * w
-    q_pix = q_key.data.reshape(c_k, hw).T
-    m_pix = np.concatenate([mk.data.reshape(c_k, hw).T for mk in mem_keys], axis=0)
-    val_rows = _pixel_rows(mem_values, 1.0, dtype)
-
-    out = np.empty((hw, c_v), dtype=dtype)
-    m_sq = (m_pix * m_pix).sum(axis=1)
-    block = max(1, _LOGIT_BLOCK_BYTES // (dtype.itemsize * t * hw))
-    for lo in range(0, hw, block):
-        e = _neg_sqdist(q_pix[lo:lo + block], m_pix, m_sq)
+    q_rows, key_rows, val_rows = _match_rows(q_key, mem_keys, mem_values, dtype)
+    out = np.empty((len(q_rows), val_rows.shape[1] - 1), dtype=dtype)
+    block = max(1, _DENSE_BLOCK_BYTES // (dtype.itemsize * len(key_rows)))
+    for lo in range(0, len(q_rows), block):
+        e = q_rows[lo:lo + block] @ key_rows.T
         e -= e.max(axis=1, keepdims=True)
         sums = _floored_exp(e) @ val_rows
         out[lo:lo + block] = sums[:, :-1] / sums[:, -1:]
     if counter is not None:
-        counter.pixel_pairs += t * hw * hw
-    return FeatureGrid(out.T.reshape(c_v, h, w))
+        counter.pixel_pairs += len(q_rows) * len(key_rows)
+    return FeatureGrid(out.T.reshape(-1, q_key.height, q_key.width))
