@@ -29,7 +29,6 @@ from .errors import (
     ParameterError,
     PartitionError,
     PhantomSpecError,
-    PyramidError,
     SchedulingError,
     StateError,
 )
@@ -53,7 +52,7 @@ EXIT_VERIFY = 3
 
 _USAGE_ERRORS = (ParameterError, PhantomSpecError, PartitionError)
 _DATA_ERRORS = (ContainerError, DataError, DimensionError, LabelError,
-                LayoutError, PyramidError, SchedulingError, StateError)
+                LayoutError, SchedulingError, StateError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -243,6 +242,7 @@ def cmd_bench(args):
         print(f"T={r.t} H={r.h} W={r.w} P={r.patch} K={r.k} scale={r.scale} "
               f"patch {r.measured_patch_pairs}/{r.predicted_patch_pairs} "
               f"pixel {r.measured_pixel_pairs}/{r.predicted_pixel_pairs} "
+              f"dense {r.measured_dense_pairs}/{r.predicted_dense_pairs} "
               f"plmm {r.plmm_ms:.2f} ms dense {r.dense_ms:.2f} ms [{status}]")
     if not report.all_match:
         print("operation counts disagree with the closed forms", file=sys.stderr)

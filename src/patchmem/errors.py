@@ -29,10 +29,6 @@ class StateError(PatchmemError):
     """An operation was called before its required state was produced."""
 
 
-class PyramidError(PatchmemError):
-    """Per-scale grids do not form a valid two-scale pyramid."""
-
-
 class PartitionError(PatchmemError):
     """A slice-region partition request leaves a region empty."""
 

@@ -434,6 +434,7 @@ class ComplexityReport:
                 "T", "H", "W", "P", "K", "scale",
                 "predicted_patch_pairs", "measured_patch_pairs",
                 "predicted_pixel_pairs", "measured_pixel_pairs",
+                "predicted_dense_pairs", "measured_dense_pairs",
                 "plmm_ms", "dense_ms",
             ])
             for r in self.rows:
@@ -441,6 +442,7 @@ class ComplexityReport:
                     r.t, r.h, r.w, r.patch, r.k, r.scale,
                     r.predicted_patch_pairs, r.measured_patch_pairs,
                     r.predicted_pixel_pairs, r.measured_pixel_pairs,
+                    r.predicted_dense_pairs, r.measured_dense_pairs,
                     f"{r.plmm_ms:.3f}", f"{r.dense_ms:.3f}",
                 ])
 
@@ -463,6 +465,12 @@ def default_bench_grid():
     ]
 
 
+# Random inputs of check_complexity: key and value channels, generator seed.
+_BENCH_KEY_CHANNELS = 8
+_BENCH_VALUE_CHANNELS = 4
+_BENCH_SEED = 0
+
+
 def _median_ms(fn, reps):
     times = []
     for _ in range(reps):
@@ -472,20 +480,22 @@ def _median_ms(fn, reps):
     return float(np.median(times))
 
 
-def check_complexity(configs=None, reps=5, c_key=8, c_val=4, seed=0):
+def check_complexity(configs=None, reps=5):
     """Run the matcher over a config grid and compare counters to closed forms.
 
     For each config the scale-4 pass predicts T*N^2 patch pairs and
     N*K*(P^2)^2 pixel pairs; the dense path predicts T*(H*W)^2. Configs with
     a scale-3 entry additionally run the lifted pass at doubled dims and
     patch size, which must add zero patch pairs and N*K*((2P)^2)^2 pixel
-    pairs. Wall times are medians over the given repetitions.
+    pairs. Inputs are standard normal, _BENCH_KEY_CHANNELS of keys and
+    _BENCH_VALUE_CHANNELS of values, drawn from _BENCH_SEED. Wall times are
+    medians over the given repetitions.
     """
     if reps < 1:
         raise ParameterError(f"reps must be at least 1, got {reps}")
     if configs is None:
         configs = default_bench_grid()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_BENCH_SEED)
     rows = []
     for cfg in configs:
         prev = None  # scale 4's top-K table and layout, which scale 3 lifts
@@ -494,9 +504,11 @@ def check_complexity(configs=None, reps=5, c_key=8, c_val=4, seed=0):
             h, w, p = f * cfg.h, f * cfg.w, f * cfg.patch
             layout = make_layout(h, w, p)
             lifted = None if prev is None else lift_topk(*prev, layout)
-            q = FeatureGrid(rng.standard_normal((c_key, h, w)))
-            mk = [FeatureGrid(rng.standard_normal((c_key, h, w))) for _ in range(cfg.t)]
-            mv = [FeatureGrid(rng.standard_normal((c_val, h, w))) for _ in range(cfg.t)]
+            q = FeatureGrid(rng.standard_normal((_BENCH_KEY_CHANNELS, h, w)))
+            mk = [FeatureGrid(rng.standard_normal((_BENCH_KEY_CHANNELS, h, w)))
+                  for _ in range(cfg.t)]
+            mv = [FeatureGrid(rng.standard_normal((_BENCH_VALUE_CHANNELS, h, w)))
+                  for _ in range(cfg.t)]
 
             counter = OpCounter()
             res = plmm_forward(q, mk, mv, p, cfg.k, counter=counter, topk_override=lifted)

@@ -44,10 +44,10 @@ from .grids import (
     renormalized,
     resize_bilinear,
 )
-from .pyramid import FeaturePyramid
 
-STRIDE_SCALE4 = 16
-STRIDE_SCALE3 = 8
+# Feature stride of each pyramid scale. A pyramid is a {scale: FeatureGrid}
+# dict; scale 3 is exactly twice the size of scale 4 in both dims.
+STRIDES = {4: 16, 3: 8}
 _VAR_CLAMP = 1e-6
 BLUR_SIGMAS = (1.0, 2.0, 4.0)
 # intensity, the blurs, gradient magnitude, local std, row and column
@@ -167,24 +167,24 @@ def pooled_raw_channels(image):
         image: (H, W) array with values in [0, 1], dims multiples of 16.
 
     Returns:
-        {"scale4": (RAW_CHANNELS, H/16, W/16), "scale3": (RAW_CHANNELS,
-        H/8, W/8)} arrays, float32 for a float32 image and float64 for
-        any other. Channels in order: intensity, one Gaussian blur per entry
-        of BLUR_SIGMAS, gradient magnitude, 3x3 local standard deviation,
-        then the row and column coordinates.
+        {scale: (RAW_CHANNELS, H/stride, W/stride)} arrays, one per scale of
+        STRIDES, float32 for a float32 image and float64 for any other.
+        Channels in order: intensity, one Gaussian blur per entry of
+        BLUR_SIGMAS, gradient magnitude, 3x3 local standard deviation, then
+        the row and column coordinates.
     """
     image = real_array(image)
     if image.ndim != 2:
         raise DimensionError(f"encoder expects an (H, W) frame, got {image.shape}")
     h, w = image.shape
-    if not h or not w or h % STRIDE_SCALE4 or w % STRIDE_SCALE4:
+    if not h or not w or h % STRIDES[4] or w % STRIDES[4]:
         raise DimensionError(
-            f"frame dims ({h}, {w}) must be positive multiples of {STRIDE_SCALE4}")
+            f"frame dims ({h}, {w}) must be positive multiples of {STRIDES[4]}")
     dtype = image.dtype
     nonlinear = _nonlinear_channels(image)
     linear = 1 + len(BLUR_SIGMAS)
     out = {}
-    for name, stride in (("scale4", STRIDE_SCALE4), ("scale3", STRIDE_SCALE3)):
+    for scale, stride in STRIDES.items():
         rows_op = _blur_pool_operators(h, stride, dtype)
         cols_op = _blur_pool_operators(w, stride, dtype)
         gh, gw = h // stride, w // stride
@@ -194,7 +194,7 @@ def pooled_raw_channels(image):
         raw[linear:linear + 2] = downsample_avg(nonlinear, stride).data
         raw[-2] = (rows_op[0] @ (np.arange(h, dtype=dtype) / (h - 1)))[:, None]
         raw[-1] = cols_op[0] @ (np.arange(w, dtype=dtype) / (w - 1))
-        out[name] = raw
+        out[scale] = raw
     return out
 
 
@@ -240,7 +240,7 @@ def _standardize(data):
 
 
 def encode_key(image, cfg=EncoderConfig()):
-    """Encode one frame into a two-scale key pyramid.
+    """Encode one frame into a two-scale key pyramid, {scale: FeatureGrid}.
 
     The frame dims must be divisible by 16. The standardized bank is
     projected by ``projection_factor(cfg.key_channels)``, so keys have
@@ -250,69 +250,61 @@ def encode_key(image, cfg=EncoderConfig()):
     """
     proj = projection_factor(cfg.key_channels)
     grids = {}
-    for name, raw in pooled_raw_channels(image).items():
+    for scale, raw in pooled_raw_channels(image).items():
         std = _standardize(raw)
         c, gh, gw = std.shape
         projected = (proj.astype(std.dtype, copy=False) @ std.reshape(c, gh * gw)).reshape(
             len(proj), gh, gw)
-        grids[name] = FeatureGrid(projected)
-    return FeaturePyramid(scale4=grids["scale4"], scale3=grids["scale3"])
+        grids[scale] = FeatureGrid(projected)
+    return grids
 
 
 def encode_value(labels_soft):
-    """Area-average a soft label map down to the two matching strides.
+    """Area-average a soft label map down to the matching strides.
 
-    Pooling preserves normalization exactly, so each pooled cell is still a
-    probability vector. The pyramid has the map's dtype.
+    Returns a {scale: FeatureGrid} pyramid of the map's dtype. Pooling
+    preserves normalization exactly, so each pooled cell is still a
+    probability vector.
     """
     if not isinstance(labels_soft, SoftLabelMap):
         raise ParameterError("encode_value expects a SoftLabelMap")
     h, w = labels_soft.height, labels_soft.width
-    if h % STRIDE_SCALE4 or w % STRIDE_SCALE4:
+    if h % STRIDES[4] or w % STRIDES[4]:
         raise DimensionError(
-            f"soft map dims ({h}, {w}) must be divisible by {STRIDE_SCALE4}")
-    g3 = downsample_avg(labels_soft.probabilities, STRIDE_SCALE3)
-    g4 = downsample_avg(labels_soft.probabilities, STRIDE_SCALE4)
-    for g in (g3, g4):
-        sums = g.data.sum(axis=0)
-        if np.abs(sums - 1.0).max() > 1e-5:
+            f"soft map dims ({h}, {w}) must be divisible by {STRIDES[4]}")
+    grids = {}
+    for scale, stride in STRIDES.items():
+        g = downsample_avg(labels_soft.probabilities, stride)
+        if np.abs(g.data.sum(axis=0) - 1.0).max() > 1e-5:
             raise DimensionError("pooled value grid lost probability normalization")
-    return FeaturePyramid(scale4=g4, scale3=g3)
+        grids[scale] = g
+    return grids
 
 
-def decode(readout3, readout4):
+def decode(readouts):
     """Fuse per-scale readouts back into a full-resolution soft label map.
 
-    Either readout may be None (single-scale mode) but not both. Both are
-    bilinearly upsampled to full resolution (stride 8 and 16 respectively),
-    averaged when both are present, clamped to [0, 1], and renormalized
-    per pixel (``grids.renormalized``). The map has the readouts' dtype.
+    ``readouts`` maps one or more scales of STRIDES to their readout grids,
+    which must imply one map: the same channels and the same size once
+    multiplied by their strides. Each is bilinearly upsampled by its stride
+    to full resolution, finest scale first; the scales are averaged,
+    clamped to [0, 1], and renormalized per pixel
+    (``grids.renormalized``). The map has the readouts' dtype.
     """
-    if readout3 is None and readout4 is None:
-        raise ParameterError("decode needs at least one scale")
-    if readout3 is not None and readout4 is not None:
-        if readout3.channels != readout4.channels:
-            raise DimensionError(
-                f"scale channel mismatch: {readout3.channels} vs {readout4.channels}")
-        if (readout3.height * STRIDE_SCALE3 != readout4.height * STRIDE_SCALE4
-                or readout3.width * STRIDE_SCALE3 != readout4.width * STRIDE_SCALE4):
-            raise DimensionError("per-scale readout dims imply different resolutions")
-    if readout3 is not None:
-        out_h = readout3.height * STRIDE_SCALE3
-        out_w = readout3.width * STRIDE_SCALE3
-    else:
-        out_h = readout4.height * STRIDE_SCALE4
-        out_w = readout4.width * STRIDE_SCALE4
-
-    ups = []
-    if readout3 is not None:
-        ups.append(resize_bilinear(readout3.data, out_h, out_w))
-    if readout4 is not None:
-        ups.append(resize_bilinear(readout4.data, out_h, out_w))
+    if not readouts or not readouts.keys() <= STRIDES.keys():
+        raise ParameterError(
+            f"decode needs readouts at one or more of the scales {sorted(STRIDES)}, "
+            f"got {sorted(readouts)}")
+    maps = {(r.channels, r.height * STRIDES[s], r.width * STRIDES[s])
+            for s, r in readouts.items()}
+    if len(maps) > 1:
+        raise DimensionError(f"per-scale readouts imply different maps: {sorted(maps)}")
+    ((_, out_h, out_w),) = maps
     # resize_bilinear returns fresh arrays, so fusing in place touches no input
+    ups = [resize_bilinear(readouts[s].data, out_h, out_w) for s in sorted(readouts)]
     fused = ups[0]
-    if len(ups) == 2:
-        fused += ups[1]
-        fused *= 0.5
+    for up in ups[1:]:
+        fused += up
+    if len(ups) > 1:
+        fused *= 1.0 / len(ups)
     return SoftLabelMap(renormalized(fused))
-

@@ -472,16 +472,15 @@ def _checked_header(blob, path):
     if not isinstance(dtype_name, str) or (order, dtype_name) not in _KINDS:
         raise UnsupportedDtypeError(
             f"unsupported dtype {dtype_name!r} for order {order} in {path}")
-    # bool is a subclass of int, json parses NaN and Infinity as floats, and
-    # an int past the float range would overflow when converted
+    # bool is a subclass of int
     if not isinstance(dims, list) or len(dims) != len(order) or any(
             type(d) is not int or d < 1 for d in dims):
         raise ContainerFormatError(f"dims {dims!r} do not match order {order!r} in {path}")
-    if (not isinstance(spacing, list) or len(spacing) != 2
-            or any(type(s) not in (int, float) or not 0 < s <= sys.float_info.max
-                   for s in spacing)):
-        raise ContainerFormatError(f"bad spacing_mm {spacing!r} in {path}")
-    return (order, dtype_name), dims, tuple(spacing)
+    try:
+        spacing = _checked_spacing(spacing)
+    except ParameterError as exc:
+        raise ContainerFormatError(f"bad spacing_mm in {path}: {exc}") from exc
+    return (order, dtype_name), dims, spacing
 
 
 def load_container(path):

@@ -81,6 +81,10 @@ MAX_WORKING_SIDE = 2048
 # image, key, match, soft map and value pyramid; a fixed choice of the engine.
 _MATCH_DTYPE = np.float32
 
+# Foreground classes of a mask (LV, myocardium, RV); soft maps add one
+# channel, the background.
+_NUM_CLASSES = 3
+
 REGION_BASAL = "basal"
 REGION_MIDDLE = "middle"
 REGION_APEX = "apex"
@@ -134,12 +138,13 @@ def partition_regions(z_count, fractions=(1.0 / 3.0, 1.0 / 3.0)):
 
 @dataclass
 class BankEntry:
-    """One memory frame: its index plus encoded key and value pyramids."""
+    """One memory frame: its index plus its key and value pyramids, each a
+    {scale: FeatureGrid} dict."""
 
     z: int
     t: int
-    keys: object
-    values: object
+    keys: dict
+    values: dict
 
     @property
     def frame_id(self):
@@ -359,8 +364,8 @@ class PropagationEngine:
 
     # seeding --------------------------------------------------------------
 
-    def seed_anchor(self, seed_labels, num_classes=3):
-        """Install the annotated mask at (z0, 0)."""
+    def seed_anchor(self, seed_labels):
+        """Install the annotated mask, labels 0.._NUM_CLASSES, at (z0, 0)."""
         seed_labels = np.asarray(seed_labels)
         if seed_labels.shape != (self.volume.height, self.volume.width):
             raise DimensionError(
@@ -370,7 +375,7 @@ class PropagationEngine:
             raise LabelError("seed mask must be integer-typed")
         fid = (self.z0, 0)
         self._check_unsegmented(fid)
-        soft = one_hot(seed_labels, num_classes).probabilities.astype(_MATCH_DTYPE)
+        soft = one_hot(seed_labels, _NUM_CLASSES).probabilities.astype(_MATCH_DTYPE)
         work = renormalized(resize_bilinear(soft, self.work_h, self.work_w))
         self._finish(fid, seed_labels, SoftLabelMap(work), provenance=[])
 
@@ -404,28 +409,23 @@ class PropagationEngine:
         mem_keys = [e.keys for e in bank]
         mem_values = [e.values for e in bank]
 
-        def at(scale):
-            name = f"scale{scale}"
-            return (getattr(q_keys, name), [getattr(m, name) for m in mem_keys],
-                    [getattr(m, name) for m in mem_values])
+        def at(s):
+            return q_keys[s], [m[s] for m in mem_keys], [m[s] for m in mem_values]
 
-        readouts = {}
         if cfg.matcher == "dense":
-            for s in cfg.scales:
-                readouts[s] = dense_readout(*at(s))
+            readouts = {s: dense_readout(*at(s)) for s in cfg.scales}
         else:
             # both scales tile into the same patch count, so K clamps alike
-            n = make_layout(q_keys.scale4.height, q_keys.scale4.width, cfg.patch).n_patches
+            n = make_layout(q_keys[4].height, q_keys[4].width, cfg.patch).n_patches
             k_eff = min(cfg.k, len(bank) * n)
             if cfg.scales == (3, 4):
-                res = match_multiscale(q_keys, mem_keys, mem_values, cfg.patch, k_eff)
-                readouts = {3: res.readout3, 4: res.readout4}
+                readouts = match_multiscale(q_keys, mem_keys, mem_values, cfg.patch, k_eff)
             else:  # one scale, its own top-K; scale 3 uses patch 2P
                 (s,) = cfg.scales
-                readouts[s] = plmm_forward(*at(s), patch=cfg.patch * (2 if s == 3 else 1),
-                                           k=k_eff).readout
+                readouts = {s: plmm_forward(*at(s), patch=cfg.patch * (2 if s == 3 else 1),
+                                            k=k_eff).readout}
 
-        soft = decode(readouts.get(3), readouts.get(4))
+        soft = decode(readouts)
         full = renormalized(resize_bilinear(soft.probabilities, self.volume.height,
                                             self.volume.width))
         ids = [e.frame_id for e in bank]

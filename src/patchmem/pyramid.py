@@ -1,39 +1,21 @@
 """Two-scale matching with a shared top-K selection.
 
-Scale 4 is the coarse grid (feature stride 16); scale 3 is exactly twice its
-size in both spatial dims (stride 8). Matching runs the full patch pipeline
-at scale 4 with patch size P, then reuses the resulting top-K table at
-scale 3 with patch size 2P. The layouts are congruent by construction: both
-scales have the same patch count and scale-3 origins are exactly twice the
-scale-4 origins, so the table transfers verbatim and no scale-3 affinity is
-ever computed.
+A pyramid is a {scale: FeatureGrid} dict. Scale 4 is the coarse grid
+(feature stride 16); scale 3 is exactly twice its size in both spatial dims
+(stride 8). Matching runs the full patch pipeline at scale 4 with patch size
+P, then reuses the resulting top-K table at scale 3 with patch size 2P. The
+layouts are congruent by construction: both scales have the same patch
+count and scale-3 origins are exactly twice the scale-4 origins, so the
+table transfers verbatim and no scale-3 affinity is ever computed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import LayoutError, ParameterError, PyramidError
-from .grids import FeatureGrid
-from .matcher import TopKIndex, plmm_forward
+from .errors import LayoutError, ParameterError
+from .matcher import plmm_forward
 from .patcher import make_layout
-
-
-@dataclass
-class FeaturePyramid:
-    """Per-scale feature grids; scale3 dims are exactly 2x scale4 dims."""
-
-    scale4: FeatureGrid
-    scale3: FeatureGrid
-
-    def __post_init__(self):
-        if (self.scale3.height != 2 * self.scale4.height
-                or self.scale3.width != 2 * self.scale4.width):
-            raise PyramidError(
-                f"scale-3 dims ({self.scale3.height}, {self.scale3.width}) are not "
-                f"twice scale-4 dims ({self.scale4.height}, {self.scale4.width})")
 
 
 def lift_topk(topk, layout4, layout3):
@@ -60,43 +42,30 @@ def lift_topk(topk, layout4, layout3):
     return topk
 
 
-@dataclass
-class MultiScaleResult:
-    """Readouts from a two-scale pass plus the shared top-K table."""
-
-    readout4: FeatureGrid
-    readout3: FeatureGrid
-    topk: TopKIndex
-
-
 def match_multiscale(query, memory_keys, memory_values, p4, k, counter=None):
     """Run patch matching at both scales with one top-K selection.
 
     Args:
-        query: FeaturePyramid of keys for the query frame.
-        memory_keys: list of key FeaturePyramids, one per memory frame.
-        memory_values: list of value FeaturePyramids, parallel to
-            memory_keys.
+        query: key pyramid of the query frame.
+        memory_keys: list of key pyramids, one per memory frame.
+        memory_values: list of value pyramids, parallel to memory_keys.
         p4: patch size at scale 4; scale 3 uses 2 * p4.
         k: memory patches kept per query patch.
         counter: optional OpCounter. Only the scale-4 pass adds patch pairs.
 
     Returns:
-        MultiScaleResult with both readouts and the scale-4 top-K table.
+        {3: readout, 4: readout}, FeatureGrids. LayoutError if the scale-3
+        layout is not the scale-4 layout doubled.
     """
     if len(memory_keys) != len(memory_values) or not memory_keys:
         raise ParameterError("memory keys and values must be parallel, non-empty lists")
     res4 = plmm_forward(
-        query.scale4,
-        [m.scale4 for m in memory_keys],
-        [m.scale4 for m in memory_values],
+        query[4], [m[4] for m in memory_keys], [m[4] for m in memory_values],
         patch=p4, k=k, counter=counter)
-    layout4 = make_layout(query.scale4.height, query.scale4.width, p4)
-    layout3 = make_layout(query.scale3.height, query.scale3.width, 2 * p4)
+    layout4 = make_layout(query[4].height, query[4].width, p4)
+    layout3 = make_layout(query[3].height, query[3].width, 2 * p4)
     lifted = lift_topk(res4.topk, layout4, layout3)
     res3 = plmm_forward(
-        query.scale3,
-        [m.scale3 for m in memory_keys],
-        [m.scale3 for m in memory_values],
+        query[3], [m[3] for m in memory_keys], [m[3] for m in memory_values],
         patch=2 * p4, k=k, counter=counter, topk_override=lifted)
-    return MultiScaleResult(readout4=res4.readout, readout3=res3.readout, topk=res4.topk)
+    return {3: res3.readout, 4: res4.readout}

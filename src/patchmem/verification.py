@@ -19,6 +19,13 @@ from .matcher import dense_readout, plmm_backward, plmm_forward, topk_select
 from .patcher import coverage_map, fold, make_layout, unfold
 from .propagator import PropagationConfig, partition_regions, run_4d
 
+# Random instances (layouts for fold-unfold) each suite checks, and the
+# largest error it passes.
+_ORACLE_INSTANCES, _ORACLE_TOL = 40, 1e-6
+_GRADIENT_INSTANCES, _GRADIENT_TOL = 4, 1e-4
+_FOLD_LAYOUTS, _FOLD_TOL = 30, 1e-6
+_TOPK_INSTANCES = 200
+
 
 @dataclass
 class SuiteResult:
@@ -27,21 +34,19 @@ class SuiteResult:
     detail: str
 
 
-def _random_instance(rng, t, side, c_key=3, c_val=2, scale=1.0):
-    q = FeatureGrid(scale * rng.standard_normal((c_key, side, side)))
-    mk = [FeatureGrid(scale * rng.standard_normal((c_key, side, side)))
-          for _ in range(t)]
-    mv = [FeatureGrid(scale * rng.standard_normal((c_val, side, side)))
-          for _ in range(t)]
+def _random_instance(rng, t, side, c_key=3, c_val=2):
+    q = FeatureGrid(rng.standard_normal((c_key, side, side)))
+    mk = [FeatureGrid(rng.standard_normal((c_key, side, side))) for _ in range(t)]
+    mv = [FeatureGrid(rng.standard_normal((c_val, side, side))) for _ in range(t)]
     return q, mk, mv
 
 
-def suite_oracle_equivalence(instances=40, tol=1e-6):
+def suite_oracle_equivalence():
     """Patch readout must equal the dense softmax readout whenever the
     patch spans the whole map and every memory patch is selected."""
     rng = np.random.default_rng(20240501)
     worst = 0.0
-    for i in range(instances):
+    for i in range(_ORACLE_INSTANCES):
         t = int(rng.integers(1, 4))
         side = int(rng.choice([4, 6]))
         q, mk, mv = _random_instance(rng, t, side)
@@ -49,10 +54,9 @@ def suite_oracle_equivalence(instances=40, tol=1e-6):
         ref = dense_readout(q, mk, mv)
         diff = float(np.abs(res.readout.data - ref.data).max())
         worst = max(worst, diff)
-    passed = worst <= tol
-    return SuiteResult("oracle-equivalence", passed,
-                       f"{instances} instances, max |patch - dense| = {worst:.3e} "
-                       f"(tol {tol:.0e})")
+    return SuiteResult("oracle-equivalence", worst <= _ORACLE_TOL,
+                       f"{_ORACLE_INSTANCES} instances, max |patch - dense| = {worst:.3e} "
+                       f"(tol {_ORACLE_TOL:.0e})")
 
 
 def fd_gradients(q, mk, mv, patch, k, upstream, step=1e-3):
@@ -108,12 +112,12 @@ def _max_rel_err(analytic, fd, clamp=1e-8):
     return float(np.abs(analytic - fd).max()) / denom
 
 
-def suite_gradient_check(instances=4, tol=1e-4):
+def suite_gradient_check():
     """Analytic gradients against central finite differences on small
     problems, with the top-K selection held fixed."""
     rng = np.random.default_rng(20240502)
     worst = 0.0
-    for i in range(instances):
+    for i in range(_GRADIENT_INSTANCES):
         t = 1 + i % 2
         q, mk, mv = _random_instance(rng, t, side=8, c_key=2, c_val=2)
         upstream = rng.standard_normal((2, 8, 8))
@@ -125,19 +129,18 @@ def suite_gradient_check(instances=4, tol=1e-4):
             worst = max(worst, _max_rel_err(a, f))
         for a, f in zip(d_mv, fd_mv):
             worst = max(worst, _max_rel_err(a, f))
-    passed = worst <= tol
-    return SuiteResult("gradient-check", passed,
-                       f"{instances} instances, max relative error = {worst:.3e} "
-                       f"(tol {tol:.0e})")
+    return SuiteResult("gradient-check", worst <= _GRADIENT_TOL,
+                       f"{_GRADIENT_INSTANCES} instances, max relative error = {worst:.3e} "
+                       f"(tol {_GRADIENT_TOL:.0e})")
 
 
-def suite_fold_unfold(layouts=30, tol=1e-6):
+def suite_fold_unfold():
     """Unfold then fold must reproduce any map; coverage counts must match
     first-principles overlap counting."""
     rng = np.random.default_rng(20240503)
     worst = 0.0
     checked = 0
-    for _ in range(layouts):
+    for _ in range(_FOLD_LAYOUTS):
         patch = int(rng.choice([2, 4, 6, 8]))
         step = patch // 2
         n_h = int(rng.integers(1, 6))
@@ -156,17 +159,16 @@ def suite_fold_unfold(layouts=30, tol=1e-6):
             return SuiteResult("fold-unfold", False,
                                f"coverage mismatch at layout ({h},{w},{patch})")
         checked += 1
-    passed = worst <= tol
-    return SuiteResult("fold-unfold", passed,
+    return SuiteResult("fold-unfold", worst <= _FOLD_TOL,
                        f"{checked} layouts, max round-trip error = {worst:.3e} "
-                       f"(tol {tol:.0e})")
+                       f"(tol {_FOLD_TOL:.0e})")
 
 
-def suite_topk(instances=200):
+def suite_topk():
     """Selection must agree with a brute-force stable sort and break ties
     toward the lower memory index."""
     rng = np.random.default_rng(20240504)
-    for i in range(instances):
+    for i in range(_TOPK_INSTANCES):
         n = int(rng.integers(1, 8))
         m = int(rng.integers(1, 10))
         k = int(rng.integers(1, m + 1))
@@ -183,7 +185,7 @@ def suite_topk(instances=200):
     if topk_select(np.array([[0.0, 0.0, -1.0]]), 1).ids[0, 0] != 0:
         return SuiteResult("topk", False, "tie must resolve to the lower index")
     return SuiteResult("topk", True,
-                       f"{instances} random instances match brute-force selection")
+                       f"{_TOPK_INSTANCES} random instances match brute-force selection")
 
 
 def suite_scheduler():

@@ -2,6 +2,7 @@
 
 import argparse
 import copy
+import csv
 import dataclasses
 import importlib.util
 import json
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from patchmem import cli, verification
 from patchmem.cli import build_parser, main
-from patchmem.evalkit import BenchConfig, ComplexityReport
+from patchmem.evalkit import BenchConfig, ComplexityReport, default_bench_grid
 from patchmem.featurizer import EncoderConfig
 from patchmem.grids import MAGIC, FeatureGrid, LabelVolume, load_container, save_container
 from patchmem.matcher import plmm_forward
@@ -839,6 +840,23 @@ class TestBenchCommand:
         lines = out_csv.read_text().strip().splitlines()
         assert lines[0].startswith("T,H,W,P,K,scale,predicted_patch_pairs")
         assert len(lines) == 4
+
+    def test_dense_pairs_shown(self, tmp_path, capsys):
+        # counts_match compares the dense pairs too, so a mismatch there must
+        # be readable from the printed rows and the CSV
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([dataclasses.asdict(default_bench_grid()[0])]))
+        out_csv = tmp_path / "bench.csv"
+        assert main(["bench", "--grid-json", str(grid), "--reps", "1",
+                     "--out-csv", str(out_csv)]) == 0
+        _, out = echoed_json(capsys)
+        row4 = [line for line in out.splitlines() if "scale=4 " in line]
+        assert len(row4) == 1 and "dense 663552/663552 " in row4[0]
+        with open(out_csv, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        (csv4,) = [r for r in rows if r["scale"] == "4"]
+        assert [csv4[k] for k in ("T", "H", "W", "P", "K")] == ["2", "24", "24", "6", "4"]
+        assert csv4["predicted_dense_pairs"] == csv4["measured_dense_pairs"] == "663552"
 
     def test_bad_grid_entry(self, tmp_path):
         grid = tmp_path / "grid.json"

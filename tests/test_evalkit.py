@@ -345,6 +345,7 @@ class TestCheckComplexity:
         assert rows[0] == ["T", "H", "W", "P", "K", "scale",
                            "predicted_patch_pairs", "measured_patch_pairs",
                            "predicted_pixel_pairs", "measured_pixel_pairs",
+                           "predicted_dense_pairs", "measured_dense_pairs",
                            "plmm_ms", "dense_ms"]
         assert len(rows) == 2
         assert rows[1][:6] == ["1", "12", "12", "6", "2", "4"]

@@ -10,6 +10,7 @@ from patchmem.errors import DimensionError, ParameterError
 from patchmem.featurizer import (
     BLUR_SIGMAS,
     PROJECTION_SEED,
+    STRIDES,
     EncoderConfig,
     _blur_pool_operators,
     _box_mean3,
@@ -36,8 +37,6 @@ from patchmem.matcher import (
     topk_select,
 )
 from patchmem.patcher import make_layout, unfold
-
-STRIDES = {"scale4": 16, "scale3": 8}
 
 
 def raw_channel_names():
@@ -82,10 +81,10 @@ def full_bank_encode_key(image, key_channels):
     bank = stacked_feature_bank(image)
     proj = projection_matrix(key_channels)
     out = {}
-    for name, stride in STRIDES.items():
+    for scale, stride in STRIDES.items():
         std = _standardize(downsample_avg(bank, stride).data)
         c, gh, gw = std.shape
-        out[name] = (proj @ std.reshape(c, gh * gw)).reshape(key_channels, gh, gw)
+        out[scale] = (proj @ std.reshape(c, gh * gw)).reshape(key_channels, gh, gw)
     return out
 
 
@@ -100,11 +99,11 @@ def pixel_sqdists(keys, pixels):
 def assert_same_sqdists(got, want, rtol):
     """Squared distances between 300 fixed pixels of each scale (all of them
     if fewer) of ``got`` lie within ``rtol`` of ``want``'s, pair by pair."""
-    for name in STRIDES:
-        keys = getattr(got, name).data
+    for scale in STRIDES:
+        keys = got[scale].data
         n = keys.shape[1] * keys.shape[2]
         pixels = np.random.default_rng(n).choice(n, min(n, 300), replace=False)
-        d_got, d_want = pixel_sqdists(keys, pixels), pixel_sqdists(want[name], pixels)
+        d_got, d_want = pixel_sqdists(keys, pixels), pixel_sqdists(want[scale], pixels)
         off = ~np.eye(len(pixels), dtype=bool)
         assert d_want[off].min() > 0
         assert (np.abs(d_got - d_want)[off] <= rtol * d_want[off]).all()
@@ -117,8 +116,8 @@ class TestRawFeatureBank:
         assert names == ["intensity", "blur1", "blur2", "blur4",
                          "gradmag", "localstd", "row", "col"]
         raw = pooled_raw_channels(checkerboard(32, 48))
-        assert raw["scale4"].shape == (8, 2, 3)
-        assert raw["scale3"].shape == (8, 4, 6)
+        assert raw[4].shape == (8, 2, 3)
+        assert raw[3].shape == (8, 4, 6)
 
     @pytest.mark.parametrize("shape", [(288, 288), (576, 576), (20, 33)])
     def test_bitwise_equal_to_stacked_channels(self, shape):
@@ -175,7 +174,7 @@ class TestRawFeatureBank:
     def test_blur_preserves_mass_roughly_and_smooths(self):
         img = checkerboard(64, 64, cell=8)
         names = raw_channel_names()
-        raw = pooled_raw_channels(img)["scale3"]
+        raw = pooled_raw_channels(img)[3]
         intensity = raw[names.index("intensity")]
         for blur in ("blur1", "blur2", "blur4"):
             ch = raw[names.index(blur)]
@@ -244,23 +243,23 @@ class TestEncodeKey:
     def test_pyramid_dims(self):
         # the default 32 projected channels span 8 dimensions: 8 key channels
         pyr = encode_key(checkerboard(48, 64))
-        assert pyr.scale4.data.shape == (8, 3, 4)
-        assert pyr.scale3.data.shape == (8, 6, 8)
+        assert pyr[4].data.shape == (8, 3, 4)
+        assert pyr[3].data.shape == (8, 6, 8)
 
     @pytest.mark.parametrize("key_channels", [1, 4, 8, 32, 64, 128])
     def test_key_width_is_projection_rank(self, key_channels):
         width = min(key_channels, 8)
         assert projection_factor(key_channels).shape == (width, 8)
         pyr = encode_key(checkerboard(48, 64), EncoderConfig(key_channels=key_channels))
-        assert pyr.scale4.data.shape == (width, 3, 4)
-        assert pyr.scale3.data.shape == (width, 6, 8)
+        assert pyr[4].data.shape == (width, 3, 4)
+        assert pyr[3].data.shape == (width, 6, 8)
 
     def test_deterministic(self):
         img = checkerboard(32, 32)
         a = encode_key(img)
         b = encode_key(img)
-        assert np.array_equal(a.scale4.data, b.scale4.data)
-        assert np.array_equal(a.scale3.data, b.scale3.data)
+        assert np.array_equal(a[4].data, b[4].data)
+        assert np.array_equal(a[3].data, b[3].data)
 
     def test_affine_intensity_invariance(self):
         # standardization cancels a positive affine intensity map, provided
@@ -270,8 +269,8 @@ class TestEncodeKey:
         img = (img - img.min()) / (img.max() - img.min()) * 0.5 + 0.2
         a = encode_key(img)
         b = encode_key(img * 1.3 + 0.02)
-        assert np.abs(a.scale4.data - b.scale4.data).max() < 1e-9
-        assert np.abs(a.scale3.data - b.scale3.data).max() < 1e-9
+        assert np.abs(a[4].data - b[4].data).max() < 1e-9
+        assert np.abs(a[3].data - b[3].data).max() < 1e-9
 
     def test_dims_must_divide_by_16(self):
         with pytest.raises(DimensionError):
@@ -289,7 +288,7 @@ class TestEncodeKey:
         img = np.random.default_rng(shape[0] * shape[1]).random(shape)
         got = encode_key(img, EncoderConfig(key_channels=64))
         want = full_bank_encode_key(img, 64)
-        assert got.scale4.data.dtype == got.scale3.data.dtype == np.float64
+        assert got[4].data.dtype == got[3].data.dtype == np.float64
         assert_same_sqdists(got, want, rtol=1e-12)
 
     @pytest.mark.parametrize("shape", [(288, 288), (576, 576), (48, 80)])
@@ -301,8 +300,8 @@ class TestEncodeKey:
         assert _nonlinear_channels(img.astype(np.float32)).dtype == np.float32
         got = encode_key(img.astype(np.float32), EncoderConfig(key_channels=64))
         want = full_bank_encode_key(img, 64)
-        for name in STRIDES:
-            assert getattr(got, name).data.dtype == np.float32
+        for scale in STRIDES:
+            assert got[scale].data.dtype == np.float32
         assert_same_sqdists(got, want, rtol=1e-4)
 
     def test_peak_memory_at_576(self):
@@ -355,9 +354,9 @@ class TestFactorKeysMatchAsFullKeys:
         rng = np.random.default_rng(79)
         frames = [ndimage.gaussian_filter(rng.random((192, 192)), 3.0) for _ in range(3)]
         cfg = EncoderConfig(key_channels=64)
-        for name, patch in (("scale4", 4), ("scale3", 6)):
-            r_keys = [getattr(encode_key(f, cfg), name) for f in frames]
-            p_keys = [FeatureGrid(full_bank_encode_key(f, 64)[name]) for f in frames]
+        for scale, patch in ((4, 4), (3, 6)):
+            r_keys = [encode_key(f, cfg)[scale] for f in frames]
+            p_keys = [FeatureGrid(full_bank_encode_key(f, 64)[scale]) for f in frames]
             assert (r_keys[0].channels, p_keys[0].channels) == (8, 64)
             values = [FeatureGrid(rng.random((3,) + r_keys[0].data.shape[1:]))
                       for _ in frames[1:]]
@@ -388,23 +387,23 @@ class TestEncodeValue:
         labels[20:24, 0:8] = 2
         for dtype in (np.float64, np.float32):
             pyr = encode_value(soft_map(labels, dtype))
-            assert pyr.scale4.data.dtype == pyr.scale3.data.dtype == dtype
+            assert pyr[4].data.dtype == pyr[3].data.dtype == dtype
             # brute-force fraction for one 16x16 cell at scale 4
             cell = labels[0:16, 0:16]
             want = [(cell == c).mean() for c in range(4)]
-            assert np.allclose(pyr.scale4.data[:, 0, 0], want, atol=1e-12)
+            assert np.allclose(pyr[4].data[:, 0, 0], want, atol=1e-12)
             cell3 = labels[16:24, 0:8]
             want3 = [(cell3 == c).mean() for c in range(4)]
-            assert np.allclose(pyr.scale3.data[:, 2, 0], want3, atol=1e-12)
+            assert np.allclose(pyr[3].data[:, 2, 0], want3, atol=1e-12)
 
     def test_normalization_preserved(self):
         rng = np.random.default_rng(72)
         labels = rng.integers(0, 4, size=(48, 48)).astype(np.uint8)
         for dtype in (np.float64, np.float32):
             pyr = encode_value(soft_map(labels, dtype))
-            assert pyr.scale4.data.dtype == pyr.scale3.data.dtype == dtype
-            assert np.allclose(pyr.scale4.data.sum(axis=0), 1.0, atol=1e-12)
-            assert np.allclose(pyr.scale3.data.sum(axis=0), 1.0, atol=1e-12)
+            assert pyr[4].data.dtype == pyr[3].data.dtype == dtype
+            assert np.allclose(pyr[4].data.sum(axis=0), 1.0, atol=1e-12)
+            assert np.allclose(pyr[3].data.sum(axis=0), 1.0, atol=1e-12)
 
     def test_requires_soft_label_map(self):
         with pytest.raises(ParameterError):
@@ -435,19 +434,22 @@ class TestDecode:
             d3[:, :2, :2] = -0.5
             d4 = (rng.random((4, 3, 3)) * 1.4 - 0.2).astype(dtype)
             d4[:, :1, :1] = -0.5
-            r3 = FeatureGrid(d3) if 3 in scales else None
-            r4 = FeatureGrid(d4) if 4 in scales else None
+            grids = {3: FeatureGrid(d3), 4: FeatureGrid(d4)}
+            readouts = {s: grids[s] for s in scales}
             before3, before4 = d3.copy(), d4.copy()
-            got = decode(r3, r4).probabilities
-            want = where_decode_reference(r3, r4)
+            got = decode(readouts).probabilities
+            want = where_decode_reference(readouts.get(3), readouts.get(4))
             assert got.dtype == want.dtype == dtype
             assert np.array_equal(got, want)
             assert np.array_equal(got[:, 0, 0], np.full(4, 0.25))
             assert np.array_equal(d3, before3) and np.array_equal(d4, before4)
+            # the dict's order does not matter: scales are fused finest first
+            reverse = {s: readouts[s] for s in reversed(scales)}
+            assert np.array_equal(decode(reverse).probabilities, got)
 
     def test_all_zero_pixels_decode_to_uniform(self):
         zeros = FeatureGrid(np.zeros((4, 2, 2)))
-        soft = decode(zeros, None)
+        soft = decode({3: zeros})
         assert np.array_equal(soft.probabilities, np.full((4, 16, 16), 0.25))
         assert np.array_equal(zeros.data, np.zeros((4, 2, 2)))
 
@@ -455,8 +457,7 @@ class TestDecode:
         rng = np.random.default_rng(73)
         probs = rng.random((4, 2, 2))
         probs /= probs.sum(axis=0, keepdims=True)
-        grid = FeatureGrid(probs)
-        soft = decode(None, grid)
+        soft = decode({4: FeatureGrid(probs)})
         assert soft.probabilities.shape == (4, 32, 32)
         assert np.allclose(soft.probabilities.sum(axis=0), 1.0, atol=1e-12)
 
@@ -466,19 +467,26 @@ class TestDecode:
         p4 /= p4.sum(axis=0, keepdims=True)
         p3 = rng.random((4, 4, 4))
         p3 /= p3.sum(axis=0, keepdims=True)
-        soft = decode(FeatureGrid(p3), FeatureGrid(p4))
-        only3 = decode(FeatureGrid(p3), None)
-        only4 = decode(None, FeatureGrid(p4))
+        soft = decode({3: FeatureGrid(p3), 4: FeatureGrid(p4)})
+        only3 = decode({3: FeatureGrid(p3)})
+        only4 = decode({4: FeatureGrid(p4)})
         fused = 0.5 * (only3.probabilities + only4.probabilities)
         fused /= fused.sum(axis=0, keepdims=True)
         assert np.allclose(soft.probabilities, fused, atol=1e-9)
 
     def test_needs_at_least_one_scale(self):
         with pytest.raises(ParameterError):
-            decode(None, None)
+            decode({})
+
+    @pytest.mark.parametrize("scales", [(2,), (3, 5)])
+    def test_scales_outside_the_pyramid_rejected(self, scales):
+        grid = FeatureGrid(np.full((2, 2, 2), 0.5))
+        with pytest.raises(ParameterError):
+            decode({s: grid for s in scales})
 
     def test_incompatible_scales_rejected(self):
+        # a scale-3 readout must be the scale-4 map doubled, with its channels
         p4 = FeatureGrid(np.full((2, 2, 2), 0.5))
-        p3_bad = FeatureGrid(np.full((2, 6, 6), 0.5))
-        with pytest.raises(DimensionError):
-            decode(p3_bad, p4)
+        for shape3 in ((2, 6, 6), (2, 4, 6), (3, 4, 4)):
+            with pytest.raises(DimensionError, match="different maps"):
+                decode({3: FeatureGrid(np.full(shape3, 0.5)), 4: p4})

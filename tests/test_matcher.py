@@ -359,6 +359,22 @@ class TestTopKSelect:
                 want = sorted(range(m), key=lambda j: (-scores[row, j], j))[:k]
                 assert got[row].tolist() == want
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_stable_argsort(self, dtype):
+        # rows as wide as a study's banks, scores on a few levels (signed
+        # zeros included) so that the K-th score is often tied
+        rng = np.random.default_rng(29)
+        for _ in range(60):
+            n, m = int(rng.integers(1, 30)), int(rng.integers(1, 500))
+            levels = int(rng.integers(1, 8))
+            scores = (rng.integers(-levels, levels + 1, size=(n, m)) / 2).astype(dtype)
+            scores[rng.random((n, m)) < 0.1] = -0.0
+            want = np.argsort(-scores, axis=1, kind="stable")
+            for k in {1, int(rng.integers(1, m + 1)), m}:
+                got = topk_select(scores, k).ids
+                assert got.dtype == np.intp
+                assert np.array_equal(got, want[:, :k])
+
 
 class TestPixelMatchWeights:
     """The pixel weights of plmm_forward, read out through one-hot values."""
@@ -968,7 +984,7 @@ class TestDtypeRule:
         assert dense.data.dtype == np.float32
         assert np.abs(dense.data - dense_readout(q, mk, mv).data).max() <= 1e-5
 
-    @pytest.mark.parametrize("scale", ["scale4", "scale3"])
+    @pytest.mark.parametrize("scale", [4, 3], ids=["scale4", "scale3"])
     def test_float32_dense_on_encoder_keys(self, scale):
         # keys of the paper-288 study's middle slice, as the engine encodes
         # them, reach squared norms of 756 (scale 4) and 1047 (scale 3); with
@@ -979,7 +995,7 @@ class TestDtypeRule:
         for t in range(4):
             img = resize_bilinear(volume.frame(4, t).astype(np.float32), 288, 288)
             np.clip(img, 0.0, 1.0, out=img)
-            keys.append(getattr(encode_key(img, EncoderConfig(key_channels=64)), scale))
+            keys.append(encode_key(img, EncoderConfig(key_channels=64))[scale])
         assert max((k.data.astype(np.float64) ** 2).sum(axis=0).max() for k in keys) > 700
         rng = np.random.default_rng(53)
         values = [FeatureGrid(rng.random((4, keys[0].height, keys[0].width)))

@@ -23,7 +23,6 @@ from patchmem.propagator import (
     run_4d,
     working_side_for,
 )
-from patchmem.pyramid import FeaturePyramid
 
 
 def smooth_volume(z, t, h=48, w=48, seed=11):
@@ -284,10 +283,10 @@ class TestTemporalPass:
 
     def test_anchor_mask_kept_verbatim(self):
         engine = seeded_engine(smooth_volume(3, 2))
-        anchor_values = engine.build_bank([(1, 0)])[0].values.scale4.data.copy()
+        anchor_values = engine.build_bank([(1, 0)])[0].values[4].data.copy()
         run_steps(engine, temporal_chain(engine))
         assert np.array_equal(engine.masks[1, 0], disc_seed())
-        assert np.array_equal(engine.build_bank([(1, 0)])[0].values.scale4.data,
+        assert np.array_equal(engine.build_bank([(1, 0)])[0].values[4].data,
                               anchor_values)
         assert engine.masks[1, 1].shape == (48, 48)
 
@@ -505,8 +504,7 @@ class TestMatchPrecision:
         run_4d(volume, disc_seed(),
                PropagationConfig(patch=6, k=2, scales=scales, matcher=matcher))
         grids = [grid for inputs in seen for item in inputs
-                 for grid in ([item.scale3, item.scale4]
-                              if isinstance(item, FeaturePyramid) else [item])]
+                 for grid in (item.values() if isinstance(item, dict) else [item])]
         assert len(seen) == 14 * (2 if matcher == "dense" and len(scales) == 2 else 1)
         assert {grid.data.dtype for grid in grids} == {np.dtype(np.float32)}
 
@@ -521,7 +519,7 @@ class TestMatchPrecision:
         match = propagator.match_multiscale
 
         def spy(query, memory_keys, memory_values, *args, **kwargs):
-            dtypes.add((query.scale3.data.dtype, memory_values[0].scale3.data.dtype))
+            dtypes.add((query[3].data.dtype, memory_values[0][3].data.dtype))
             return match(query, memory_keys, memory_values, *args, **kwargs)
 
         monkeypatch.setattr(propagator, "match_multiscale", spy)

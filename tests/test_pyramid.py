@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from patchmem import matcher
-from patchmem.errors import LayoutError, ParameterError, PyramidError
+from patchmem.errors import LayoutError, ParameterError
 from patchmem.grids import FeatureGrid
 from patchmem.matcher import OpCounter, TopKIndex, plmm_forward
 from patchmem.patcher import make_layout
-from patchmem.pyramid import FeaturePyramid, lift_topk, match_multiscale
+from patchmem.pyramid import lift_topk, match_multiscale
 
 
 def random_pyramid(rng, h4, w4, channels=3):
-    return FeaturePyramid(
-        scale4=FeatureGrid(rng.standard_normal((channels, h4, w4))),
-        scale3=FeatureGrid(rng.standard_normal((channels, 2 * h4, 2 * w4))))
+    return {4: FeatureGrid(rng.standard_normal((channels, h4, w4))),
+            3: FeatureGrid(rng.standard_normal((channels, 2 * h4, 2 * w4)))}
 
 
 def pyramid_set(rng, t, h4, w4, c_key=3, c_val=2):
@@ -26,9 +25,15 @@ def pyramid_set(rng, t, h4, w4, c_key=3, c_val=2):
 
 class TestPyramidTypes:
     def test_dims_must_double(self):
-        with pytest.raises(PyramidError):
-            FeaturePyramid(scale4=FeatureGrid(np.zeros((1, 6, 6))),
-                           scale3=FeatureGrid(np.zeros((1, 12, 11))))
+        # scale-3 grids that are not the scale-4 grids doubled have no
+        # layout congruent to scale 4's, so the top-K cannot be lifted
+        rng = np.random.default_rng(60)
+        for h3, w3 in ((12, 11), (16, 16)):
+            def pyramid(channels):
+                return {4: FeatureGrid(rng.standard_normal((channels, 6, 6))),
+                        3: FeatureGrid(rng.standard_normal((channels, h3, w3)))}
+            with pytest.raises(LayoutError):
+                match_multiscale(pyramid(3), [pyramid(3)], [pyramid(2)], p4=4, k=1)
 
     def test_scale_pair_pins_double_patch(self):
         # same patch count at both scales, so only the patch size differs
@@ -43,8 +48,7 @@ class TestLiftTopk:
     def test_ids_copied_verbatim(self):
         rng = np.random.default_rng(61)
         q, mk, mv = pyramid_set(rng, t=2, h4=9, w4=9)
-        res4 = plmm_forward(q.scale4, [m.scale4 for m in mk],
-                            [m.scale4 for m in mv], patch=6, k=3)
+        res4 = plmm_forward(q[4], [m[4] for m in mk], [m[4] for m in mv], patch=6, k=3)
         layout4 = make_layout(9, 9, 6)
         layout3 = make_layout(18, 18, 12)
         lifted = lift_topk(res4.topk, layout4, layout3)
@@ -53,8 +57,7 @@ class TestLiftTopk:
     def test_congruence_checked(self):
         rng = np.random.default_rng(62)
         q, mk, mv = pyramid_set(rng, t=1, h4=9, w4=9)
-        res4 = plmm_forward(q.scale4, [m.scale4 for m in mk],
-                            [m.scale4 for m in mv], patch=6, k=2)
+        res4 = plmm_forward(q[4], [m[4] for m in mk], [m[4] for m in mv], patch=6, k=2)
         layout4 = make_layout(9, 9, 6)
         with pytest.raises(LayoutError):
             lift_topk(res4.topk, layout4, make_layout(24, 24, 12))
@@ -87,27 +90,26 @@ class TestMatchMultiscale:
         rng = np.random.default_rng(64)
         q, mk, mv = pyramid_set(rng, t=2, h4=9, w4=9)
         ms = match_multiscale(q, mk, mv, p4=6, k=2)
-        own3 = plmm_forward(q.scale3, [m.scale3 for m in mk],
-                            [m.scale3 for m in mv], patch=12, k=2,
+        assert sorted(ms) == [3, 4]
+        own3 = plmm_forward(q[3], [m[3] for m in mk], [m[3] for m in mv], patch=12, k=2,
                             topk_override=None)
         # the scale-3 readout must come from the scale-4 table, which in
         # general differs from what a scale-3 affinity pass would select
-        lifted = plmm_forward(q.scale3, [m.scale3 for m in mk],
-                              [m.scale3 for m in mv], patch=12, k=2,
-                              topk_override=ms.topk)
-        assert np.allclose(ms.readout3.data, lifted.readout.data, atol=1e-12)
-        assert ms.readout3.data.shape == (2, 18, 18)
-        assert ms.readout4.data.shape == (2, 9, 9)
+        topk4 = plmm_forward(q[4], [m[4] for m in mk], [m[4] for m in mv], patch=6, k=2).topk
+        lifted = plmm_forward(q[3], [m[3] for m in mk], [m[3] for m in mv], patch=12, k=2,
+                              topk_override=topk4)
+        assert np.allclose(ms[3].data, lifted.readout.data, atol=1e-12)
+        assert ms[3].data.shape == (2, 18, 18)
+        assert ms[4].data.shape == (2, 9, 9)
         # own-selection readout exists but is not what multiscale returns
-        assert own3.readout.data.shape == ms.readout3.data.shape
+        assert own3.readout.data.shape == ms[3].data.shape
 
     def test_readouts_match_single_scale_calls(self):
         rng = np.random.default_rng(65)
         q, mk, mv = pyramid_set(rng, t=1, h4=6, w4=6)
         ms = match_multiscale(q, mk, mv, p4=4, k=1)
-        res4 = plmm_forward(q.scale4, [m.scale4 for m in mk],
-                            [m.scale4 for m in mv], patch=4, k=1)
-        assert np.allclose(ms.readout4.data, res4.readout.data, atol=1e-12)
+        res4 = plmm_forward(q[4], [m[4] for m in mk], [m[4] for m in mv], patch=4, k=1)
+        assert np.allclose(ms[4].data, res4.readout.data, atol=1e-12)
 
     def test_cell_pair_tables_built_once(self, monkeypatch):
         rng = np.random.default_rng(67)
@@ -123,10 +125,12 @@ class TestMatchMultiscale:
         ms = match_multiscale(q, mk, mv, p4=6, k=2)
         assert len(built) == 1
         # a fresh table of the same ids builds its own tables: same readout, bit for bit
-        fresh = plmm_forward(q.scale3, [m.scale3 for m in mk], [m.scale3 for m in mv],
-                             patch=12, k=2, topk_override=TopKIndex(ids=ms.topk.ids.copy(), k=2))
-        assert len(built) == 2
-        assert np.array_equal(ms.readout3.data, fresh.readout.data)
+        topk4 = plmm_forward(q[4], [m[4] for m in mk], [m[4] for m in mv], patch=6, k=2).topk
+        built.clear()
+        fresh = plmm_forward(q[3], [m[3] for m in mk], [m[3] for m in mv],
+                             patch=12, k=2, topk_override=TopKIndex(ids=topk4.ids.copy(), k=2))
+        assert len(built) == 1
+        assert np.array_equal(ms[3].data, fresh.readout.data)
 
     def test_parallel_lists_required(self):
         rng = np.random.default_rng(66)

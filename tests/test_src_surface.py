@@ -74,3 +74,18 @@ def test_every_private_function_is_called_in_the_package():
     assert defs, f"no private functions found under {PACKAGE}"
     unused = [f"{module}.{label}" for module, label in defs if label not in uses]
     assert not unused, f"private functions with no caller in src/patchmem: {unused}"
+
+
+def test_encoder_imports_nothing_from_the_matcher_stack():
+    # pyramids are plain {scale: FeatureGrid} dicts, so the encoder needs
+    # nothing of the modules that match them
+    tree = ast.parse((PACKAGE / "featurizer.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):  # from .x import y, or from . import x
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    assert imported, "no imports found in featurizer.py"
+    assert not imported & {"pyramid", "matcher", "patcher"}, imported
