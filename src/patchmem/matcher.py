@@ -31,9 +31,12 @@ patch then combines the pairs of its selection, rescaled by
 exp(pair max - patch max), which in exact arithmetic is its softmax and
 readout. The stage never cuts a map into overlapping patches: it lays the
 query and the memory maps out once per call as channels-last pixel rows and
-gathers each block of pairs from them. ``unfold`` serves only the patch
-affinity. ``plmm_backward`` runs the forward's blocks again rather than
-keeping them, so the pass and its gradient hold one block at a time.
+gathers each block of pairs from them, by index tables it also builds once
+per call for all blocks. A block gathers the pair maxima and pair sums of
+its patch quadrants selection position first, so the patch max and the sum
+over a selection reduce the outer axis of one array. ``unfold`` serves only
+the patch affinity. ``plmm_backward`` runs the forward's blocks again rather
+than keeping them, so the pass and its gradient hold one block at a time.
 
 Both matchers run in the dtype of their inputs: float32 keys and values
 give float32 logits, weights and readouts, and float64 inputs run in
@@ -355,13 +358,18 @@ def _pair_blocks(q_key, mem_keys, mem_values, layout, topk, dtype):
     of e and of e times the memory values. Each item combines the pairs of
     its multiset, each rescaled by beta = exp(pair max - item max); in exact
     arithmetic this is the softmax over the item's patch selection and its
-    readout. Padded slots are never read; a block ends before they would
-    pass _PAD_SHARE of its real pairs, unless the whole map padded as one
-    block adds under _PAD_SHARE of _LOGIT_BLOCK_BYTES, less than a cut
-    costs. The logits and the operands gathered for them, all of
-    ``dtype``, padded slots included, fit in _LOGIT_BLOCK_BYTES per block,
-    in buffers allocated once per call: a block's arrays are views that the
-    next block overwrites.
+    readout. beta and the rescaled pair sums are gathered selection position
+    first, so the item max and the sum over the selection reduce the outer
+    axis, in the selection's order. Padded slots are never read; a block
+    ends before they would pass _PAD_SHARE of its real pairs, unless the
+    whole map padded as one block adds under _PAD_SHARE of
+    _LOGIT_BLOCK_BYTES, less than a cut costs. The logits and the operands
+    gathered for them, all of ``dtype``, padded slots included, fit in
+    _LOGIT_BLOCK_BYTES per block, in buffers allocated once per call: a
+    block's arrays are views that the next block overwrites. The index
+    tables of all blocks (the query pixels of the cells, the first bank
+    pixel of each slot's memory cell, the slots of the items) are built
+    once per call too, so a block runs only its gathers and arithmetic.
 
     Yields a _PairBlock per block of B cells from processing position lo:
         q_pix: (B, S^2) flat query pixels of its cells, S the stride;
@@ -370,10 +378,10 @@ def _pair_blocks(q_key, mem_keys, mem_values, layout, topk, dtype):
             before slot, so that a cell's rows stack its slots' pixels;
         keys, values: their key rows [m, -|m|^2] and value rows [v, 1];
         e: (B, S^2, c, S^2), the last axis the query pixel;
-        items, item_cells: its items and their cells' positions in q;
-        refs: (I, 4K) slot of each item's memory cells, (cell - lo) * c +
-            (pair - start[cell]);
-        beta: (I, 4K, S^2), per query pixel;
+        items, item_cells: its I items and their cells' positions in q;
+        refs: (4K, I) slot of each item's memory cells, selection position
+            first: (cell - lo) * c + (pair - start[cell]);
+        beta: (4K, I, S^2), per query pixel;
         sums: (I, C_v + 1, S^2): the items' unnormalized readouts and, last,
             their softmax denominators.
     """
@@ -384,7 +392,9 @@ def _pair_blocks(q_key, mem_keys, mem_values, layout, topk, dtype):
         layout, len(mem_keys))
     n_cells = len(cells)
     cy, cx = np.divmod(np.arange(n_cells), layout.n_w + 1)
-    cell_pix = ((cy * w + cx) * s)[:, None] + (np.arange(s)[:, None] * w + np.arange(s)).ravel()
+    # a cell's pixels are its origin pixel plus these offsets
+    offsets = (np.arange(s)[:, None] * w + np.arange(s)).ravel()
+    cell_origin = (cy * w + cx) * s
     q_rows, key_rows, val_rows = _match_rows(q_key, mem_keys, mem_values, dtype)
     count = np.diff(start)
     k_cols, v_cols = key_rows.shape[1], val_rows.shape[1]
@@ -405,15 +415,29 @@ def _pair_blocks(q_key, mem_keys, mem_values, layout, topk, dtype):
         hi = lo + max(1, min([fits, *padded[:1]]))
         bounds.append((lo, hi))
         lo = hi
-    most = max((hi - lo) * count[hi - 1] for lo, hi in bounds) * ss
+    # the tables of all blocks: the cell at position r has slot_c[r] slots
+    # from slot_start[r]; its slot j reads pair start[r] + min(j, count[r] - 1),
+    # whose memory cell's first bank pixel is the slot's slot_origin
+    lows, highs = np.array(bounds).T
+    block_of = np.repeat(np.arange(len(bounds)), highs - lows)
+    slot_c = count[highs - 1][block_of]
+    slot_start = np.concatenate(([0], np.cumsum(slot_c)))
+    slot_cell = np.repeat(np.arange(n_cells), slot_c)
+    j = np.arange(slot_start[-1]) - slot_start[slot_cell]
+    mem = pair_mem[start[slot_cell] + np.minimum(j, count[slot_cell] - 1)]
+    slot_origin = (mem // n_cells) * hw + cell_origin[mem % n_cells]
+    cell_pix = cell_origin[cells][:, None] + offsets
+    # pair p of the cell at r is slot p + shift[r] of its block
+    shift = slot_start[:-1] - slot_start[lows][block_of] - start[:-1]
+    item_slots = np.ascontiguousarray((item_refs + shift[item_rank][:, None]).T)
+    most = ((highs - lows) * count[highs - 1]).max() * ss
     e_buf, key_buf, val_buf, max_buf, sums_buf = (
         np.empty(most * cols, dtype=dtype) for cols in (ss, k_cols, v_cols, 1, v_cols))
     for lo, hi in bounds:
         g, c = hi - lo, count[hi - 1]
-        q_pix = cell_pix[cells[lo:hi]]
+        q_pix = cell_pix[lo:hi]
         q = np.take(q_rows, q_pix, axis=0)
-        mem = pair_mem[start[lo:hi, None] + np.minimum(np.arange(c), count[lo:hi, None] - 1)]
-        m_pix = (((mem // n_cells) * hw)[:, :, None] + cell_pix[mem % n_cells]).transpose(0, 2, 1)
+        m_pix = slot_origin[slot_start[lo]:slot_start[hi]].reshape(g, 1, c) + offsets[:, None]
         keys = key_buf[:g * ss * c * k_cols].reshape(g, ss, c, k_cols)
         # the indices are in range; "raise" would buffer the whole output
         np.take(key_rows, m_pix, axis=0, out=keys, mode="clip")
@@ -427,15 +451,14 @@ def _pair_blocks(q_key, mem_keys, mem_values, layout, topk, dtype):
         pair_sums = sums_buf[:g * c * v_cols * ss].reshape(g, c, v_cols, ss)
         np.matmul(values.transpose(0, 2, 3, 1), e.transpose(0, 2, 1, 3), out=pair_sums)
         i0, i1 = item_start[lo], item_start[hi]
-        rank = item_rank[i0:i1]
-        refs = (rank - lo)[:, None] * c + item_refs[i0:i1] - start[rank][:, None]
+        refs = item_slots[:, i0:i1]
         beta = np.take(pair_max.reshape(g * c, ss), refs, axis=0)
-        beta -= beta.max(axis=1, keepdims=True)
+        beta -= beta.max(axis=0)
         _floored_exp(beta)
-        sums = (np.take(pair_sums.reshape(g * c, v_cols, ss), refs, axis=0)
-                * beta[:, :, None]).sum(axis=1)
-        yield _PairBlock(q_pix, q, m_pix, keys, values, e, items[i0:i1], rank - lo, refs,
-                         beta, sums)
+        sums = np.take(pair_sums.reshape(g * c, v_cols, ss), refs, axis=0)
+        sums *= beta[:, :, None]
+        yield _PairBlock(q_pix, q, m_pix, keys, values, e, items[i0:i1],
+                         item_rank[i0:i1] - lo, refs, beta, sums.sum(axis=0))
 
 
 def plmm_forward(q_key, mem_keys, mem_values, patch, k,
@@ -521,15 +544,15 @@ def plmm_backward(q_key, mem_keys, mem_values, patch, topk, upstream):
     d_values = np.zeros((t * h * w, c_v), dtype=dtype)
     for blk in _pair_blocks(q_key, mem_keys, mem_values, layout, topk, dtype):
         g = g_rows[blk.q_pix]
-        # softmax adjoint, gathered onto the pairs
-        weights = blk.beta / blk.sums[:, None, -1]
+        # softmax adjoint, gathered onto the pairs; add.at runs item by item
+        weights = (blk.beta / blk.sums[:, -1]).transpose(1, 0, 2)
         g_ro = np.einsum("ixv,ivx->ix", g[blk.item_cells], blk.sums[:, :-1]) / blk.sums[:, -1]
         n_g, ss, c, _ = blk.e.shape
         # a = b = 0 on padded slots, so they add exactly 0 to every gradient
         a = np.zeros((n_g * c, ss), dtype=dtype)
         b = np.zeros_like(a)
-        np.add.at(a, blk.refs, weights)
-        np.add.at(b, blk.refs, weights * g_ro[:, None])
+        np.add.at(a, blk.refs.T, weights)
+        np.add.at(b, blk.refs.T, weights * g_ro[:, None])
         a = a.reshape(n_g, 1, c, ss)
         g_v = np.matmul(blk.values[..., :-1].reshape(n_g, -1, c_v), g.transpose(0, 2, 1))
         d_logit = blk.e * (a * g_v.reshape(blk.e.shape) - b.reshape(n_g, 1, c, ss))

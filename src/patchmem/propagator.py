@@ -293,6 +293,19 @@ def _release(fids, uses, cache):
             cache.pop(fid, None)
 
 
+def _labels(scores):
+    """The uint8 (H, W) class of each pixel's highest score in finite
+    (C, H, W) scores, ties to the lower class: argmax(axis=0), by a running
+    maximum over the classes, C whole-map passes in place of argmax's
+    walk over each pixel's C strided scores."""
+    labels = np.zeros(scores.shape[1:], dtype=np.uint8)
+    best = scores[0].copy()
+    for c in range(1, len(scores)):
+        labels[scores[c] > best] = c
+        np.maximum(best, scores[c], out=best)
+    return labels
+
+
 class PropagationEngine:
     """Runs the plan one frame at a time, keeping only state a later step needs.
 
@@ -429,7 +442,7 @@ class PropagationEngine:
         full = renormalized(resize_bilinear(soft.probabilities, self.volume.height,
                                             self.volume.width))
         ids = [e.frame_id for e in bank]
-        self._finish(query, full.argmax(axis=0), soft, provenance=ids)
+        self._finish(query, _labels(full), soft, provenance=ids)
         _release([query, *ids], self._key_uses, self._keys)
         _release(ids, self._value_uses, self._values)
 

@@ -23,6 +23,9 @@ from .propagator import PropagationConfig, partition_regions, run_4d
 # largest error it passes.
 _ORACLE_INSTANCES, _ORACLE_TOL = 40, 1e-6
 _GRADIENT_INSTANCES, _GRADIENT_TOL = 4, 1e-4
+# Least denominator of the gradient check's relative error, so that an
+# all-zero gradient (zero upstream) still gives a defined ratio.
+_GRADIENT_CLAMP = 1e-8
 _FOLD_LAYOUTS, _FOLD_TOL = 30, 1e-6
 _TOPK_INSTANCES = 200
 
@@ -100,15 +103,14 @@ def fd_gradients(q, mk, mv, patch, k, upstream, step=1e-3):
     return base, fd_q, fd_mk, fd_mv
 
 
-def _max_rel_err(analytic, fd, clamp=1e-8):
+def _max_rel_err(analytic, fd):
     """Largest deviation relative to the block's gradient magnitude.
 
-    The denominator is the max absolute entry of either side, clamped so
-    the all-zero-gradient case (zero upstream) stays well defined. A wrong
-    or missing term shows up at order one; finite-difference truncation
-    stays several orders below the tolerance.
+    The denominator is the max absolute entry of either side, at least
+    _GRADIENT_CLAMP. A wrong or missing term shows up at order one;
+    finite-difference truncation stays several orders below the tolerance.
     """
-    denom = max(float(np.abs(analytic).max()), float(np.abs(fd).max()), clamp)
+    denom = max(float(np.abs(analytic).max()), float(np.abs(fd).max()), _GRADIENT_CLAMP)
     return float(np.abs(analytic - fd).max()) / denom
 
 

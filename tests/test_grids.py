@@ -222,6 +222,43 @@ class TestSoftLabelMap:
             with pytest.raises(DataError):
                 SoftLabelMap(probs)
 
+    @staticmethod
+    def _uniform(dtype):
+        """A valid (3, 4, 5) map: every column is [0.5, 0.25, 0.25]."""
+        probs = np.empty((3, 4, 5), dtype=dtype)
+        probs[0] = 0.5
+        probs[1:] = 0.25
+        return probs
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0, 0), (1, 2, 3), (2, 3, 4)])
+    def test_non_finite_rejected(self, dtype, bad, where):
+        probs = self._uniform(dtype)
+        probs[where] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            SoftLabelMap(probs)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_negative_rejected(self, dtype):
+        probs = self._uniform(dtype)
+        probs[2, 1, 1] = -2e-9
+        with pytest.raises(DataError, match="negative"):
+            SoftLabelMap(probs)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("offset, ok", [(2e-5, False), (-2e-5, False),
+                                            (5e-6, True), (-5e-6, True)])
+    def test_column_sum_tolerance(self, dtype, offset, ok):
+        probs = self._uniform(dtype)
+        probs[0, 2, 3] += offset
+        assert abs(float(probs[:, 2, 3].sum()) - (1.0 + offset)) < 1e-6
+        if ok:
+            assert SoftLabelMap(probs).probabilities is probs
+        else:
+            with pytest.raises(DataError, match="sum to 1"):
+                SoftLabelMap(probs)
+
 
 class TestResizeBilinear:
     def test_identity_when_same_size(self):

@@ -106,6 +106,37 @@ class TestPartition:
             partition_regions(0)
 
 
+class TestLabels:
+    """The engine's label rule against argmax(axis=0)."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_argmax_on_random_maps(self, dtype):
+        rng = np.random.default_rng(5)
+        for h, w in [(1, 1), (7, 13), (64, 48)]:
+            scores = rng.random((4, h, w)).astype(dtype)
+            labels = propagator._labels(scores)
+            assert labels.dtype == np.uint8
+            assert np.array_equal(labels, scores.argmax(axis=0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("tied", [(0, 1), (1, 3), (2, 3), (0, 2, 3), (1, 2, 3),
+                                      (0, 1, 2, 3)])
+    def test_ties_go_to_the_first_class(self, dtype, tied):
+        # the tied classes share the top score at every pixel; the others
+        # score lower, at every pixel or at every other one
+        rng = np.random.default_rng(6)
+        scores = rng.random((4, 9, 10)).astype(dtype) * 0.5
+        top = (0.5 + rng.random((9, 10)) * 0.5).astype(dtype)
+        for c in tied:
+            scores[c] = top
+        scores[:, ::2] = np.where(np.isin(np.arange(4), tied)[:, None, None],
+                                  scores[:, ::2], top[::2] - 0.25)
+        labels = propagator._labels(scores)
+        assert labels.dtype == np.uint8
+        assert np.array_equal(labels, scores.argmax(axis=0))
+        assert (labels == min(tied)).all()
+
+
 class TestMemoryBank:
     """Banks are planned frame ids; their caps are set where the plan makes them."""
 
