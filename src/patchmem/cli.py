@@ -42,7 +42,7 @@ from .evalkit import (
 )
 from .featurizer import EncoderConfig
 from .grids import CineVolume, LabelVolume, load_container, save_container
-from .propagator import PropagationConfig, partition_regions, run_4d
+from .propagator import PropagationConfig, _checked_fractions, partition_regions, run_4d
 from .verification import SUITES, run_suites
 
 EXIT_OK = 0
@@ -201,6 +201,11 @@ def cmd_propagate(args):
 
 
 def cmd_eval(args):
+    # bad fractions and an output that cannot be written fail before the
+    # volumes are loaded
+    fractions = _checked_fractions((args.basal_frac, args.apex_frac))
+    if args.out_csv:
+        _check_writable(args.out_csv)
     pred = load_container(args.pred)
     truth = load_container(args.truth)
     if not isinstance(pred, LabelVolume) or not isinstance(truth, LabelVolume):
@@ -208,7 +213,6 @@ def cmd_eval(args):
     if pred.labels.shape != truth.labels.shape:
         raise DimensionError(
             f"prediction {pred.labels.shape} and truth {truth.labels.shape} disagree")
-    fractions = (args.basal_frac, args.apex_frac)
     _echo({"command": "eval", "pred": args.pred, "truth": args.truth,
            "region_fractions": list(fractions), "method": args.method,
            "out_csv": args.out_csv})

@@ -112,6 +112,14 @@ class RegionPartition:
         return len(self.basal) + len(self.middle) + len(self.apex)
 
 
+def _checked_fractions(fractions):
+    """(basal, apex) as floats, each in (0, 1); NaN and infinities fail."""
+    bf, af = float(fractions[0]), float(fractions[1])
+    if not (0.0 < bf < 1.0 and 0.0 < af < 1.0):
+        raise ParameterError(f"region fractions must lie in (0, 1), got {fractions}")
+    return bf, af
+
+
 def partition_regions(z_count, fractions=(1.0 / 3.0, 1.0 / 3.0)):
     """Split slice indices into basal, middle, and apex thirds.
 
@@ -121,9 +129,7 @@ def partition_regions(z_count, fractions=(1.0 / 3.0, 1.0 / 3.0)):
     """
     if z_count < 1:
         raise ParameterError(f"z_count must be positive, got {z_count}")
-    bf, af = float(fractions[0]), float(fractions[1])
-    if not (0.0 < bf < 1.0 and 0.0 < af < 1.0):
-        raise ParameterError(f"region fractions must lie in (0, 1), got {fractions}")
+    bf, af = _checked_fractions(fractions)
     n_basal = math.ceil(z_count * bf)
     n_apex = math.ceil(z_count * af)
     if n_basal + n_apex >= z_count:

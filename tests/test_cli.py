@@ -400,6 +400,38 @@ class TestEvalCommand:
             main(argv + ["--threads", "2"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--basal-frac", "nan"], ["--apex-frac", "inf"], ["--basal-frac=-inf"],
+        ["--basal-frac", "0"], ["--apex-frac", "1"], ["--basal-frac", "1.5"],
+    ], ids=["basal-nan", "apex-inf", "basal-minus-inf", "basal-zero", "apex-one",
+            "basal-above-one"])
+    def test_bad_fractions_fail_before_the_echo(self, tmp_path, capsys, flags):
+        _, truth = make_phantom(tmp_path, capsys)
+        rc = main(["eval", "--pred", str(truth), "--truth", str(truth),
+                   "--out-csv", str(tmp_path / "m.csv"), *flags])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "region fractions" in captured.err
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_unwritable_csv_fails_before_loading(self, tmp_path, capsys):
+        _, truth = make_phantom(tmp_path, capsys)
+        out_csv = tmp_path / "absent" / "m.csv"
+        rc = main(["eval", "--pred", str(truth), "--truth", str(truth),
+                   "--out-csv", str(out_csv)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert str(out_csv) in captured.err
+        # the output is checked first: a missing prediction is not reached
+        rc = main(["eval", "--pred", str(tmp_path / "absent.cgrid"), "--truth", str(truth),
+                   "--out-csv", str(out_csv)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert str(out_csv) in captured.err
+
 
 def write_cgrid(path, header, payload):
     """Write a CGRID file by hand, bypassing save_container's checks."""

@@ -56,6 +56,9 @@ def boundary_loops(mask):
 
 
 def hd95_loops(pred, truth, label, spacing):
+    """HD95 by Python loops over one frame; None if either mask is empty."""
+    if not (pred == label).any() or not (truth == label).any():
+        return None
     a = boundary_loops(pred == label)
     b = boundary_loops(truth == label)
     pa = [(y * spacing[0], x * spacing[1]) for y, x in np.argwhere(a)]
@@ -116,6 +119,17 @@ class TestBoundary:
             want = mask & ~ndimage.binary_erosion(mask, structure=plus, border_value=0)
             assert np.array_equal(_boundary(mask), want)
 
+    @pytest.mark.parametrize("shape", [(4, 12, 14), (2, 3, 1, 9), (3, 2, 7), (2, 1, 5),
+                                       (3, 6, 2), (0, 5, 5)])
+    def test_stack_is_frame_by_frame(self, shape):
+        rng = np.random.default_rng(86)
+        stack = rng.random(shape) < 0.6
+        got = _boundary(stack)
+        assert got.shape == stack.shape
+        for i in np.ndindex(shape[:-2]):
+            assert np.array_equal(got[i], _boundary(stack[i]))
+            assert np.array_equal(got[i], boundary_loops(stack[i]))
+
 
 class TestHd95:
     def test_identical_masks(self):
@@ -157,11 +171,84 @@ class TestHd95:
 
     def test_input_validation(self):
         with pytest.raises(DimensionError):
-            hd95(np.zeros((2, 3, 3)), np.zeros((2, 3, 3)), 1)
+            hd95(np.zeros(3), np.zeros(3), 1)
         with pytest.raises(DimensionError):
             hd95(np.zeros((3, 3)), np.zeros((3, 4)), 1)
+        with pytest.raises(DimensionError):
+            hd95(np.zeros((2, 3, 3)), np.zeros((3, 3, 3)), 1)
         with pytest.raises(ParameterError):
             hd95(np.zeros((3, 3)), np.zeros((3, 3)), 1, spacing_mm=(0.0, 1.0))
+
+    @pytest.mark.parametrize("spacing", [
+        (float("nan"), 1.0), (float("inf"), 1.0), (1.0, float("-inf")), (True, 1.0),
+        (1.0,), (1.0, 1.0, 1.0), "11", (1.0, "1"), (-1.0, 1.0),
+    ])
+    def test_spacing_is_two_finite_positive_numbers(self, spacing):
+        a = np.zeros((5, 5), dtype=np.uint8)
+        a[1:3, 1:3] = 1
+        with pytest.raises(ParameterError):
+            hd95(a, a, 1, spacing_mm=spacing)
+        with pytest.raises(ParameterError):
+            hd95(a[None], a[None], 1, spacing_mm=spacing)
+
+
+def frame_stack_cases():
+    """(pred, truth) stacks of class-1 masks with the cases a stack must keep
+    apart: empty frames on either side or both, masks on the border, frames
+    of one and two rows, and disc pairs of random placement."""
+    rng = np.random.default_rng(87)
+    cases = []
+    discs = np.stack([np.stack(random_blob_pair(rng)) for _ in range(5)], axis=1)
+    discs[0, 1] = 0              # empty prediction
+    discs[1, 3] = 0              # empty truth
+    discs[:, 4] = 0              # both empty
+    discs[0, 2, :, :3] = 1       # runs along the left and top border
+    discs[1, 2, :2, :] = 1
+    cases.append((discs[0], discs[1]))
+    for h in (1, 2):
+        thin = (rng.random((2, 4, h, 17)) < 0.4).astype(np.uint8)
+        thin[0, 0] = 0
+        cases.append((thin[0], thin[1]))
+    full = np.ones((2, 3, 6, 5), dtype=np.uint8)  # every pixel on the border or inside
+    full[1, :, 2:4, 1:3] = 0
+    cases.append((full[0], full[1]))
+    return cases
+
+
+class TestHd95Stack:
+    @pytest.mark.parametrize("spacing", [(1.0, 1.0), (1.25, 1.7), (2.5, 0.6)])
+    def test_equals_frame_by_frame(self, spacing):
+        for pred, truth in frame_stack_cases():
+            got = hd95(pred, truth, 1, spacing_mm=spacing)
+            assert isinstance(got, list) and len(got) == len(pred)
+            for i, value in enumerate(got):
+                assert value == hd95(pred[i], truth[i], 1, spacing_mm=spacing)
+                want = hd95_loops(pred[i], truth[i], 1, spacing)
+                if want is None:
+                    assert value is None
+                else:
+                    assert value == pytest.approx(want, abs=1e-9)
+
+    def test_covers_empty_frames(self):
+        pred, truth = frame_stack_cases()[0]
+        got = hd95(pred, truth, 1)
+        assert got[1] is None and got[3] is None and got[4] is None
+        assert got[0] is not None and got[2] is not None
+
+    def test_nested_like_the_leading_axes(self):
+        pred, truth = frame_stack_cases()[0]
+        grid_p, grid_t = pred[:4].reshape(2, 2, 24, 24), truth[:4].reshape(2, 2, 24, 24)
+        got = hd95(grid_p, grid_t, 1, spacing_mm=(1.3, 1.1))
+        flat = hd95(pred[:4], truth[:4], 1, spacing_mm=(1.3, 1.1))
+        assert got == [flat[:2], flat[2:]]
+        assert hd95(pred[:0], truth[:0], 1) == []
+        assert hd95(pred[:1], truth[:1], 1) == [hd95(pred[0], truth[0], 1)]
+
+    def test_other_labels_are_background(self):
+        pred, truth = frame_stack_cases()[0]
+        relabelled = np.where(pred == 1, 2, 3 * (pred == 0)).astype(np.uint8)
+        truth2 = np.where(truth == 1, 2, 0).astype(np.uint8)
+        assert hd95(relabelled, truth2, 2) == hd95(pred, truth, 1)
 
 
 def small_phantom_spec(**overrides):
@@ -236,6 +323,45 @@ class TestReportByRegion:
         assert len(rows) == 17
         assert rows[1][0] == "dense"
         assert rows[1][3] == "1.000000"
+
+    def test_equals_per_frame_oracle(self, perfect):
+        truth, part = perfect
+        labels = truth.labels
+        moved = np.roll(labels, (1, -2), axis=(2, 3))
+        moved[labels.shape[0] - 1, 1:] = 0   # no prediction on a slice's late phases
+        moved[0, 0][moved[0, 0] == 1] = 0    # one frame loses its LV
+        pred = LabelVolume(moved, spacing_mm=truth.spacing_mm)
+        report = report_by_region(pred, truth, part, method="m")
+
+        regions = {"basal": part.basal, "middle": part.middle, "apex": part.apex,
+                   "whole": tuple(range(truth.z_count))}
+        want_rows = 0
+        for region, slices in regions.items():
+            dices, hd_means, excluded = [], [], 0
+            for label, cname in ((1, "LV"), (2, "Myo"), (3, "RV")):
+                p, t = moved[list(slices)] == label, labels[list(slices)] == label
+                d = 2 * (p & t).sum() / (p.sum() + t.sum()) if p.any() or t.any() else 1.0
+                frames = [hd95(moved[z, ti], labels[z, ti], label, truth.spacing_mm)
+                          for z in slices for ti in range(truth.t_count)]
+                defined = [h for h in frames if h is not None]
+                row = report_row(report, region, cname)
+                assert row.method == "m"
+                assert row.dice == d
+                assert row.n_frames == len(frames)
+                assert row.n_excluded_hd == len(frames) - len(defined)
+                assert row.hd95_mm == (float(np.mean(defined)) if defined else None)
+                dices.append(d)
+                excluded += row.n_excluded_hd
+                if defined:
+                    hd_means.append(float(np.mean(defined)))
+                want_rows += 1
+            avg = report_row(report, region, "Avg")
+            assert avg.dice == float(np.mean(dices))
+            assert avg.hd95_mm == float(np.mean(hd_means))
+            assert avg.n_excluded_hd == excluded
+            want_rows += 1
+        assert len(report.rows) == want_rows
+        assert any(r.n_excluded_hd for r in report.rows)
 
     def test_input_validation(self, perfect):
         truth, part = perfect
