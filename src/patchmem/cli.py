@@ -7,7 +7,8 @@ configuration as JSON; feeding the echoed config back reproduces the
 outputs bit for bit.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
-3 verification failure.
+3 verification failure. Each package error class names its own code, its
+``exit_code``; an unreadable or unwritable file is a usage error.
 """
 
 from __future__ import annotations
@@ -20,18 +21,7 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    ContainerError,
-    DataError,
-    DimensionError,
-    LabelError,
-    LayoutError,
-    ParameterError,
-    PartitionError,
-    PhantomSpecError,
-    SchedulingError,
-    StateError,
-)
+from .errors import DataError, DimensionError, ParameterError, PatchmemError
 from .evalkit import (
     BenchConfig,
     PhantomSpec,
@@ -47,12 +37,7 @@ from .verification import SUITES, run_suites
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_DATA = 2
 EXIT_VERIFY = 3
-
-_USAGE_ERRORS = (ParameterError, PhantomSpecError, PartitionError)
-_DATA_ERRORS = (ContainerError, DataError, DimensionError, LabelError,
-                LayoutError, SchedulingError, StateError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -188,7 +173,7 @@ def cmd_propagate(args):
         payload = {
             "frames": {f"{z},{t}": [list(fid) for fid in bank]
                        for (z, t), bank in result.provenance.items()},
-            "order": [list(fid) for fid in result.order],
+            "order": [list(fid) for fid in result.provenance],
             "work_dims": list(result.work_dims),
         }
         with open(args.out_provenance, "w") as fh:
@@ -213,11 +198,11 @@ def cmd_eval(args):
     if pred.labels.shape != truth.labels.shape:
         raise DimensionError(
             f"prediction {pred.labels.shape} and truth {truth.labels.shape} disagree")
+    partition = partition_regions(truth.z_count, fractions)
+    report = report_by_region(pred, truth, partition, method=args.method)
     _echo({"command": "eval", "pred": args.pred, "truth": args.truth,
            "region_fractions": list(fractions), "method": args.method,
            "out_csv": args.out_csv})
-    partition = partition_regions(truth.z_count, fractions)
-    report = report_by_region(pred, truth, partition, method=args.method)
     if args.out_csv:
         report.to_csv(args.out_csv)
     print(report.format_table())
@@ -235,10 +220,10 @@ def _parse_bench_grid(path):
 def cmd_bench(args):
     configs = _parse_bench_grid(args.grid_json) if args.grid_json \
         else default_bench_grid()
+    report = check_complexity(configs, reps=args.reps)
     _echo({"command": "bench", "reps": args.reps,
            "grid": [dataclasses.asdict(c) for c in configs],
            "out_csv": args.out_csv})
-    report = check_complexity(configs, reps=args.reps)
     if args.out_csv:
         report.to_csv(args.out_csv)
     for r in report.rows:
@@ -357,17 +342,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except PatchmemError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return exc.exit_code
     except OSError as exc:
         # a missing file, a directory where a file belongs, no permission
         where = f": {exc.filename}" if exc.filename else ""
         print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
         return EXIT_USAGE
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except MemoryError as exc:
         # a backstop: the configuration checks refuse the sizes known to fail
         print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)

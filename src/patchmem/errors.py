@@ -2,11 +2,19 @@
 
 
 class PatchmemError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    ``exit_code`` is the command-line exit status the error ends in: 2, a
+    data error, unless a subclass names a usage error (1).
+    """
+
+    exit_code = 2
 
 
 class ParameterError(PatchmemError):
     """A parameter is outside its documented range."""
+
+    exit_code = 1
 
 
 class DimensionError(PatchmemError):
@@ -32,6 +40,8 @@ class StateError(PatchmemError):
 class PartitionError(PatchmemError):
     """A slice-region partition request leaves a region empty."""
 
+    exit_code = 1
+
 
 class SchedulingError(PatchmemError):
     """The propagation scheduler hit a missing prerequisite or an unreachable frame."""
@@ -39,6 +49,8 @@ class SchedulingError(PatchmemError):
 
 class PhantomSpecError(PatchmemError):
     """Phantom geometry or parameters do not fit the requested frame."""
+
+    exit_code = 1
 
 
 class ContainerError(PatchmemError):

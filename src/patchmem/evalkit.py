@@ -302,6 +302,7 @@ class PhantomSpec:
             raise PhantomSpecError("noise_sigma must be non-negative")
         if self.lv_radius_px <= 0 or self.myo_thickness_px <= 0 or self.rv_offset_px <= 0:
             raise PhantomSpecError("geometry radii must be positive")
+        _check_margins(self)
 
 
 def _phantom_centers(spec):
@@ -333,7 +334,6 @@ def _check_margins(spec):
 
 def gen_phantom(spec=PhantomSpec()):
     """Generate the phantom's cine volume and its exact label volume."""
-    _check_margins(spec)
     z_count, t_count = spec.z_count, spec.t_count
     h, w = spec.height, spec.width
     cy, cx, outer, dist_c, dist_r = _phantom_centers(spec)
@@ -342,15 +342,16 @@ def gen_phantom(spec=PhantomSpec()):
 
     yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
     d_lv = np.sqrt((yy - cy) ** 2 + (xx - cx) ** 2)
+    blob = np.zeros((h, w), dtype=bool)
+    if spec.distractor:
+        blob = np.sqrt((yy - dist_c[0]) ** 2 + (xx - dist_c[1]) ** 2) <= dist_r
+    # intensity of background, LV, myocardium and RV; the blob is 0.85 over all
+    shade = np.array([0.15, 0.9, 0.45, 0.9])
+    background = np.where(blob, 0.85, shade[0])
 
     labels = np.zeros((z_count, t_count, h, w), dtype=np.uint8)
-    intens = np.full((z_count, t_count, h, w), 0.15, dtype=np.float64)
-
-    if spec.distractor:
-        d_blob = np.sqrt((yy - dist_c[0]) ** 2 + (xx - dist_c[1]) ** 2)
-        blob = d_blob <= dist_r
-    else:
-        blob = None
+    # an apical slice lost to through-plane shortening keeps the background
+    intens = np.broadcast_to(background, labels.shape).copy()
 
     for tau in range(t_count):
         pf = math.sin(math.pi * tau / t_count) ** 2
@@ -365,24 +366,12 @@ def gen_phantom(spec=PhantomSpec()):
         lab2d[d_rv <= r_rv] = 3
         lab2d[d_lv <= r_outer] = 2
         lab2d[d_lv <= r_lv] = 1
+        img2d = shade[lab2d]
+        img2d[blob] = 0.85
 
-        img2d = np.full((h, w), 0.15, dtype=np.float64)
-        img2d[lab2d == 2] = 0.45
-        img2d[(lab2d == 1) | (lab2d == 3)] = 0.9
-        if blob is not None:
-            img2d[blob] = 0.85
-
-        visible_limit = z_count - n_short * pf
-        for z in range(z_count):
-            if z < visible_limit:
-                labels[z, tau] = lab2d
-                intens[z, tau] = img2d
-            else:
-                # apical slice lost to through-plane shortening at this phase
-                if blob is not None:
-                    frame = np.full((h, w), 0.15, dtype=np.float64)
-                    frame[blob] = 0.85
-                    intens[z, tau] = frame
+        visible = np.arange(z_count) < z_count - n_short * pf
+        labels[visible, tau] = lab2d
+        intens[visible, tau] = img2d
 
     if spec.noise_sigma > 0:
         rng = np.random.default_rng(spec.seed)

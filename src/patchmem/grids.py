@@ -234,16 +234,6 @@ class LabelVolume:
     def t_count(self):
         return self.labels.shape[1]
 
-    @property
-    def height(self):
-        return self.labels.shape[2]
-
-    @property
-    def width(self):
-        return self.labels.shape[3]
-
-    def frame(self, z, t):
-        return self.labels[z, t]
 
 
 class SoftLabelMap:
@@ -272,11 +262,6 @@ class SoftLabelMap:
         if max(sums.max() - 1.0, 1.0 - sums.min()) > 1e-5:
             raise DataError("soft label map columns must sum to 1 within 1e-5")
         self.probabilities = probabilities
-
-    @property
-    def num_classes(self):
-        """Foreground class count L (channels minus background)."""
-        return self.probabilities.shape[0] - 1
 
     @property
     def height(self):

@@ -168,16 +168,16 @@ class PropagationConfig:
         k: memory patches kept per query patch (clamped to the bank's
             total patch count when memory is small).
         scales: active pyramid scales, a non-empty subset of (3, 4).
-        region_fractions: (basal, apex) slice fractions.
+        region_fractions: (basal, apex) slice fractions, each in (0, 1).
         apex_t_max: bank capacity for apex queries (2 disables the
             same-slice history, 3 is the default single extra phase).
         continuity_mode: "both", "spatial-only", or "temporal-only".
         matcher: "plmm" for patch-level matching, "dense" for the
             all-pairs reference.
-        working_side: fixed working resolution (must be admissible);
-            None picks the smallest admissible size per axis. Either way,
-            a side over MAX_WORKING_SIDE is refused before the run
-            allocates anything.
+        working_side: fixed working resolution (must be admissible and at
+            most MAX_WORKING_SIDE); None picks the smallest admissible size
+            per axis, and the engine refuses a derived side over
+            MAX_WORKING_SIDE before the run allocates anything.
         encoder: key encoder settings.
     """
 
@@ -208,6 +208,17 @@ class PropagationConfig:
             raise ParameterError(f"unknown continuity mode {self.continuity_mode!r}")
         if self.matcher not in ("plmm", "dense"):
             raise ParameterError(f"unknown matcher {self.matcher!r}")
+        object.__setattr__(self, "region_fractions",
+                           _checked_fractions(self.region_fractions))
+        if self.working_side is not None:
+            if not _is_admissible(self.working_side, self.patch):
+                raise ParameterError(
+                    f"working_side {self.working_side} is not admissible for "
+                    f"patch {self.patch}")
+            if self.working_side > MAX_WORKING_SIDE:
+                raise ParameterError(
+                    f"working side {self.working_side} exceeds the largest "
+                    f"supported, {MAX_WORKING_SIDE}")
 
 
 @dataclass
@@ -215,15 +226,13 @@ class PropagationResult:
     """Everything a full 4D run produces.
 
     provenance maps each frame to the ordered list of memory frames its
-    bank held (empty for the given anchor); order is the execution order,
-    anchor first.
+    bank held (empty for the given anchor); its keys are in execution
+    order, anchor first.
     """
 
     masks: LabelVolume
     provenance: dict
-    order: list
     work_dims: tuple
-    config: PropagationConfig
 
 
 def working_side_for(side, patch):
@@ -335,18 +344,14 @@ class PropagationEngine:
                 f"(middle = {self.partition.middle})")
 
         if cfg.working_side is not None:
-            if not _is_admissible(cfg.working_side, cfg.patch):
-                raise ParameterError(
-                    f"working_side {cfg.working_side} is not admissible for "
-                    f"patch {cfg.patch}")
             self.work_h = self.work_w = cfg.working_side
         else:
             self.work_h = working_side_for(volume.height, cfg.patch)
             self.work_w = working_side_for(volume.width, cfg.patch)
-        side = max(self.work_h, self.work_w)
-        if side > MAX_WORKING_SIDE:
-            raise ParameterError(f"working side {side} for patch {cfg.patch} exceeds "
-                                 f"the largest supported, {MAX_WORKING_SIDE}")
+            side = max(self.work_h, self.work_w)
+            if side > MAX_WORKING_SIDE:
+                raise ParameterError(f"working side {side} for patch {cfg.patch} exceeds "
+                                     f"the largest supported, {MAX_WORKING_SIDE}")
 
         self.plan = plan_visits(self.partition, self.z0, volume.t_count,
                                 cfg.apex_t_max, cfg.continuity_mode)
@@ -461,9 +466,7 @@ class PropagationEngine:
         return PropagationResult(
             masks=LabelVolume(self.masks, spacing_mm=self.volume.spacing_mm),
             provenance=dict(self.provenance),
-            order=list(self.provenance),
             work_dims=(self.work_h, self.work_w),
-            config=self.cfg,
         )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LayoutError, ParameterError
+from .errors import LayoutError
 from .matcher import plmm_forward
 from .patcher import make_layout
 
@@ -57,8 +57,6 @@ def match_multiscale(query, memory_keys, memory_values, p4, k, counter=None):
         {3: readout, 4: readout}, FeatureGrids. LayoutError if the scale-3
         layout is not the scale-4 layout doubled.
     """
-    if len(memory_keys) != len(memory_values) or not memory_keys:
-        raise ParameterError("memory keys and values must be parallel, non-empty lists")
     res4 = plmm_forward(
         query[4], [m[4] for m in memory_keys], [m[4] for m in memory_values],
         patch=p4, k=k, counter=counter)

@@ -148,8 +148,8 @@ def test_criterion_05_scheduler_conformance():
     result = run_4d(volume, truth.labels[4, 0], cfg)
 
     every_frame = {(z, t) for z in range(9) for t in range(10)}
-    once = (set(result.order) == every_frame
-            and len(result.order) == len(every_frame))
+    order = list(result.provenance)
+    once = set(order) == every_frame and len(order) == len(every_frame)
     apex = partition_regions(9).apex
     caps_ok = all(len(bank) <= (3 if z in apex else 2)
                   for (z, t), bank in result.provenance.items())

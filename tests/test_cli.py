@@ -20,6 +20,13 @@ from hypothesis import strategies as st
 
 from patchmem import cli, verification
 from patchmem.cli import build_parser, main
+from patchmem.errors import (
+    ParameterError,
+    PartitionError,
+    PatchmemError,
+    PhantomSpecError,
+    SchedulingError,
+)
 from patchmem.evalkit import BenchConfig, ComplexityReport, default_bench_grid
 from patchmem.featurizer import EncoderConfig
 from patchmem.grids import MAGIC, FeatureGrid, LabelVolume, load_container, save_container
@@ -92,11 +99,16 @@ class TestPhantomCommand:
                    "--spec-json", str(spec)])
         assert rc == 1
 
-    def test_geometry_that_does_not_fit(self, tmp_path):
+    def test_geometry_that_does_not_fit(self, tmp_path, capsys):
         rc = main(["phantom", "--out-volume", str(tmp_path / "v.cgrid"),
                    "--out-truth", str(tmp_path / "t.cgrid"),
                    "--height", "48", "--width", "48", "--lv-radius", "40"])
         assert rc == 1
+        # the spec refuses it when it is built, before anything is echoed
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: phantom geometry does not fit inside the frame "
+                                "with a 2 px margin\n")
 
     def test_missing_spec_file(self, tmp_path):
         rc = main(["phantom", "--out-volume", str(tmp_path / "v.cgrid"),
@@ -166,7 +178,7 @@ def no_propagation(monkeypatch):
     def fake_run_4d(volume, seed, cfg):
         assert isinstance(cfg, PropagationConfig)
         labels = np.zeros(volume.intensities.shape, dtype=np.uint8)
-        return SimpleNamespace(masks=LabelVolume(labels), provenance={}, order=[],
+        return SimpleNamespace(masks=LabelVolume(labels), provenance={},
                                work_dims=(volume.height, volume.width))
 
     monkeypatch.setattr(cli, "run_4d", fake_run_4d)
@@ -258,6 +270,21 @@ class TestPropagateCommand:
                    "--out-masks", str(tmp_path / "m.cgrid"),
                    "--scales", "4", "--working-side", "100"])
         assert rc == 1
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flags", [["--basal-frac", "1.5"], ["--working-side", "2112"]],
+                             ids=["basal-frac", "side-over-the-bound"])
+    def test_setting_refused_before_the_echo(self, tmp_path, capsys, small_study,
+                                             monkeypatch, flags):
+        monkeypatch.setattr(cli, "run_4d", None)
+        vol, seed = small_study
+        rc = main(["propagate", "--volume", str(vol), "--seed-mask", str(seed),
+                   "--out-masks", str(tmp_path / "m.cgrid"), *flags])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_threads_flag_exits_one(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -388,7 +415,19 @@ class TestEvalCommand:
         rc = main(["eval", "--pred", str(pred_path), "--truth", str(truth_path),
                    "--threads", "1"])
         assert rc == 2
-        assert "spacing" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "spacing" in captured.err
+        assert captured.out == ""
+
+    def test_partition_without_middle_fails_before_the_echo(self, tmp_path, capsys):
+        _, truth = make_phantom(tmp_path, capsys)  # Z = 3
+        rc = main(["eval", "--pred", str(truth), "--truth", str(truth),
+                   "--basal-frac", "0.45", "--apex-frac", "0.45"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: fractions (0.45, 0.45) leave no middle")
+        assert captured.err.count("\n") == 1
 
     def test_threads_takes_only_one(self, tmp_path, capsys):
         _, truth = make_phantom(tmp_path, capsys)
@@ -654,7 +693,7 @@ class TestOutputsCheckedFirst:
     def test_check_leaves_existing_and_absent_outputs(self, tmp_path, small_study,
                                                       monkeypatch):
         def data_error(*args, **kwargs):
-            raise cli.SchedulingError("no match")
+            raise SchedulingError("no match")
 
         monkeypatch.setattr(cli, "run_4d", data_error)
         vol, seed = small_study
@@ -665,6 +704,30 @@ class TestOutputsCheckedFirst:
                      "--out-provenance", str(tmp_path / "p.json")]) == 2
         assert masks.read_bytes() == b"earlier"
         assert [p.name for p in tmp_path.iterdir()] == ["m.cgrid"]
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+# the package errors that name a usage error, with everything derived from them
+USAGE_ERRORS = (ParameterError, PhantomSpecError, PartitionError)
+
+
+@pytest.mark.parametrize("error", [PatchmemError, *_subclasses(PatchmemError)],
+                         ids=lambda cls: cls.__name__)
+def test_package_error_exits_with_its_code(monkeypatch, capsys, error):
+    def refuse(configs, reps):
+        raise error("refused")
+
+    monkeypatch.setattr(cli, "check_complexity", refuse)
+    assert error.exit_code == (1 if issubclass(error, USAGE_ERRORS) else 2)
+    assert main(["bench", "--reps", "1"]) == error.exit_code
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: refused"]
+    assert captured.out == ""
 
 
 @pytest.fixture(scope="module")
@@ -922,8 +985,9 @@ class TestBenchCommand:
     @pytest.mark.parametrize("reps", ["0", "-1"])
     def test_reps_below_one_exits_one(self, capsys, reps):
         assert main(["bench", "--reps", reps]) == 1
-        err = capsys.readouterr().err
-        assert "reps must be at least 1" in err and "nan" not in err
+        captured = capsys.readouterr()
+        assert "reps must be at least 1" in captured.err and "nan" not in captured.err
+        assert captured.out == ""
 
 
 class TestVerifyCommand:

@@ -431,6 +431,7 @@ class TestPhantom:
         {"contraction_frac": 1.0},
         {"noise_sigma": -0.1},
         {"myo_thickness_px": 0.0},
+        {"lv_radius_px": 40.0},
     ])
     def test_invalid_specs(self, overrides):
         with pytest.raises(PhantomSpecError):

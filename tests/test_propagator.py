@@ -223,6 +223,11 @@ class TestPropagationConfig:
         {"z0": 1.0},
         {"continuity_mode": None},
         {"encoder": {"key_channels": 64}},
+        {"region_fractions": (1.5, 0.3)},
+        {"region_fractions": (0.3, 0.0)},
+        {"working_side": 100},
+        {"working_side": 0},
+        {"working_side": 2112},
     ])
     def test_invalid_settings(self, kwargs):
         with pytest.raises(ParameterError):
@@ -243,9 +248,9 @@ class TestWorkingResolution:
 
     def test_override_must_be_admissible(self):
         vol = smooth_volume(3, 2)
-        cfg = PropagationConfig(patch=6, scales=(4,), working_side=100)
         with pytest.raises(ParameterError):
-            run_4d(vol, disc_seed(), cfg)
+            run_4d(vol, disc_seed(), PropagationConfig(patch=6, scales=(4,),
+                                                       working_side=100))
 
     @pytest.mark.parametrize("overrides", [
         dict(patch=6, working_side=2064),
@@ -253,9 +258,9 @@ class TestWorkingResolution:
     ], ids=["explicit", "derived-from-patch"])
     def test_side_over_the_bound_is_refused(self, overrides):
         # 2064 is admissible for patch 6; patch 10^6 derives a side of 1.6e7
-        cfg = PropagationConfig(scales=(4,), **overrides)
         with pytest.raises(ParameterError, match="working side"):
-            PropagationEngine(smooth_volume(3, 2), cfg)
+            PropagationEngine(smooth_volume(3, 2),
+                              PropagationConfig(scales=(4,), **overrides))
 
     def test_work_dims_reported(self):
         vol = smooth_volume(3, 2)
@@ -328,9 +333,10 @@ class TestRun4d:
         result = run_4d(vol, disc_seed(), FAST)
         assert result.masks.labels.shape == (3, 2, 48, 48)
         expected = {(z, t) for z in range(3) for t in range(2)}
-        assert set(result.order) == expected
-        assert len(result.order) == len(expected)
-        assert result.order[0] == (1, 0)
+        order = list(result.provenance)
+        assert set(order) == expected
+        assert len(order) == len(expected)
+        assert order[0] == (1, 0)
         assert set(result.provenance) == expected
 
     def test_anchor_seed_verbatim(self):
