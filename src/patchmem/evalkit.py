@@ -503,13 +503,13 @@ def _median_ms(fn, reps):
 def check_complexity(configs=None, reps=5):
     """Run the matcher over a config grid and compare counters to closed forms.
 
-    For each config the scale-4 pass predicts T*N^2 patch pairs and
-    N*K*(P^2)^2 pixel pairs; the dense path predicts T*(H*W)^2. Configs with
-    a scale-3 entry additionally run the lifted pass at doubled dims and
-    patch size, which must add zero patch pairs and N*K*((2P)^2)^2 pixel
-    pairs. Inputs are standard normal, _BENCH_KEY_CHANNELS of keys and
-    _BENCH_VALUE_CHANNELS of values, drawn from _BENCH_SEED. Wall times are
-    medians over the given repetitions.
+    Each config runs its scales coarsest first, scale 3 at doubled dims and
+    patch size. A pass that selects its own top-K predicts T*N^2 patch pairs
+    and N*K*(P^2)^2 pixel pairs; the dense path predicts T*(H*W)^2. Scale 3
+    after scale 4 lifts scale 4's selection, as propagation does: zero patch
+    pairs, N*K*((2P)^2)^2 pixel pairs. Inputs are standard normal,
+    _BENCH_KEY_CHANNELS of keys and _BENCH_VALUE_CHANNELS of values, drawn
+    from _BENCH_SEED. Wall times are medians over the given repetitions.
     """
     if reps < 1:
         raise ParameterError(f"reps must be at least 1, got {reps}")
@@ -519,7 +519,7 @@ def check_complexity(configs=None, reps=5):
     rows = []
     for cfg in configs:
         prev = None  # scale 4's top-K table and layout, which scale 3 lifts
-        for scale in (4, 3) if 3 in cfg.scales else (4,):
+        for scale in sorted(set(cfg.scales), reverse=True):
             f = 2 if scale == 3 else 1
             h, w, p = f * cfg.h, f * cfg.w, f * cfg.patch
             layout = make_layout(h, w, p)

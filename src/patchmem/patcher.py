@@ -154,8 +154,8 @@ def coverage_map(layout):
 def scatter_add(patches):
     """Adjoint of unfold: sum patches back onto the map without averaging.
 
-    Used by fold and by gradient propagation; returns a raw (C, H, W) array
-    of the patches' dtype.
+    Fold divides it by coverage; the matcher's backward pass does not call
+    it. Returns a raw (C, H, W) array of the patches' dtype.
     """
     layout = patches.layout
     hw = layout.map_h * layout.map_w

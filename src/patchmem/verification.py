@@ -3,7 +3,8 @@
 Each suite exercises one contract of the matching stack against an
 independent reference: the dense softmax path, central finite differences,
 brute-force sorting, or hand-counted schedules. Suites are deterministic
-(fixed seeds) and cheap enough to run together in well under five minutes.
+(fixed seeds). Four are acceptance criteria, which run them as they are:
+oracle-equivalence is 01, gradient-check 02, fold-unfold 03, scheduler 05.
 """
 
 from __future__ import annotations
@@ -20,14 +21,29 @@ from .patcher import coverage_map, fold, make_layout, unfold
 from .propagator import PropagationConfig, partition_regions, run_4d
 
 # Random instances (layouts for fold-unfold) each suite checks, and the
-# largest error it passes.
-_ORACLE_INSTANCES, _ORACLE_TOL = 40, 1e-6
-_GRADIENT_INSTANCES, _GRADIENT_TOL = 4, 1e-4
+# largest error it passes (gradient-check passes only below its tolerance).
+_ORACLE_INSTANCES, _ORACLE_TOL = 102, 1e-6
+_GRADIENT_INSTANCES, _GRADIENT_TOL = 24, 1e-4
 # Least denominator of the gradient check's relative error, so that an
 # all-zero gradient (zero upstream) still gives a defined ratio.
 _GRADIENT_CLAMP = 1e-8
-_FOLD_LAYOUTS, _FOLD_TOL = 30, 1e-6
+_FOLD_LAYOUTS, _FOLD_TOL = 60, 1e-6
 _TOPK_INSTANCES = 200
+# The scheduler suite's Z -> (basal, middle, apex) slices at the default
+# fractions, and hand-derived banks of its 9x10 study anchored at (4, 0):
+# the anchor's own, phase steps, a slice step and deep-apex history, up to
+# the last phase, so that a change to the late phases' schedule shows.
+_PARTITIONS = {9: ((0, 1, 2), (3, 4, 5), (6, 7, 8)),
+               10: ((0, 1, 2, 3), (4, 5), (6, 7, 8, 9))}
+_BANKS = {
+    (4, 0): [],
+    (4, 3): [(4, 0), (4, 2)],
+    (4, 5): [(4, 0), (4, 4)],
+    (4, 9): [(4, 0), (4, 8)],
+    (3, 2): [(4, 0), (4, 2)],
+    (8, 3): [(4, 0), (7, 3), (8, 2)],
+    (8, 9): [(4, 0), (7, 9), (8, 8)],
+}
 
 
 @dataclass
@@ -47,17 +63,21 @@ def _random_instance(rng, t, side, c_key=3, c_val=2):
 def suite_oracle_equivalence():
     """Patch readout must equal the dense softmax readout whenever the
     patch spans the whole map and every memory patch is selected."""
-    rng = np.random.default_rng(20240501)
+    rng = np.random.default_rng(1001)
     worst = 0.0
     for i in range(_ORACLE_INSTANCES):
-        t = int(rng.integers(1, 4))
-        side = int(rng.choice([4, 6]))
+        t = 1 + i % 3
+        side = int(rng.choice([4, 6, 8]))
         q, mk, mv = _random_instance(rng, t, side)
         res = plmm_forward(q, mk, mv, patch=side, k=t)
         ref = dense_readout(q, mk, mv)
         diff = float(np.abs(res.readout.data - ref.data).max())
+        if not diff <= _ORACLE_TOL:
+            return SuiteResult("oracle-equivalence", False,
+                               f"instance {i}: |patch - dense| = {diff:.3e} "
+                               f"(tol {_ORACLE_TOL:.0e})")
         worst = max(worst, diff)
-    return SuiteResult("oracle-equivalence", worst <= _ORACLE_TOL,
+    return SuiteResult("oracle-equivalence", True,
                        f"{_ORACLE_INSTANCES} instances, max |patch - dense| = {worst:.3e} "
                        f"(tol {_ORACLE_TOL:.0e})")
 
@@ -95,7 +115,7 @@ def fd_gradients(q, mk, mv, patch, k, upstream, step=1e-3):
     return base, fd_q, fd_mk, fd_mv
 
 
-def _max_rel_err(analytic, fd):
+def max_rel_err(analytic, fd):
     """Largest deviation relative to the block's gradient magnitude.
 
     The denominator is the max absolute entry of either side, at least
@@ -109,7 +129,7 @@ def _max_rel_err(analytic, fd):
 def suite_gradient_check():
     """Analytic gradients against central finite differences on small
     problems, with the top-K selection held fixed."""
-    rng = np.random.default_rng(20240502)
+    rng = np.random.default_rng(1002)
     worst = 0.0
     for i in range(_GRADIENT_INSTANCES):
         t = 1 + i % 2
@@ -118,12 +138,14 @@ def suite_gradient_check():
         base, fd_q, fd_mk, fd_mv = fd_gradients(q, mk, mv, patch=4, k=2,
                                                 upstream=upstream)
         d_q, d_mk, d_mv = plmm_backward(q, mk, mv, 4, base.topk, upstream)
-        worst = max(worst, _max_rel_err(d_q, fd_q))
-        for a, f in zip(d_mk, fd_mk):
-            worst = max(worst, _max_rel_err(a, f))
-        for a, f in zip(d_mv, fd_mv):
-            worst = max(worst, _max_rel_err(a, f))
-    return SuiteResult("gradient-check", worst <= _GRADIENT_TOL,
+        err = float(np.max([max_rel_err(a, f) for a, f in
+                            zip([d_q, *d_mk, *d_mv], [fd_q, *fd_mk, *fd_mv])]))
+        if not err < _GRADIENT_TOL:
+            return SuiteResult("gradient-check", False,
+                               f"instance {i}: relative error = {err:.3e} "
+                               f"(tol {_GRADIENT_TOL:.0e})")
+        worst = max(worst, err)
+    return SuiteResult("gradient-check", True,
                        f"{_GRADIENT_INSTANCES} instances, max relative error = {worst:.3e} "
                        f"(tol {_GRADIENT_TOL:.0e})")
 
@@ -131,30 +153,29 @@ def suite_gradient_check():
 def suite_fold_unfold():
     """Unfold then fold must reproduce any map; coverage counts must match
     first-principles overlap counting."""
-    rng = np.random.default_rng(20240503)
+    rng = np.random.default_rng(1003)
     worst = 0.0
-    checked = 0
-    for _ in range(_FOLD_LAYOUTS):
+    for i in range(_FOLD_LAYOUTS):
         patch = int(rng.choice([2, 4, 6, 8]))
         step = patch // 2
-        n_h = int(rng.integers(1, 6))
-        n_w = int(rng.integers(1, 6))
-        h = patch + step * (n_h - 1)
-        w = patch + step * (n_w - 1)
+        h = patch + step * int(rng.integers(0, 6))
+        w = patch + step * int(rng.integers(0, 6))
         layout = make_layout(h, w, patch)
-        grid = FeatureGrid(rng.standard_normal((3, h, w)))
-        back = fold(unfold(grid, layout))
-        worst = max(worst, float(np.abs(back.data - grid.data).max()))
-        cov = coverage_map(layout)
+        grid = FeatureGrid(rng.standard_normal((int(rng.integers(1, 4)), h, w)))
         brute = np.zeros((h, w), dtype=np.int64)
         for oy, ox in layout.origins:
             brute[oy:oy + patch, ox:ox + patch] += 1
-        if not np.array_equal(cov, brute):
+        if not np.array_equal(coverage_map(layout), brute):
             return SuiteResult("fold-unfold", False,
-                               f"coverage mismatch at layout ({h},{w},{patch})")
-        checked += 1
-    return SuiteResult("fold-unfold", worst <= _FOLD_TOL,
-                       f"{checked} layouts, max round-trip error = {worst:.3e} "
+                               f"layout {i} ({h},{w},{patch}): coverage mismatch")
+        diff = float(np.abs(fold(unfold(grid, layout)).data - grid.data).max())
+        if not diff <= _FOLD_TOL:
+            return SuiteResult("fold-unfold", False,
+                               f"layout {i} ({h},{w},{patch}): round-trip error = "
+                               f"{diff:.3e} (tol {_FOLD_TOL:.0e})")
+        worst = max(worst, diff)
+    return SuiteResult("fold-unfold", True,
+                       f"{_FOLD_LAYOUTS} layouts, max round-trip error = {worst:.3e} "
                        f"(tol {_FOLD_TOL:.0e})")
 
 
@@ -185,52 +206,40 @@ def suite_topk():
 def suite_scheduler():
     """Region partitioning and the 4D visit schedule against hand-derived
     banks, including the deep-apex history rule."""
-    part = partition_regions(9)
-    if (part.basal, part.middle, part.apex) != ((0, 1, 2), (3, 4, 5), (6, 7, 8)):
-        return SuiteResult("scheduler", False, f"Z=9 partition wrong: {part}")
-    part10 = partition_regions(10)
-    if (part10.basal, part10.middle, part10.apex) != (
-            (0, 1, 2, 3), (4, 5), (6, 7, 8, 9)):
-        return SuiteResult("scheduler", False, f"Z=10 partition wrong: {part10}")
+    for z_count, want in _PARTITIONS.items():
+        part = partition_regions(z_count)
+        if (part.basal, part.middle, part.apex) != want:
+            return SuiteResult("scheduler", False, f"Z={z_count} partition wrong: {part}")
     try:
         partition_regions(3, fractions=(0.45, 0.45))
-        return SuiteResult("scheduler", False,
-                           "Z=3 with fractions (0.45, 0.45) must fail")
+        return SuiteResult("scheduler", False, "Z=3 with fractions (0.45, 0.45) must fail")
     except PartitionError:
         pass
 
-    spec = PhantomSpec(z_count=9, t_count=4, height=48, width=48,
+    spec = PhantomSpec(z_count=9, t_count=10, height=48, width=48,
                        lv_radius_px=8.0, myo_thickness_px=3.0,
-                       rv_offset_px=12.0, noise_sigma=0.01, distractor=False)
+                       rv_offset_px=12.0, noise_sigma=0.01, distractor=False, seed=5)
     vol, truth = gen_phantom(spec)
-    cfg = PropagationConfig(patch=6, k=2, scales=(4,))
-    result = run_4d(vol, truth.labels[4, 0], cfg)
+    result = run_4d(vol, truth.labels[4, 0], PropagationConfig(patch=6, k=2, scales=(4,)))
     prov = result.provenance
 
-    expect_apex = [(4, 0), (7, 3), (8, 2)]
-    if prov[(8, 3)] != expect_apex:
-        return SuiteResult("scheduler", False,
-                           f"apex bank for (8,3): got {prov[(8, 3)]}, "
-                           f"want {expect_apex}")
-    if prov[(4, 3)] != [(4, 0), (4, 2)]:
-        return SuiteResult("scheduler", False,
-                           f"temporal bank for (4,3): got {prov[(4, 3)]}")
+    for frame, want in _BANKS.items():
+        if prov.get(frame) != want:
+            return SuiteResult("scheduler", False,
+                               f"bank for {frame}: got {prov.get(frame)}, want {want}")
     for frame, bank in prov.items():
-        z, t = frame
-        cap = cfg.apex_t_max if part.region_of(z) == "apex" else 2
+        cap = 3 if frame[0] in _PARTITIONS[9][2] else 2  # the apex of Z=9 keeps history
         if len(bank) > cap:
             return SuiteResult("scheduler", False,
                                f"bank for {frame} exceeds cap {cap}: {bank}")
-    expected = {(z, t) for z in range(9) for t in range(4)}
-    if set(prov) != expected:
-        return SuiteResult("scheduler", False, "schedule is not a complete "
-                           "single visit of every frame")
+    # provenance holds one entry per segmented frame
+    if set(prov) != {(z, t) for z in range(9) for t in range(10)}:
+        return SuiteResult("scheduler", False, "schedule is not one visit of every frame")
     if not np.array_equal(result.masks.labels[4, 0], truth.labels[4, 0]):
-        return SuiteResult("scheduler", False,
-                           "anchor output must be the seed verbatim")
+        return SuiteResult("scheduler", False, "anchor output must be the seed verbatim")
     return SuiteResult("scheduler", True,
-                       "partitions, banks, history caps, completeness and "
-                       "anchor passthrough all verified")
+                       f"9x10 study, {len(prov)} frames: partitions, {len(_BANKS)} banks, "
+                       "history caps 2/3, completeness and anchor passthrough verified")
 
 
 SUITES = {
@@ -240,13 +249,3 @@ SUITES = {
     "topk": suite_topk,
     "scheduler": suite_scheduler,
 }
-
-
-def run_suites(names=None):
-    chosen = list(SUITES) if not names else list(names)
-    results = []
-    for name in chosen:
-        if name not in SUITES:
-            raise KeyError(name)
-        results.append(SUITES[name]())
-    return results

@@ -19,11 +19,14 @@ from patchmem.evalkit import (
     report_by_region,
 )
 from patchmem.featurizer import EncoderConfig
-from patchmem.grids import FeatureGrid
-from patchmem.matcher import dense_readout, plmm_backward, plmm_forward
-from patchmem.patcher import fold, make_layout, unfold
+from patchmem.patcher import make_layout
 from patchmem.propagator import PropagationConfig, partition_regions, run_4d
-from patchmem.verification import _max_rel_err, fd_gradients
+from patchmem.verification import (
+    suite_fold_unfold,
+    suite_gradient_check,
+    suite_oracle_equivalence,
+    suite_scheduler,
+)
 
 # Regression floor for the dynamic-phantom runs, pinned from the first
 # dense-oracle result (0.8911 whole-heart mean Dice) with slack for BLAS
@@ -34,6 +37,18 @@ DYNAMIC_DICE_FLOOR = 0.89
 def _report(tag, ok, detail):
     print(f"{tag}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"{tag}: {detail}"
+
+
+def _report_suite(tag, suite, budget_s=None):
+    """A criterion that is one of the ``verify`` suites, within its budget."""
+    start = time.perf_counter()
+    result = suite()
+    elapsed = time.perf_counter() - start
+    if budget_s is None:
+        _report(tag, result.passed, result.detail)
+    else:
+        _report(tag, result.passed and elapsed < budget_s,
+                f"{result.detail}, {elapsed:.1f} s < {budget_s:.0f} s")
 
 
 def small_geometry(**overrides):
@@ -55,70 +70,17 @@ def whole_avg_dice(masks, truth):
 
 
 def test_criterion_01_oracle_equivalence():
-    rng = np.random.default_rng(1001)
-    start = time.perf_counter()
-    worst = 0.0
-    instances = 102
-    for i in range(instances):
-        t = 1 + i % 3
-        side = int(rng.choice([4, 6, 8]))
-        q = FeatureGrid(rng.standard_normal((3, side, side)))
-        mk = [FeatureGrid(rng.standard_normal((3, side, side)))
-              for _ in range(t)]
-        mv = [FeatureGrid(rng.standard_normal((2, side, side)))
-              for _ in range(t)]
-        got = plmm_forward(q, mk, mv, patch=side, k=t).readout
-        want = dense_readout(q, mk, mv)
-        worst = max(worst, float(np.abs(got.data - want.data).max()))
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-6 and elapsed < 30.0
-    _report("criterion 01 oracle equivalence", ok,
-            f"{instances} instances, max |patch - dense| = {worst:.2e} "
-            f"<= 1e-6, {elapsed:.1f} s < 30 s")
+    _report_suite("criterion 01 oracle equivalence", suite_oracle_equivalence,
+                  budget_s=30.0)
 
 
 def test_criterion_02_gradient_fidelity():
-    rng = np.random.default_rng(1002)
-    start = time.perf_counter()
-    worst = 0.0
-    instances = 24
-    for i in range(instances):
-        t = 1 + i % 2
-        q = FeatureGrid(rng.standard_normal((2, 8, 8)))
-        mk = [FeatureGrid(rng.standard_normal((2, 8, 8))) for _ in range(t)]
-        mv = [FeatureGrid(rng.standard_normal((2, 8, 8))) for _ in range(t)]
-        upstream = rng.standard_normal((2, 8, 8))
-        base, fd_q, fd_mk, fd_mv = fd_gradients(q, mk, mv, patch=4, k=2,
-                                                upstream=upstream, step=1e-3)
-        d_q, d_mk, d_mv = plmm_backward(q, mk, mv, 4, base.topk, upstream)
-        worst = max(worst, _max_rel_err(d_q, fd_q))
-        for a, f in zip(d_mk, fd_mk):
-            worst = max(worst, _max_rel_err(a, f))
-        for a, f in zip(d_mv, fd_mv):
-            worst = max(worst, _max_rel_err(a, f))
-    elapsed = time.perf_counter() - start
-    ok = worst < 1e-4 and elapsed < 60.0
-    _report("criterion 02 gradient fidelity", ok,
-            f"{instances} instances, max relative error = {worst:.2e} "
-            f"< 1e-4, {elapsed:.1f} s < 60 s")
+    _report_suite("criterion 02 gradient fidelity", suite_gradient_check,
+                  budget_s=60.0)
 
 
 def test_criterion_03_fold_unfold_round_trip():
-    rng = np.random.default_rng(1003)
-    worst = 0.0
-    layouts = 60
-    for _ in range(layouts):
-        patch = int(rng.choice([2, 4, 6, 8]))
-        step = patch // 2
-        h = patch + step * int(rng.integers(0, 6))
-        w = patch + step * int(rng.integers(0, 6))
-        layout = make_layout(h, w, patch)
-        grid = FeatureGrid(rng.standard_normal((int(rng.integers(1, 4)), h, w)))
-        back = fold(unfold(grid, layout))
-        worst = max(worst, float(np.abs(back.data - grid.data).max()))
-    ok = worst <= 1e-6
-    _report("criterion 03 fold/unfold round trip", ok,
-            f"{layouts} layouts, max |fold(unfold(x)) - x| = {worst:.2e} <= 1e-6")
+    _report_suite("criterion 03 fold/unfold round trip", suite_fold_unfold)
 
 
 def test_criterion_04_complexity_exactness():
@@ -141,27 +103,7 @@ def test_criterion_04_complexity_exactness():
 
 
 def test_criterion_05_scheduler_conformance():
-    spec = small_geometry(z_count=9, t_count=10, noise_sigma=0.01,
-                          distractor=False, seed=5)
-    volume, truth = gen_phantom(spec)
-    cfg = PropagationConfig(patch=6, k=2, scales=(4,))
-    result = run_4d(volume, truth.labels[4, 0], cfg)
-
-    every_frame = {(z, t) for z in range(9) for t in range(10)}
-    order = list(result.provenance)
-    once = set(order) == every_frame and len(order) == len(every_frame)
-    apex = partition_regions(9).apex
-    caps_ok = all(len(bank) <= (3 if z in apex else 2)
-                  for (z, t), bank in result.provenance.items())
-    spot_ok = (result.provenance[(8, 3)] == [(4, 0), (7, 3), (8, 2)]
-               and result.provenance[(4, 0)] == []
-               and result.provenance[(4, 5)] == [(4, 0), (4, 4)]
-               and result.provenance[(3, 2)] == [(4, 0), (4, 2)])
-    ok = once and caps_ok and spot_ok
-    _report("criterion 05 scheduler conformance", ok,
-            f"90 frames each segmented once={once}, bank caps 2/3={caps_ok}, "
-            f"spot-checked banks={spot_ok}, (8,3) saw "
-            f"{result.provenance[(8, 3)]}")
+    _report_suite("criterion 05 scheduler conformance", suite_scheduler)
 
 
 def test_criterion_06_static_fixed_point():

@@ -443,10 +443,11 @@ class TestCheckComplexity:
         configs = [
             BenchConfig(t=2, h=12, w=12, patch=6, k=2),
             BenchConfig(t=1, h=12, w=12, patch=4, k=1, scales=(3, 4)),
+            BenchConfig(t=1, h=12, w=12, patch=6, k=2, scales=(3,)),
         ]
         report = check_complexity(configs, reps=1)
         assert report.all_match
-        assert len(report.rows) == 3
+        assert [r.scale for r in report.rows] == [4, 4, 3, 3]
         first = report.rows[0]
         # (12, 12, 6) has a 3 x 3 patch grid
         assert first.predicted_patch_pairs == 2 * 9 * 9
@@ -456,6 +457,12 @@ class TestCheckComplexity:
         assert lifted.scale == 3
         assert lifted.predicted_patch_pairs == 0
         assert lifted.measured_patch_pairs == 0
+        # scale 3 alone selects its own top-K on the doubled (24, 24, 12) map,
+        # as propagate --scales 3 does
+        alone = report.rows[3]
+        assert (alone.h, alone.w, alone.patch) == (24, 24, 12)
+        assert alone.predicted_patch_pairs == alone.measured_patch_pairs == 1 * 9 * 9
+        assert alone.predicted_pixel_pairs == 9 * 2 * 144 ** 2
 
     def test_k_beyond_bank_rejected(self):
         with pytest.raises(ParameterError):

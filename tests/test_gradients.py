@@ -1,9 +1,10 @@
 """Analytic gradients of the patch-matching pass against finite differences.
 
-The oracle re-derives every gradient numerically: perturb one input entry,
-rerun the forward pass with the top-K selection frozen, and difference the
-scalar loss sum(readout * upstream). Selection indices and coverage counts
-are constants of the backward pass by contract.
+The oracle is ``verification.fd_gradients``, the one behind ``verify`` and
+acceptance criterion 02. It re-derives every gradient numerically: perturb
+one input entry, rerun the forward pass with the top-K selection frozen,
+and difference the scalar loss sum(readout * upstream). Selection indices
+and coverage counts are constants of the backward pass by contract.
 """
 
 import numpy as np
@@ -13,10 +14,9 @@ from patchmem.errors import DimensionError, ParameterError
 from patchmem.grids import FeatureGrid
 from patchmem.matcher import TopKIndex, plmm_backward, plmm_forward
 from patchmem.patcher import make_layout
+from patchmem.verification import fd_gradients, max_rel_err
 
-STEP = 1e-3
 TOL = 1e-4
-CLAMP = 1e-8
 
 
 def make_instance(rng, t, h=8, w=8, c_key=2, c_val=2):
@@ -26,60 +26,20 @@ def make_instance(rng, t, h=8, w=8, c_key=2, c_val=2):
     return q, mk, mv
 
 
-def numeric_gradients(q, mk, mv, patch, k, upstream, step=STEP):
-    """Central differences of the readout loss, selection frozen."""
-    frozen = plmm_forward(q, mk, mv, patch, k).topk
-    q_arr = q.data.copy()
-    mk_arr = [m.data.copy() for m in mk]
-    mv_arr = [m.data.copy() for m in mv]
-
-    def loss():
-        res = plmm_forward(FeatureGrid(q_arr),
-                           [FeatureGrid(a) for a in mk_arr],
-                           [FeatureGrid(a) for a in mv_arr],
-                           patch, k, topk_override=frozen)
-        return float(np.sum(res.readout.data * upstream))
-
-    def grad_of(target):
-        out = np.zeros_like(target)
-        for idx in range(target.size):
-            saved = target.flat[idx]
-            target.flat[idx] = saved + step
-            lp = loss()
-            target.flat[idx] = saved - step
-            lm = loss()
-            target.flat[idx] = saved
-            out.flat[idx] = (lp - lm) / (2 * step)
-        return out
-
-    return (frozen, grad_of(q_arr),
-            [grad_of(a) for a in mk_arr],
-            [grad_of(a) for a in mv_arr])
-
-
-def rel_err(analytic, numeric):
-    denom = max(float(np.abs(analytic).max()),
-                float(np.abs(numeric).max()), CLAMP)
-    return float(np.abs(analytic - numeric).max()) / denom
-
-
 class TestAgainstFiniteDifferences:
     def test_small_instances(self):
         rng = np.random.default_rng(51)
-        worst = 0.0
+        errs = []
         for i in range(6):
             t = 1 + i % 2
             q, mk, mv = make_instance(rng, t)
             upstream = rng.standard_normal((2, 8, 8))
-            frozen, fd_q, fd_mk, fd_mv = numeric_gradients(
+            base, fd_q, fd_mk, fd_mv = fd_gradients(
                 q, mk, mv, patch=4, k=2, upstream=upstream)
-            d_q, d_mk, d_mv = plmm_backward(q, mk, mv, 4, frozen, upstream)
-            worst = max(worst, rel_err(d_q, fd_q))
-            for a, f in zip(d_mk, fd_mk):
-                worst = max(worst, rel_err(a, f))
-            for a, f in zip(d_mv, fd_mv):
-                worst = max(worst, rel_err(a, f))
-        assert worst < TOL
+            d_q, d_mk, d_mv = plmm_backward(q, mk, mv, 4, base.topk, upstream)
+            errs += [max_rel_err(a, f) for a, f in
+                     zip([d_q, *d_mk, *d_mv], [fd_q, *fd_mk, *fd_mv])]
+        assert all(e < TOL for e in errs)
 
     def test_single_patch_case(self):
         # P = H = W collapses fold to the identity, isolating the
@@ -87,14 +47,11 @@ class TestAgainstFiniteDifferences:
         rng = np.random.default_rng(52)
         q, mk, mv = make_instance(rng, t=2, h=4, w=4)
         upstream = rng.standard_normal((2, 4, 4))
-        frozen, fd_q, fd_mk, fd_mv = numeric_gradients(
+        base, fd_q, fd_mk, fd_mv = fd_gradients(
             q, mk, mv, patch=4, k=2, upstream=upstream)
-        d_q, d_mk, d_mv = plmm_backward(q, mk, mv, 4, frozen, upstream)
-        assert rel_err(d_q, fd_q) < TOL
-        for a, f in zip(d_mk, fd_mk):
-            assert rel_err(a, f) < TOL
-        for a, f in zip(d_mv, fd_mv):
-            assert rel_err(a, f) < TOL
+        d_q, d_mk, d_mv = plmm_backward(q, mk, mv, 4, base.topk, upstream)
+        for a, f in zip([d_q, *d_mk, *d_mv], [fd_q, *fd_mk, *fd_mv]):
+            assert max_rel_err(a, f) < TOL
 
 
 class TestStructuralProperties:
@@ -129,13 +86,12 @@ class TestStructuralProperties:
 
     def test_value_gradient_is_weight_scatter(self):
         # values enter linearly, so their gradient is exact even against a
-        # one-sided numeric check with a large step
+        # numeric check with a large step
         rng = np.random.default_rng(55)
         q, mk, mv = make_instance(rng, t=1)
         upstream = rng.standard_normal((2, 8, 8))
-        frozen, _, _, fd_mv = numeric_gradients(q, mk, mv, 4, 2, upstream,
-                                                step=1e-1)
-        _, _, d_mv = plmm_backward(q, mk, mv, 4, frozen, upstream)
+        base, _, _, fd_mv = fd_gradients(q, mk, mv, 4, 2, upstream, step=1e-1)
+        _, _, d_mv = plmm_backward(q, mk, mv, 4, base.topk, upstream)
         for a, f in zip(d_mv, fd_mv):
             assert np.allclose(a, f, atol=1e-9)
 
