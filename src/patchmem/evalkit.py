@@ -1,11 +1,12 @@
 """Metrics, the synthetic 4D phantom, and complexity accounting.
 
-Dice is computed per class over pooled voxels; HD95 is computed per frame
-in 2D (millimetres, anisotropic in-plane spacing allowed) and aggregated by
-the mean over frames where it is defined. A frame with an empty mask on
-either side has no HD95 and is excluded with a count. ``hd95`` scores one
-frame or a stack of frames in one pass; ``report_by_region`` hands it one
-slice's phases per class.
+Dice is computed per class over pooled voxels, by counting them; HD95 is
+computed per frame in 2D (millimetres, anisotropic in-plane spacing
+allowed) and aggregated by the mean over frames where it is defined. A
+frame with an empty mask on either side has no HD95 and is excluded with a
+count. ``hd95`` scores one frame or a stack of frames, for one class or
+several, from one edge pass per side; ``report_by_region`` hands it the
+whole study and its three classes in one call.
 
 The phantom is a fully analytic short-axis heart: an LV disc inside a
 myocardial ring, with an RV crescent attached on one side. Contraction
@@ -36,12 +37,15 @@ CLASS_NAMES = {1: "LV", 2: "Myo", 3: "RV"}
 # point pairs per block of hd95's nearest-distance search: 2 MiB per float64
 # temporary
 _HD_BLOCK_PAIRS = 1 << 18
+# pixels per chunk of hd95's edge pass: one 4-phase slice of 128 x 128 frames
+_EDGE_BLOCK_PIXELS = 1 << 16
 
 
 def dice(pred, truth, label):
     """Dice overlap of one class between two label maps.
 
-    Both masks empty gives 1.0; exactly one empty gives 0.0.
+    Both masks empty gives 1.0; exactly one empty gives 0.0. Masks are
+    counted with ``np.count_nonzero`` and intersected in place.
     """
     pred = np.asarray(pred)
     truth = np.asarray(truth)
@@ -49,38 +53,68 @@ def dice(pred, truth, label):
         raise DimensionError(f"shape mismatch: {pred.shape} vs {truth.shape}")
     a = pred == label
     b = truth == label
-    na = int(a.sum())
-    nb = int(b.sum())
+    na = np.count_nonzero(a)
+    nb = np.count_nonzero(b)
     if na == 0 and nb == 0:
         return 1.0
     if na == 0 or nb == 0:
         return 0.0
-    return 2.0 * int((a & b).sum()) / (na + nb)
+    a &= b
+    return 2.0 * np.count_nonzero(a) / (na + nb)
 
 
-def _boundary(mask):
-    """Pixels of the mask with at least one 4-neighbour outside it.
+def _edges(labels):
+    """Pixels of an (F, H, W) label stack on a class boundary.
 
-    ``mask`` is one (H, W) boolean frame or an (..., H, W) stack of them,
-    each frame taken on its own. The image border counts as outside, so a
-    mask touching the border has boundary pixels there.
+    A pixel is on one if its label differs from a 4-neighbour's or it lies
+    on the image border; its class is its own label. So for any class c,
+    ``_edges(labels) & (labels == c)`` holds the pixels of class c with a
+    4-neighbour outside it, the border counting as outside.
     """
-    interior = mask[..., :-2, 1:-1] & mask[..., 2:, 1:-1]
-    interior &= mask[..., 1:-1, :-2]
-    interior &= mask[..., 1:-1, 2:]
-    edge = mask.copy()
-    edge[..., 1:-1, 1:-1] &= ~interior
+    edge = np.ones(labels.shape, dtype=bool)
+    inner = edge[:, 1:-1, 1:-1]
+    rows = labels[:, 1:, 1:-1] != labels[:, :-1, 1:-1]
+    np.logical_or(rows[:, 1:], rows[:, :-1], out=inner)
+    cols = labels[:, 1:-1, 1:] != labels[:, 1:-1, :-1]
+    inner |= cols[:, :, 1:]
+    inner |= cols[:, :, :-1]
     return edge
 
 
-def _boundary_points(masks, dy, dx):
-    """Boundary pixels of an (F, H, W) stack of masks, in millimetres.
+def _edge_pixels(labels, classes):
+    """Flat indices, ascending, and labels of the pixels of an (F, H, W)
+    label stack on the boundary of one of ``classes``.
 
-    Returns (points, starts): frame f's points, (row * dy, col * dx) in
-    row-major order, are points[starts[f]:starts[f + 1]].
+    The edge pass runs over chunks of whole frames of about
+    _EDGE_BLOCK_PIXELS pixels, so its temporaries do not grow with the
+    stack.
     """
-    f_count, h, w = masks.shape
-    frame, pixel = np.divmod(np.flatnonzero(_boundary(masks)), h * w)
+    f_count, h, w = labels.shape
+    step = max(1, _EDGE_BLOCK_PIXELS // max(1, h * w))
+    index = [np.empty(0, dtype=np.intp)]
+    label = [np.empty(0, dtype=labels.dtype)]
+    for start in range(0, f_count, step):
+        chunk = labels[start:start + step]
+        idx = np.flatnonzero(_edges(chunk))
+        lab = chunk.reshape(-1)[idx]
+        keep = np.zeros(len(lab), dtype=bool)
+        for c in classes:
+            keep |= lab == c
+        index.append(idx[keep] + start * h * w)
+        label.append(lab[keep])
+    return np.concatenate(index), np.concatenate(label)
+
+
+def _class_points(edge_pixels, label, shape, dy, dx):
+    """Boundary pixels of one class in an (F, H, W) stack, in millimetres.
+
+    ``edge_pixels`` is what _edge_pixels returned for the stack. Returns
+    (points, starts): frame f's points, (row * dy, col * dx) in row-major
+    order, are points[starts[f]:starts[f + 1]].
+    """
+    idx, lab = edge_pixels
+    f_count, h, w = shape
+    frame, pixel = np.divmod(idx[lab == label], h * w)
     row, col = np.divmod(pixel, w)
     points = np.column_stack((row * dy, col * dx))
     return points, np.searchsorted(frame, np.arange(f_count + 1))
@@ -118,10 +152,13 @@ def hd95(pred, truth, label, spacing_mm=(1.0, 1.0)):
     pooled list is the frame's value. If either mask of a frame is empty
     the distance is undefined and the value is None.
 
-    One frame gives one float or None. A stack gives one value per frame,
-    in nested lists shaped like the stack's leading axes. It finds all
-    boundaries with one set of shifted ANDs and lists each side's boundary
-    pixels in one scan, so it costs less than calling its frames one by
+    ``label`` is one class or a sequence of classes. One frame gives one
+    float or None per class; a stack gives one value per frame, in nested
+    lists shaped like the stack's leading axes. One class gives that
+    result; a sequence gives a list of them, one per class, in its order.
+    One edge pass over each side, in chunks of frames, finds the boundary
+    pixels of every class at once, and each class's points are listed in
+    turn, so a call costs less than calling its classes or frames one by
     one, and gives the same values.
 
     Nearest distances are exact, by brute force: the cost is O(|A|·|B|) for
@@ -137,24 +174,28 @@ def hd95(pred, truth, label, spacing_mm=(1.0, 1.0)):
         raise DimensionError(
             f"hd95 takes (H, W) frames or (..., H, W) stacks, got shape {pred.shape}")
     dy, dx = _checked_spacing(spacing_mm)
+    classes = np.atleast_1d(label)
     *lead, h, w = pred.shape
     shape = (math.prod(lead), h, w)
-    a = (pred == label).reshape(shape)
-    b = (truth == label).reshape(shape)
-    defined = a.any(axis=(1, 2)) & b.any(axis=(1, 2))
-    pa, sa = _boundary_points(a, dy, dx)
-    pb, sb = _boundary_points(b, dy, dx)
-    values = []
-    for f, ok in enumerate(defined):
-        if not ok:
-            values.append(None)
-            continue
-        pooled = np.sort(np.concatenate(_nearest_distances(
-            pa[sa[f]:sa[f + 1]], pb[sb[f]:sb[f + 1]])))
-        rank = math.ceil(0.95 * pooled.size)  # nearest-rank percentile
-        values.append(float(pooled[rank - 1]))
-    # a 0-d array's tolist() is its one value, so one frame gives a scalar
-    return np.array(values, dtype=object).reshape(lead).tolist()
+    edges_a = _edge_pixels(pred.reshape(shape), classes)
+    edges_b = _edge_pixels(truth.reshape(shape), classes)
+    results = []
+    for c in classes:
+        pa, sa = _class_points(edges_a, c, shape, dy, dx)
+        pb, sb = _class_points(edges_b, c, shape, dy, dx)
+        values = []
+        for f in range(shape[0]):
+            # an empty mask has no boundary pixels
+            if sa[f] == sa[f + 1] or sb[f] == sb[f + 1]:
+                values.append(None)
+                continue
+            pooled = np.sort(np.concatenate(_nearest_distances(
+                pa[sa[f]:sa[f + 1]], pb[sb[f]:sb[f + 1]])))
+            rank = math.ceil(0.95 * pooled.size)  # nearest-rank percentile
+            values.append(float(pooled[rank - 1]))
+        # a 0-d array's tolist() is its one value, so one frame gives a scalar
+        results.append(np.array(values, dtype=object).reshape(lead).tolist())
+    return results[0] if np.ndim(label) == 0 else results
 
 
 @dataclass
@@ -204,8 +245,8 @@ def report_by_region(pred, truth, partition, method="plmm"):
     over the region's frames where defined. Regions are basal, middle, apex,
     and whole (all slices), each with per-class rows plus an Avg row; each
     is a contiguous range of slices, as ``partition_regions`` makes them.
-    HD95 is computed once per class and slice, over the slice's phases, and
-    shared by the region rows.
+    The HD95 of every frame and class comes from one ``hd95`` call over the
+    whole study and is shared by the region rows.
     """
     if not isinstance(pred, LabelVolume) or not isinstance(truth, LabelVolume):
         raise ParameterError("report_by_region expects LabelVolume inputs")
@@ -219,11 +260,9 @@ def report_by_region(pred, truth, partition, method="plmm"):
     if partition.z_count != truth.z_count:
         raise DimensionError(
             f"partition covers {partition.z_count} slices, volume has {truth.z_count}")
-    spacing = truth.spacing_mm
     # slice_hds[label][z]: the HD95 of each phase of slice z
-    slice_hds = {label: [hd95(p, t, label, spacing)
-                         for p, t in zip(pred.labels, truth.labels)]
-                 for label in CLASS_NAMES}
+    slice_hds = dict(zip(CLASS_NAMES, hd95(
+        pred.labels, truth.labels, tuple(CLASS_NAMES), truth.spacing_mm)))
     regions = [
         ("basal", partition.basal),
         ("middle", partition.middle),

@@ -317,17 +317,24 @@ def _cell_pairs(layout, ids, t):
     mem = (((ids // n) * n_cells)[:, :, None] + quads[ids % n]).reshape(n, -1)
     item_cell = quads.ravel()
     mem = np.repeat(mem, 4, axis=0)
-    count = np.bincount(np.unique(item_cell[:, None] * span + mem) // span, minlength=n_cells)
+    # present[c, m]: some item of query cell c reads memory cell m
+    present = np.zeros((n_cells, span), dtype=bool)
+    present[item_cell[:, None], mem] = True
+    count = np.count_nonzero(present, axis=1)
     cells = np.argsort(count, kind="stable")
     rank = np.empty_like(cells)
     rank[cells] = np.arange(n_cells)
-    # pairs numbered by the processing rank of their query cell
-    pairs, refs = np.unique(rank[item_cell][:, None] * span + mem, return_inverse=True)
+    # pairs numbered by the processing rank of their query cell, then by
+    # memory cell; number[rank * span + m] is the number of pair (rank, m)
+    pairs = np.flatnonzero(present[cells])
+    number = np.empty(n_cells * span, dtype=np.intp)
+    number[pairs] = np.arange(len(pairs))
     items = np.argsort(rank[item_cell], kind="stable")
     start = np.concatenate(([0], np.cumsum(count[cells])))
     item_start = np.concatenate(([0], np.cumsum(np.bincount(item_cell, minlength=n_cells)[cells])))
-    return (cells, start, pairs % span, items, item_start, rank[item_cell[items]],
-            refs.reshape(mem.shape)[items])
+    item_rank = rank[item_cell[items]]
+    return (cells, start, pairs % span, items, item_start, item_rank,
+            number[item_rank[:, None] * span + mem[items]])
 
 
 class _PairBlock(NamedTuple):

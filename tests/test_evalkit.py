@@ -5,13 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
+from patchmem import evalkit
 from patchmem.errors import DimensionError, ParameterError, PhantomSpecError
 from patchmem.evalkit import (
     BenchConfig,
     PhantomSpec,
-    _boundary,
+    _edges,
     check_complexity,
     dice,
     gen_phantom,
@@ -96,39 +100,54 @@ class TestDice:
             dice(np.zeros((3, 3)), np.zeros((3, 4)), 1)
 
 
+def class_boundary(labels, c):
+    """Class c's boundary pixels in an (F, H, W) label stack, from hd95's
+    edge pass."""
+    return _edges(labels) & (labels == c)
+
+
 class TestBoundary:
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(81)
         for _ in range(30):
-            mask = rng.random((12, 14)) < 0.45
-            assert np.array_equal(_boundary(mask), boundary_loops(mask))
+            labels = rng.integers(0, 4, size=(2, 12, 14))
+            for c in range(4):
+                got = class_boundary(labels, c)
+                for f in range(len(labels)):
+                    assert np.array_equal(got[f], boundary_loops(labels[f] == c))
 
     def test_border_touching_mask(self):
-        mask = np.ones((5, 5), dtype=bool)
+        labels = np.ones((1, 5, 5), dtype=np.uint8)
         want = np.ones((5, 5), dtype=bool)
         want[1:4, 1:4] = False
-        assert np.array_equal(_boundary(mask), want)
+        assert np.array_equal(class_boundary(labels, 1)[0], want)
+        assert not class_boundary(labels, 0).any()
 
     def test_matches_binary_erosion(self):
         plus = ndimage.generate_binary_structure(2, 1)
         rng = np.random.default_rng(85)
         for _ in range(60):
             shape = tuple(int(n) for n in rng.integers(1, 40, size=2))
-            mask = rng.random(shape) < rng.uniform(0.3, 1.0)
-            mask[:, 0] |= rng.random() < 0.5  # many masks run along the border
-            want = mask & ~ndimage.binary_erosion(mask, structure=plus, border_value=0)
-            assert np.array_equal(_boundary(mask), want)
+            # few classes of random weight, so some fill most of the frame
+            labels = rng.choice(4, size=shape, p=rng.dirichlet(np.ones(4) * 0.5))
+            labels[:, 0] = labels[:, 0].max()  # one class runs the whole left border
+            for c in range(4):
+                mask = labels == c
+                want = mask & ~ndimage.binary_erosion(mask, structure=plus, border_value=0)
+                assert np.array_equal(class_boundary(labels[None], c)[0], want)
 
     @pytest.mark.parametrize("shape", [(4, 12, 14), (2, 3, 1, 9), (3, 2, 7), (2, 1, 5),
                                        (3, 6, 2), (0, 5, 5)])
     def test_stack_is_frame_by_frame(self, shape):
         rng = np.random.default_rng(86)
-        stack = rng.random(shape) < 0.6
-        got = _boundary(stack)
+        stack = rng.integers(0, 4, size=shape, dtype=np.uint8)
+        got = _edges(stack.reshape(-1, *shape[-2:])).reshape(shape)
         assert got.shape == stack.shape
         for i in np.ndindex(shape[:-2]):
-            assert np.array_equal(got[i], _boundary(stack[i]))
-            assert np.array_equal(got[i], boundary_loops(stack[i]))
+            assert np.array_equal(got[i], _edges(stack[i][None])[0])
+            for c in range(4):
+                assert np.array_equal(got[i] & (stack[i] == c),
+                                      boundary_loops(stack[i] == c))
 
 
 class TestHd95:
@@ -251,6 +270,50 @@ class TestHd95Stack:
         assert hd95(relabelled, truth2, 2) == hd95(pred, truth, 1)
 
 
+@st.composite
+def label_stack_pairs(draw):
+    """Pred and truth (F, H, W) stacks of labels 0-3, with some classes
+    erased from some frames of one side, and an anisotropic spacing."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    sides = [draw(hnp.arrays(np.uint8, shape, elements=st.integers(0, 3))) for _ in "pt"]
+    for side in sides:
+        for f, c in draw(st.sets(st.tuples(st.integers(0, shape[0] - 1), st.integers(1, 3)))):
+            side[f][side[f] == c] = 0
+    spacing = tuple(draw(st.floats(0.25, 4.0)) for _ in "yx")
+    return sides[0], sides[1], spacing
+
+
+class TestHd95Classes:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(case=label_stack_pairs())
+    def test_equals_each_class_alone(self, case):
+        pred, truth, spacing = case
+        got = hd95(pred, truth, (1, 2, 3), spacing)
+        assert len(got) == 3
+        for c, values in zip((1, 2, 3), got):
+            assert values == hd95(pred, truth, c, spacing)
+            for f, value in enumerate(values):
+                want = hd95_loops(pred[f], truth[f], c, spacing)
+                if want is None:
+                    assert value is None
+                else:
+                    assert value == pytest.approx(want, abs=1e-9)
+
+    def test_one_frame_gives_one_value_per_class(self):
+        pred, truth = frame_stack_cases()[0]
+        pred, truth = 2 * pred[0], pred[0] + truth[0]
+        got = hd95(pred, truth, [2, 1, 3], spacing_mm=(1.3, 1.1))
+        assert got == [hd95(pred, truth, c, spacing_mm=(1.3, 1.1)) for c in (2, 1, 3)]
+        assert got[2] is None and hd95(pred, truth, ()) == []
+
+    @pytest.mark.parametrize("block", [1, 300, 1000])
+    def test_edge_chunks_do_not_change_values(self, monkeypatch, block):
+        pred, truth = frame_stack_cases()[0]
+        want = hd95(pred, truth, (1, 0), spacing_mm=(1.25, 1.7))
+        monkeypatch.setattr(evalkit, "_EDGE_BLOCK_PIXELS", block)
+        assert hd95(pred, truth, (1, 0), spacing_mm=(1.25, 1.7)) == want
+
+
 def small_phantom_spec(**overrides):
     base = dict(z_count=6, t_count=4, height=48, width=48,
                 lv_radius_px=8.0, myo_thickness_px=3.0, rv_offset_px=12.0,
@@ -326,7 +389,10 @@ class TestReportByRegion:
 
     def test_equals_per_frame_oracle(self, perfect):
         truth, part = perfect
-        labels = truth.labels
+        labels = truth.labels.copy()
+        basal = list(part.basal)
+        labels[basal] = np.where(labels[basal] == 3, 0, labels[basal])  # no RV on either side
+        truth = LabelVolume(labels, spacing_mm=truth.spacing_mm)
         moved = np.roll(labels, (1, -2), axis=(2, 3))
         moved[labels.shape[0] - 1, 1:] = 0   # no prediction on a slice's late phases
         moved[0, 0][moved[0, 0] == 1] = 0    # one frame loses its LV
@@ -362,6 +428,8 @@ class TestReportByRegion:
             want_rows += 1
         assert len(report.rows) == want_rows
         assert any(r.n_excluded_hd for r in report.rows)
+        rv = report_row(report, "basal", "RV")
+        assert (rv.dice, rv.hd95_mm, rv.n_excluded_hd) == (1.0, None, rv.n_frames)
 
     def test_input_validation(self, perfect):
         truth, part = perfect

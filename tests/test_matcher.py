@@ -236,6 +236,31 @@ def plmm_weights(q, mk, mv, patch, k):
     return np.stack(rows), res
 
 
+def unique_cell_pairs(layout, ids, t):
+    """matcher._cell_pairs's tables built by sorting (query cell, memory cell)
+    keys with np.unique: the pair counts from one sort, the pairs and each
+    item's references to them from a second, keyed by processing rank."""
+    n, n_w = layout.n_patches, layout.n_w
+    row = n_w + 1
+    n_cells = (layout.n_h + 1) * row
+    span = t * n_cells
+    i = np.arange(n)
+    quads = ((i // n_w) * row + i % n_w)[:, None] + np.array([0, 1, row, row + 1])
+    mem = (((ids // n) * n_cells)[:, :, None] + quads[ids % n]).reshape(n, -1)
+    item_cell = quads.ravel()
+    mem = np.repeat(mem, 4, axis=0)
+    count = np.bincount(np.unique(item_cell[:, None] * span + mem) // span, minlength=n_cells)
+    cells = np.argsort(count, kind="stable")
+    rank = np.empty_like(cells)
+    rank[cells] = np.arange(n_cells)
+    pairs, refs = np.unique(rank[item_cell][:, None] * span + mem, return_inverse=True)
+    items = np.argsort(rank[item_cell], kind="stable")
+    start = np.concatenate(([0], np.cumsum(count[cells])))
+    item_start = np.concatenate(([0], np.cumsum(np.bincount(item_cell, minlength=n_cells)[cells])))
+    return (cells, start, pairs % span, items, item_start, rank[item_cell[items]],
+            refs.reshape(mem.shape)[items])
+
+
 def pair_blocks(q, mk, mv, patch, ids):
     """The pixel stage's blocks of a forward pass, each with the pair counts
     of its query cells, in the dtype of the inputs."""
@@ -772,6 +797,25 @@ class TestCellStage:
         else:
             q, mk, mv = random_maps(rng, t=t, h=h, w=w, c_key=5, c_val=3)
         self._check(q, mk, mv, patch, k, rng=rng)
+
+    @pytest.mark.parametrize("t, h, w, patch, k", [
+        (2, 18, 18, 6, 4),   # paper-288's scale-4 grid
+        (3, 36, 36, 6, 4),   # wide-576's scale-4 grid
+        (1, 6, 6, 6, 1),     # one patch
+        (2, 12, 20, 4, 8),   # non-square, K = T*N
+        (3, 8, 8, 2, 5),     # P = 2
+    ])
+    def test_cell_pairs_equal_sorted_keys(self, t, h, w, patch, k):
+        rng = np.random.default_rng(t * 100 + h + w)
+        layout = make_layout(h, w, patch)
+        n = layout.n_patches
+        # random selections, repeats allowed, plus one of all-equal ids
+        ids = rng.integers(0, t * n, size=(n, k))
+        ids[0] = ids[0, 0]
+        got = matcher._cell_pairs(layout, ids, t)
+        for table, want in zip(got, unique_cell_pairs(layout, ids, t), strict=True):
+            assert table.dtype == want.dtype
+            assert np.array_equal(table, want)
 
     def test_overlapping_and_repeated_selections(self):
         # each query patch selects itself, its right and lower neighbours
