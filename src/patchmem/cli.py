@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -259,7 +260,9 @@ def _scale_list(text):
             f"expected comma-separated integers, got {text!r}") from None
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared after it."""
     parser = _Parser(prog="patchmem",
                      description="Patch-level memory matching for 4D "
                                  "cine segmentation: phantom data, mask "
@@ -285,7 +288,6 @@ def build_parser():
     p.add_argument("--noise", type=float)
     p.add_argument("--distractor", choices=["on", "off"])
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_phantom)
 
     p = sub.add_parser("propagate", help="propagate a seed mask through a "
                                          "4D volume")
@@ -308,7 +310,6 @@ def build_parser():
     p.add_argument("--basal-frac", type=float)
     p.add_argument("--apex-frac", type=float)
     p.add_argument("--working-side", type=int)
-    p.set_defaults(func=cmd_propagate)
 
     p = sub.add_parser("eval", help="score predicted labels against truth")
     p.add_argument("--pred", required=True)
@@ -320,7 +321,6 @@ def build_parser():
                    help="method name written into the CSV rows")
     # eval runs on one thread; the flag stays so that callers may say so
     p.add_argument("--threads", type=int, choices=[1])
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="measure matching cost against the "
                                      "closed-form operation counts")
@@ -328,20 +328,21 @@ def build_parser():
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--grid-json", help="JSON array of "
                                        "{t,h,w,patch,k[,scales]} entries")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify", help="run the self-check suites")
     p.add_argument("--suite", action="append", choices=sorted(SUITES),
                    help="run only this suite (repeatable)")
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # the handlers are looked up on each call, so one that replaces a cmd_*
+    # attribute of this module after the parser is built is the one that runs
+    handler = {"phantom": cmd_phantom, "propagate": cmd_propagate, "eval": cmd_eval,
+               "bench": cmd_bench, "verify": cmd_verify}[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except PatchmemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -1,12 +1,14 @@
 """Metrics, the synthetic 4D phantom, and complexity accounting.
 
-Dice is computed per class over pooled voxels, by counting them; HD95 is
-computed per frame in 2D (millimetres, anisotropic in-plane spacing
-allowed) and aggregated by the mean over frames where it is defined. A
-frame with an empty mask on either side has no HD95 and is excluded with a
-count. ``hd95`` scores one frame or a stack of frames, for one class or
-several, from one edge pass per side; ``report_by_region`` hands it the
-whole study and its three classes in one call.
+Both metrics take two (..., H, W) label stacks of the same shape and a
+sequence of classes, and return a float64 array with a leading axis of
+one entry per class. ``dice`` gives one value per class, over all voxels
+pooled, by counting them. ``hd95`` gives one value per class and frame,
+shaped (len(classes), ...), in millimetres (anisotropic in-plane spacing
+allowed), from one edge pass per side; it is NaN, undefined, where either
+mask of the frame is empty. ``report_by_region`` scores the whole study
+with one ``hd95`` call and one ``dice`` call per region, averages each
+region's defined HD95 values over its frames and counts the excluded ones.
 
 The phantom is a fully analytic short-axis heart: an LV disc inside a
 myocardial ring, with an RV crescent attached on one side. Contraction
@@ -27,12 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DimensionError, LayoutError, ParameterError, PhantomSpecError
-from .grids import CineVolume, FeatureGrid, LabelVolume, _checked_spacing, checked_fields
+from .grids import (CLASS_NAMES, CineVolume, FeatureGrid, LabelVolume, _checked_spacing,
+                    checked_fields)
 from .matcher import OpCounter, dense_readout, plmm_forward
 from .patcher import layout_shape, make_layout
 from .pyramid import lift_topk
-
-CLASS_NAMES = {1: "LV", 2: "Myo", 3: "RV"}
 
 # point pairs per block of hd95's nearest-distance search: 2 MiB per float64
 # temporary
@@ -41,26 +42,36 @@ _HD_BLOCK_PAIRS = 1 << 18
 _EDGE_BLOCK_PIXELS = 1 << 16
 
 
-def dice(pred, truth, label):
-    """Dice overlap of one class between two label maps.
-
-    Both masks empty gives 1.0; exactly one empty gives 0.0. Masks are
-    counted with ``np.count_nonzero`` and intersected in place.
-    """
+def _checked_inputs(pred, truth, classes):
+    """Two (..., H, W) label stacks of one shape, and the classes as a tuple."""
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if pred.shape != truth.shape:
         raise DimensionError(f"shape mismatch: {pred.shape} vs {truth.shape}")
-    a = pred == label
-    b = truth == label
-    na = np.count_nonzero(a)
-    nb = np.count_nonzero(b)
-    if na == 0 and nb == 0:
-        return 1.0
-    if na == 0 or nb == 0:
-        return 0.0
-    a &= b
-    return 2.0 * np.count_nonzero(a) / (na + nb)
+    if pred.ndim < 2:
+        raise DimensionError(
+            f"metrics take (..., H, W) label stacks, got shape {pred.shape}")
+    if np.ndim(classes) != 1:
+        raise ParameterError(f"classes must be a sequence of labels, got {classes!r}")
+    return pred, truth, tuple(classes)
+
+
+def dice(pred, truth, classes):
+    """Dice overlap of each class between two (..., H, W) label stacks.
+
+    Returns a float64 array of one value per class of ``classes``, each
+    over all voxels pooled. Both masks empty gives 1.0, one empty 0.0.
+    Masks are counted with ``np.count_nonzero`` and intersected in place.
+    """
+    pred, truth, classes = _checked_inputs(pred, truth, classes)
+    values = np.empty(len(classes))
+    for i, c in enumerate(classes):
+        a = pred == c
+        b = truth == c
+        total = np.count_nonzero(a) + np.count_nonzero(b)
+        a &= b
+        values[i] = 2.0 * np.count_nonzero(a) / total if total else 1.0
+    return values
 
 
 def _edges(labels):
@@ -142,20 +153,17 @@ def _nearest_distances(pa, pb):
     return np.sqrt(d_ab), np.sqrt(d_ba)
 
 
-def hd95(pred, truth, label, spacing_mm=(1.0, 1.0)):
+def hd95(pred, truth, classes, spacing_mm=(1.0, 1.0)):
     """95th-percentile symmetric boundary distance in millimetres.
 
-    ``pred`` and ``truth`` are one (H, W) frame each, or two (..., H, W)
-    stacks of frames of the same shape. Per frame, distances from every
-    boundary pixel of one mask to the nearest boundary pixel of the other
-    are pooled in both directions; the nearest-rank 95th percentile of the
-    pooled list is the frame's value. If either mask of a frame is empty
-    the distance is undefined and the value is None.
+    ``pred`` and ``truth`` are two (..., H, W) label stacks of the same
+    shape. Per frame and class, distances from every boundary pixel of one
+    mask to the nearest boundary pixel of the other are pooled in both
+    directions; the nearest-rank 95th percentile of the pooled list is the
+    value. Returns a float64 array shaped (len(classes), ...): one value
+    per class of ``classes``, in its order, and frame. If either mask of a
+    frame is empty the distance is undefined and the value is NaN.
 
-    ``label`` is one class or a sequence of classes. One frame gives one
-    float or None per class; a stack gives one value per frame, in nested
-    lists shaped like the stack's leading axes. One class gives that
-    result; a sequence gives a list of them, one per class, in its order.
     One edge pass over each side, in chunks of frames, finds the boundary
     pixels of every class at once, and each class's points are listed in
     turn, so a call costs less than calling its classes or frames one by
@@ -166,36 +174,25 @@ def hd95(pred, truth, label, spacing_mm=(1.0, 1.0)):
     Noise against a smooth mask stays cheap (|B| is small); noise against
     noise is the slow case.
     """
-    pred = np.asarray(pred)
-    truth = np.asarray(truth)
-    if pred.shape != truth.shape:
-        raise DimensionError(f"shape mismatch: {pred.shape} vs {truth.shape}")
-    if pred.ndim < 2:
-        raise DimensionError(
-            f"hd95 takes (H, W) frames or (..., H, W) stacks, got shape {pred.shape}")
+    pred, truth, classes = _checked_inputs(pred, truth, classes)
     dy, dx = _checked_spacing(spacing_mm)
-    classes = np.atleast_1d(label)
     *lead, h, w = pred.shape
     shape = (math.prod(lead), h, w)
     edges_a = _edge_pixels(pred.reshape(shape), classes)
     edges_b = _edge_pixels(truth.reshape(shape), classes)
-    results = []
-    for c in classes:
+    values = np.full((len(classes), shape[0]), np.nan)
+    for i, c in enumerate(classes):
         pa, sa = _class_points(edges_a, c, shape, dy, dx)
         pb, sb = _class_points(edges_b, c, shape, dy, dx)
-        values = []
         for f in range(shape[0]):
             # an empty mask has no boundary pixels
             if sa[f] == sa[f + 1] or sb[f] == sb[f + 1]:
-                values.append(None)
                 continue
             pooled = np.sort(np.concatenate(_nearest_distances(
                 pa[sa[f]:sa[f + 1]], pb[sb[f]:sb[f + 1]])))
             rank = math.ceil(0.95 * pooled.size)  # nearest-rank percentile
-            values.append(float(pooled[rank - 1]))
-        # a 0-d array's tolist() is its one value, so one frame gives a scalar
-        results.append(np.array(values, dtype=object).reshape(lead).tolist())
-    return results[0] if np.ndim(label) == 0 else results
+            values[i, f] = pooled[rank - 1]
+    return values.reshape(len(classes), *lead)
 
 
 @dataclass
@@ -244,9 +241,11 @@ def report_by_region(pred, truth, partition, method="plmm"):
     Dice pools all voxels of a region's frames per class; HD95 is averaged
     over the region's frames where defined. Regions are basal, middle, apex,
     and whole (all slices), each with per-class rows plus an Avg row; each
-    is a contiguous range of slices, as ``partition_regions`` makes them.
-    The HD95 of every frame and class comes from one ``hd95`` call over the
-    whole study and is shared by the region rows.
+    is a contiguous range of slices, as ``partition_regions`` makes them,
+    and so a slice of the study. The HD95 of every frame and class comes
+    from one ``hd95`` call over the whole study, and each region's Dice
+    from one ``dice`` call over its slices; the region rows, Avg included,
+    read slices of those arrays.
     """
     if not isinstance(pred, LabelVolume) or not isinstance(truth, LabelVolume):
         raise ParameterError("report_by_region expects LabelVolume inputs")
@@ -260,42 +259,31 @@ def report_by_region(pred, truth, partition, method="plmm"):
     if partition.z_count != truth.z_count:
         raise DimensionError(
             f"partition covers {partition.z_count} slices, volume has {truth.z_count}")
-    # slice_hds[label][z]: the HD95 of each phase of slice z
-    slice_hds = dict(zip(CLASS_NAMES, hd95(
-        pred.labels, truth.labels, tuple(CLASS_NAMES), truth.spacing_mm)))
+    classes = tuple(CLASS_NAMES)
+    # hds[i, z, t]: the HD95 of class classes[i] in frame (z, t), NaN if undefined
+    hds = hd95(pred.labels, truth.labels, classes, truth.spacing_mm)
     regions = [
         ("basal", partition.basal),
         ("middle", partition.middle),
         ("apex", partition.apex),
         ("whole", tuple(range(truth.z_count))),
     ]
-    t_count = truth.t_count
     rows = []
     for region_name, slices in regions:
         z_range = slice(slices[0], slices[-1] + 1)
-        pred_stack = pred.labels[z_range]
-        truth_stack = truth.labels[z_range]
-        n_frames = len(slices) * t_count
-        class_dices = []
-        class_hds = []
-        for label, cname in CLASS_NAMES.items():
-            d = dice(pred_stack, truth_stack, label)
-            frame_hds = [h for z in slices for h in slice_hds[label][z]]
-            hds = [h for h in frame_hds if h is not None]
-            excluded = len(frame_hds) - len(hds)
-            hd_mean = float(np.mean(hds)) if hds else None
-            rows.append(MetricRow(method, region_name, cname, d, hd_mean,
-                                  n_frames, excluded))
-            class_dices.append(d)
-            if hd_mean is not None:
-                class_hds.append(hd_mean)
-        rows.append(MetricRow(
-            method, region_name, "Avg",
-            float(np.mean(class_dices)),
-            float(np.mean(class_hds)) if class_hds else None,
-            n_frames,
-            sum(r.n_excluded_hd for r in rows[-3:]),
-        ))
+        dices = dice(pred.labels[z_range], truth.labels[z_range], classes)
+        n_frames = len(slices) * truth.t_count
+        region_hds = hds[:, z_range].reshape(len(classes), n_frames)
+        defined = ~np.isnan(region_hds)
+        hd_means = [float(np.mean(v[d])) if d.any() else None
+                    for v, d in zip(region_hds, defined)]
+        excluded = (n_frames - defined.sum(axis=1)).tolist()
+        rows += [MetricRow(method, region_name, cname, float(d), hd, n_frames, n)
+                 for cname, d, hd, n in zip(CLASS_NAMES.values(), dices, hd_means, excluded)]
+        known = [hd for hd in hd_means if hd is not None]
+        rows.append(MetricRow(method, region_name, "Avg", float(np.mean(dices)),
+                              float(np.mean(known)) if known else None, n_frames,
+                              sum(excluded)))
     return MetricsReport(rows=rows)
 
 

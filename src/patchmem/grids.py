@@ -43,8 +43,11 @@ from .errors import (
 )
 
 MAGIC = b"CGRID\n"
-CARDIAC_LABELS = {"1": "LV", "2": "Myo", "3": "RV"}
-MAX_LABEL = 3
+# The foreground classes of a label map; 0 is the background. A label
+# volume's CGRID header carries them as its legend.
+CLASS_NAMES = {1: "LV", 2: "Myo", 3: "RV"}
+CARDIAC_LABELS = {str(c): name for c, name in CLASS_NAMES.items()}
+MAX_LABEL = max(CLASS_NAMES)
 
 
 def real_array(data):

@@ -58,8 +58,9 @@ from .errors import (
     SchedulingError,
     StateError,
 )
-from .featurizer import EncoderConfig, decode, encode_key, encode_value
+from .featurizer import STRIDES, EncoderConfig, decode, encode_key, encode_value
 from .grids import (
+    CLASS_NAMES,
     CineVolume,
     LabelVolume,
     SoftLabelMap,
@@ -80,10 +81,6 @@ MAX_WORKING_SIDE = 2048
 # The dtype the frames and the seed are converted to, so of every working
 # image, key, match, soft map and value pyramid; a fixed choice of the engine.
 _MATCH_DTYPE = np.float32
-
-# Foreground classes of a mask (LV, myocardium, RV); soft maps add one
-# channel, the background.
-_NUM_CLASSES = 3
 
 REGION_BASAL = "basal"
 REGION_MIDDLE = "middle"
@@ -211,14 +208,15 @@ class PropagationConfig:
         object.__setattr__(self, "region_fractions",
                            _checked_fractions(self.region_fractions))
         if self.working_side is not None:
-            if not _is_admissible(self.working_side, self.patch):
-                raise ParameterError(
-                    f"working_side {self.working_side} is not admissible for "
-                    f"patch {self.patch}")
+            # the bound first: working_side_for loops up to the side
             if self.working_side > MAX_WORKING_SIDE:
                 raise ParameterError(
                     f"working side {self.working_side} exceeds the largest "
                     f"supported, {MAX_WORKING_SIDE}")
+            if working_side_for(self.working_side, self.patch) != self.working_side:
+                raise ParameterError(
+                    f"working_side {self.working_side} is not admissible for "
+                    f"patch {self.patch}")
 
 
 @dataclass
@@ -238,20 +236,17 @@ class PropagationResult:
 def working_side_for(side, patch):
     """Smallest admissible working size >= side for this patch size.
 
-    Admissible means divisible by 16 with a stride-16 grid the patch tiles:
-    grid = S / 16 satisfies grid >= P and (grid - P) % (P / 2) == 0.
+    Admissible means divisible by the scale-4 stride s = STRIDES[4] with a
+    stride-s grid the patch tiles: grid = S / s satisfies grid >= P and
+    (grid - P) % (P / 2) == 0. So a side S is admissible exactly when
+    ``working_side_for(S, patch) == S``. The loop runs about 2 S / (s P)
+    times, so callers bound ``side`` first.
     """
+    stride = STRIDES[4]
     grid = patch
-    while 16 * grid < side:
+    while stride * grid < side:
         grid += patch // 2
-    return 16 * grid
-
-
-def _is_admissible(side, patch):
-    if side % 16:
-        return False
-    grid = side // 16
-    return grid >= patch and (grid - patch) % (patch // 2) == 0
+    return stride * grid
 
 
 def plan_visits(partition, z0, t_count, apex_t_max, continuity_mode):
@@ -389,7 +384,7 @@ class PropagationEngine:
     # seeding --------------------------------------------------------------
 
     def seed_anchor(self, seed_labels):
-        """Install the annotated mask, labels 0.._NUM_CLASSES, at (z0, 0)."""
+        """Install the annotated mask, labels 0..len(CLASS_NAMES), at (z0, 0)."""
         seed_labels = np.asarray(seed_labels)
         if seed_labels.shape != (self.volume.height, self.volume.width):
             raise DimensionError(
@@ -399,7 +394,8 @@ class PropagationEngine:
             raise LabelError("seed mask must be integer-typed")
         fid = (self.z0, 0)
         self._check_unsegmented(fid)
-        soft = one_hot(seed_labels, _NUM_CLASSES).probabilities.astype(_MATCH_DTYPE)
+        # soft maps hold one channel per class of CLASS_NAMES plus the background
+        soft = one_hot(seed_labels, len(CLASS_NAMES)).probabilities.astype(_MATCH_DTYPE)
         work = renormalized(resize_bilinear(soft, self.work_h, self.work_w))
         self._finish(fid, seed_labels, SoftLabelMap(work), provenance=[])
 

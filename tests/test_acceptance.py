@@ -118,7 +118,7 @@ def test_criterion_06_static_fixed_point():
                                 encoder=EncoderConfig(key_channels=128))
         result = run_4d(volume, seed_mask, cfg)
         flips[matcher] = int((result.masks.labels != seed_mask).sum())
-    dice_ok = all(dice(truth.labels, truth.labels, c) == 1.0 for c in (1, 2, 3))
+    dice_ok = dice(truth.labels, truth.labels, (1, 2, 3)).tolist() == [1.0, 1.0, 1.0]
     ok = flips["plmm"] == 0 and flips["dense"] == 0 and dice_ok
     _report("criterion 06 static fixed point", ok,
             f"mismatched voxels plmm={flips['plmm']} dense={flips['dense']} "
@@ -223,15 +223,15 @@ def test_criterion_10_metric_unit_values():
     pix_b[1, 6] = 1  # 5 px apart along one axis
 
     checks = {
-        "dice identity": dice(square, square, 1) == 1.0,
-        "dice disjoint": dice(square, disjoint, 1) == 0.0,
-        "dice half overlap": dice(square, shifted, 1) == 0.5,
-        "dice both empty": dice(empty, empty, 1) == 1.0,
-        "dice one empty": dice(square, empty, 1) == 0.0,
-        "hd95 identity": hd95(square, square, 1) == 0.0,
-        "hd95 five px at 1.5 mm": hd95(pix_a, pix_b, 1,
-                                       spacing_mm=(1.5, 1.5)) == 7.5,
-        "hd95 empty undefined": hd95(square, empty, 1) is None,
+        "dice identity": dice(square, square, (1,)).tolist() == [1.0],
+        "dice disjoint": dice(square, disjoint, (1,)).tolist() == [0.0],
+        "dice half overlap": dice(square, shifted, (1,)).tolist() == [0.5],
+        "dice both empty": dice(empty, empty, (1,)).tolist() == [1.0],
+        "dice one empty": dice(square, empty, (1,)).tolist() == [0.0],
+        "hd95 identity": hd95(square, square, (1,)).tolist() == [0.0],
+        "hd95 five px at 1.5 mm": hd95(pix_a, pix_b, (1,),
+                                       spacing_mm=(1.5, 1.5)).tolist() == [7.5],
+        "hd95 empty undefined": np.isnan(hd95(square, empty, (1,))).tolist() == [True],
     }
     failed = [name for name, good in checks.items() if not good]
     _report("criterion 10 metric unit values", not failed,

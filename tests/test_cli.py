@@ -612,7 +612,8 @@ class TestOversizedConfig:
         (["--patch", "1000000"], None),
         (["--patch", "6", "--working-side", "2064"], None),
         ([], {"encoder": {"key_channels": 100_000_000}}),
-    ], ids=["patch", "working-side", "key-channels"])
+        ([], {"working_side": 10 ** 18}),
+    ], ids=["patch", "working-side", "key-channels", "working-side-in-config"])
     def test_exits_one(self, tmp_path, capsys, small_study, extra, config):
         vol, seed = small_study
         argv = ["propagate", "--volume", str(vol), "--seed-mask", str(seed),
@@ -729,6 +730,36 @@ def test_package_error_exits_with_its_code(monkeypatch, capsys, error):
     captured = capsys.readouterr()
     assert captured.err.splitlines() == ["error: refused"]
     assert captured.out == ""
+
+
+class TestParserReuse:
+    """main builds its parser once and looks its handler up on each call."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_replaced_handler_is_the_one_that_runs(self, tmp_path, capsys, monkeypatch):
+        _, truth = make_phantom(tmp_path, capsys)  # main has run once
+        seen = []
+        monkeypatch.setattr(cli, "cmd_eval", lambda args: seen.append(args.pred) or 0)
+        assert main(["eval", "--pred", str(truth), "--truth", str(truth)]) == 0
+        assert seen == [str(truth)]
+        assert capsys.readouterr().out == ""
+
+    def test_usage_error_does_not_change_the_next_call(self, tmp_path, capsys):
+        _, truth = make_phantom(tmp_path, capsys)
+        argv = ["eval", "--pred", str(truth), "--truth", str(truth)]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        # one refusal by argparse and one by the command, both exit 1
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--method", "other", "--threads", "2"])
+        assert err.value.code == 1
+        assert main(argv + ["--method", "other", "--basal-frac", "1.5"]) == 1
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert '"method": "plmm"' in first
 
 
 @pytest.fixture(scope="module")

@@ -60,9 +60,9 @@ def boundary_loops(mask):
 
 
 def hd95_loops(pred, truth, label, spacing):
-    """HD95 by Python loops over one frame; None if either mask is empty."""
+    """HD95 by Python loops over one frame; NaN if either mask is empty."""
     if not (pred == label).any() or not (truth == label).any():
-        return None
+        return math.nan
     a = boundary_loops(pred == label)
     b = boundary_loops(truth == label)
     pa = [(y * spacing[0], x * spacing[1]) for y, x in np.argwhere(a)]
@@ -79,25 +79,37 @@ class TestDice:
     def test_hand_computed(self):
         pred = np.array([[1, 1, 0], [0, 1, 0]])
         truth = np.array([[1, 0, 0], [0, 1, 1]])
-        # overlap 2, sizes 3 and 3
-        assert dice(pred, truth, 1) == pytest.approx(2 * 2 / 6)
+        # classes 1 and 0 overlap in 2 pixels of 3 and 3; class 2 is absent
+        got = dice(pred, truth, (1, 0, 2))
+        assert got.dtype == np.float64 and got.shape == (3,)
+        assert got.tolist() == pytest.approx([2 * 2 / 6, 2 * 2 / 6, 1.0])
+        # a stack pools its frames: overlap 4 of 6 and 6
+        assert dice(np.stack([pred, pred]), np.stack([truth, truth]), (1,)).tolist() \
+            == pytest.approx([2 * 4 / 12])
+        assert dice(pred, truth, ()).shape == (0,)
 
     def test_empty_conventions(self):
         empty = np.zeros((4, 4), dtype=np.uint8)
         full = np.ones((4, 4), dtype=np.uint8)
-        assert dice(empty, empty, 1) == 1.0
-        assert dice(full, empty, 1) == 0.0
-        assert dice(empty, full, 1) == 0.0
+        assert dice(empty, empty, (1,)).tolist() == [1.0]
+        # class 0 fills one side, class 1 the other, class 2 neither
+        assert dice(full, empty, (0, 1, 2)).tolist() == [0.0, 0.0, 1.0]
+        assert dice(empty, full, (0, 1, 2)).tolist() == [0.0, 0.0, 1.0]
 
     def test_symmetric(self):
         rng = np.random.default_rng(80)
         for _ in range(20):
             a, b = random_blob_pair(rng)
-            assert dice(a, b, 1) == dice(b, a, 1)
+            assert np.array_equal(dice(a, b, (0, 1)), dice(b, a, (0, 1)))
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            dice(np.zeros((3, 3)), np.zeros((3, 4)), 1)
+            dice(np.zeros((3, 3)), np.zeros((3, 4)), (1,))
+        with pytest.raises(DimensionError):
+            dice(np.zeros(3), np.zeros(3), (1,))
+        for classes in (1, [[1]]):
+            with pytest.raises(ParameterError):
+                dice(np.zeros((3, 3)), np.zeros((3, 3)), classes)
 
 
 def class_boundary(labels, c):
@@ -154,14 +166,15 @@ class TestHd95:
     def test_identical_masks(self):
         rng = np.random.default_rng(82)
         a, _ = random_blob_pair(rng)
-        assert hd95(a, a, 1) == 0.0
+        got = hd95(a, a, (1,))
+        assert got.dtype == np.float64 and got.tolist() == [0.0]
 
     def test_single_pixels_with_spacing(self):
         a = np.zeros((6, 6), dtype=np.uint8)
         b = np.zeros((6, 6), dtype=np.uint8)
         a[2, 0] = 1
         b[2, 3] = 1
-        assert hd95(a, b, 1, spacing_mm=(1.3, 1.1)) == pytest.approx(3 * 1.1)
+        assert hd95(a, b, (1,), spacing_mm=(1.3, 1.1))[0] == pytest.approx(3 * 1.1)
 
     def test_nearest_rank_frozen(self):
         # pred is a 20 px line, truth its first pixel: pooled distances are
@@ -170,14 +183,14 @@ class TestHd95:
         truth = np.zeros((3, 24), dtype=np.uint8)
         pred[0, 0:20] = 1
         truth[0, 0] = 1
-        assert hd95(pred, truth, 1) == 18.0
+        assert hd95(pred, truth, (1,)).tolist() == [18.0]
 
     def test_matches_brute_force(self):
         for spacing in [(1.3, 1.3), (1.25, 1.7)]:
             rng = np.random.default_rng(83)
             for _ in range(15):
                 a, b = random_blob_pair(rng)
-                got = hd95(a, b, 1, spacing_mm=spacing)
+                (got,) = hd95(a, b, (1,), spacing_mm=spacing)
                 want = hd95_loops(a, b, 1, spacing)
                 assert got == pytest.approx(want, abs=1e-9)
 
@@ -185,18 +198,22 @@ class TestHd95:
         rng = np.random.default_rng(84)
         a, _ = random_blob_pair(rng)
         empty = np.zeros_like(a)
-        assert hd95(a, empty, 1) is None
-        assert hd95(empty, a, 1) is None
+        # class 0 is on both sides, class 1 on one only
+        for got in (hd95(a, empty, (0, 1)), hd95(empty, a, (0, 1))):
+            assert np.isfinite(got[0]) and np.isnan(got[1])
 
     def test_input_validation(self):
         with pytest.raises(DimensionError):
-            hd95(np.zeros(3), np.zeros(3), 1)
+            hd95(np.zeros(3), np.zeros(3), (1,))
         with pytest.raises(DimensionError):
-            hd95(np.zeros((3, 3)), np.zeros((3, 4)), 1)
+            hd95(np.zeros((3, 3)), np.zeros((3, 4)), (1,))
         with pytest.raises(DimensionError):
-            hd95(np.zeros((2, 3, 3)), np.zeros((3, 3, 3)), 1)
+            hd95(np.zeros((2, 3, 3)), np.zeros((3, 3, 3)), (1,))
         with pytest.raises(ParameterError):
-            hd95(np.zeros((3, 3)), np.zeros((3, 3)), 1, spacing_mm=(0.0, 1.0))
+            hd95(np.zeros((3, 3)), np.zeros((3, 3)), (1,), spacing_mm=(0.0, 1.0))
+        for classes in (1, [[1]]):
+            with pytest.raises(ParameterError):
+                hd95(np.zeros((3, 3)), np.zeros((3, 3)), classes)
 
     @pytest.mark.parametrize("spacing", [
         (float("nan"), 1.0), (float("inf"), 1.0), (1.0, float("-inf")), (True, 1.0),
@@ -206,9 +223,9 @@ class TestHd95:
         a = np.zeros((5, 5), dtype=np.uint8)
         a[1:3, 1:3] = 1
         with pytest.raises(ParameterError):
-            hd95(a, a, 1, spacing_mm=spacing)
+            hd95(a, a, (1,), spacing_mm=spacing)
         with pytest.raises(ParameterError):
-            hd95(a[None], a[None], 1, spacing_mm=spacing)
+            hd95(a[None], a[None], (1,), spacing_mm=spacing)
 
 
 def frame_stack_cases():
@@ -238,36 +255,39 @@ class TestHd95Stack:
     @pytest.mark.parametrize("spacing", [(1.0, 1.0), (1.25, 1.7), (2.5, 0.6)])
     def test_equals_frame_by_frame(self, spacing):
         for pred, truth in frame_stack_cases():
-            got = hd95(pred, truth, 1, spacing_mm=spacing)
-            assert isinstance(got, list) and len(got) == len(pred)
+            (got,) = hd95(pred, truth, (1,), spacing_mm=spacing)
+            assert got.shape == (len(pred),)
             for i, value in enumerate(got):
-                assert value == hd95(pred[i], truth[i], 1, spacing_mm=spacing)
+                assert np.array_equal([value], hd95(pred[i], truth[i], (1,), spacing_mm=spacing),
+                                      equal_nan=True)
                 want = hd95_loops(pred[i], truth[i], 1, spacing)
-                if want is None:
-                    assert value is None
-                else:
-                    assert value == pytest.approx(want, abs=1e-9)
+                assert value == pytest.approx(want, abs=1e-9, nan_ok=True)
 
     def test_covers_empty_frames(self):
         pred, truth = frame_stack_cases()[0]
-        got = hd95(pred, truth, 1)
-        assert got[1] is None and got[3] is None and got[4] is None
-        assert got[0] is not None and got[2] is not None
+        (got,) = hd95(pred, truth, (1,))
+        assert np.isnan(got[[1, 3, 4]]).all()
+        assert np.isfinite(got[[0, 2]]).all()
 
-    def test_nested_like_the_leading_axes(self):
+    def test_shaped_by_the_classes_and_leading_axes(self):
         pred, truth = frame_stack_cases()[0]
         grid_p, grid_t = pred[:4].reshape(2, 2, 24, 24), truth[:4].reshape(2, 2, 24, 24)
-        got = hd95(grid_p, grid_t, 1, spacing_mm=(1.3, 1.1))
-        flat = hd95(pred[:4], truth[:4], 1, spacing_mm=(1.3, 1.1))
-        assert got == [flat[:2], flat[2:]]
-        assert hd95(pred[:0], truth[:0], 1) == []
-        assert hd95(pred[:1], truth[:1], 1) == [hd95(pred[0], truth[0], 1)]
+        got = hd95(grid_p, grid_t, (1, 0), spacing_mm=(1.3, 1.1))
+        flat = hd95(pred[:4], truth[:4], (1, 0), spacing_mm=(1.3, 1.1))
+        assert got.shape == (2, 2, 2)
+        assert np.array_equal(got, flat.reshape(2, 2, 2), equal_nan=True)
+        assert hd95(pred[:0], truth[:0], (1, 0)).shape == (2, 0)
+        assert hd95(pred, truth, ()).shape == (0, len(pred))
+        # one (H, W) frame is a stack with no leading axes
+        one = hd95(pred[0], truth[0], (1, 0), spacing_mm=(1.3, 1.1))
+        assert one.shape == (2,) and np.array_equal(one, flat[:, 0])
 
     def test_other_labels_are_background(self):
         pred, truth = frame_stack_cases()[0]
         relabelled = np.where(pred == 1, 2, 3 * (pred == 0)).astype(np.uint8)
         truth2 = np.where(truth == 1, 2, 0).astype(np.uint8)
-        assert hd95(relabelled, truth2, 2) == hd95(pred, truth, 1)
+        assert np.array_equal(hd95(relabelled, truth2, (2,)), hd95(pred, truth, (1,)),
+                              equal_nan=True)
 
 
 @st.composite
@@ -289,29 +309,20 @@ class TestHd95Classes:
     def test_equals_each_class_alone(self, case):
         pred, truth, spacing = case
         got = hd95(pred, truth, (1, 2, 3), spacing)
-        assert len(got) == 3
+        assert got.shape == (3, len(pred))
         for c, values in zip((1, 2, 3), got):
-            assert values == hd95(pred, truth, c, spacing)
+            assert np.array_equal(values, hd95(pred, truth, (c,), spacing)[0], equal_nan=True)
             for f, value in enumerate(values):
                 want = hd95_loops(pred[f], truth[f], c, spacing)
-                if want is None:
-                    assert value is None
-                else:
-                    assert value == pytest.approx(want, abs=1e-9)
-
-    def test_one_frame_gives_one_value_per_class(self):
-        pred, truth = frame_stack_cases()[0]
-        pred, truth = 2 * pred[0], pred[0] + truth[0]
-        got = hd95(pred, truth, [2, 1, 3], spacing_mm=(1.3, 1.1))
-        assert got == [hd95(pred, truth, c, spacing_mm=(1.3, 1.1)) for c in (2, 1, 3)]
-        assert got[2] is None and hd95(pred, truth, ()) == []
+                assert value == pytest.approx(want, abs=1e-9, nan_ok=True)
 
     @pytest.mark.parametrize("block", [1, 300, 1000])
     def test_edge_chunks_do_not_change_values(self, monkeypatch, block):
         pred, truth = frame_stack_cases()[0]
         want = hd95(pred, truth, (1, 0), spacing_mm=(1.25, 1.7))
         monkeypatch.setattr(evalkit, "_EDGE_BLOCK_PIXELS", block)
-        assert hd95(pred, truth, (1, 0), spacing_mm=(1.25, 1.7)) == want
+        assert np.array_equal(hd95(pred, truth, (1, 0), spacing_mm=(1.25, 1.7)), want,
+                              equal_nan=True)
 
 
 def small_phantom_spec(**overrides):
@@ -407,9 +418,9 @@ class TestReportByRegion:
             for label, cname in ((1, "LV"), (2, "Myo"), (3, "RV")):
                 p, t = moved[list(slices)] == label, labels[list(slices)] == label
                 d = 2 * (p & t).sum() / (p.sum() + t.sum()) if p.any() or t.any() else 1.0
-                frames = [hd95(moved[z, ti], labels[z, ti], label, truth.spacing_mm)
+                frames = [hd95(moved[z, ti], labels[z, ti], (label,), truth.spacing_mm)[0]
                           for z in slices for ti in range(truth.t_count)]
-                defined = [h for h in frames if h is not None]
+                defined = [h for h in frames if not math.isnan(h)]
                 row = report_row(report, region, cname)
                 assert row.method == "m"
                 assert row.dice == d
@@ -430,6 +441,17 @@ class TestReportByRegion:
         assert any(r.n_excluded_hd for r in report.rows)
         rv = report_row(report, "basal", "RV")
         assert (rv.dice, rv.hd95_mm, rv.n_excluded_hd) == (1.0, None, rv.n_frames)
+
+    def test_one_hd95_call_and_one_dice_call_per_region(self, perfect, monkeypatch):
+        truth, part = perfect
+        calls = []
+        for name in ("dice", "hd95"):
+            def counted(*args, _fn=getattr(evalkit, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(evalkit, name, counted)
+        report_by_region(truth, truth, part)
+        assert sorted(calls) == ["dice"] * 4 + ["hd95"]
 
     def test_input_validation(self, perfect):
         truth, part = perfect

@@ -246,6 +246,25 @@ class TestWorkingResolution:
     def test_smallest_admissible(self, side, patch, want):
         assert working_side_for(side, patch) == want
 
+    def test_admissible_exactly_when_its_own_working_side(self):
+        def admissible(side, patch):
+            # the explicit rule: a multiple of 16 whose stride-16 grid holds
+            # the patch and then whole half-patch steps
+            if side % 16:
+                return False
+            grid = side // 16
+            return grid >= patch and (grid - patch) % (patch // 2) == 0
+
+        for patch in range(2, 97, 2):
+            for side in range(-64, 2049):
+                assert (working_side_for(side, patch) == side) == admissible(side, patch), \
+                    (side, patch)
+
+    def test_huge_side_is_refused_at_once(self):
+        # refused by the bound before working_side_for would loop up to it
+        with pytest.raises(ParameterError, match="exceeds"):
+            PropagationConfig(working_side=10 ** 18)
+
     def test_override_must_be_admissible(self):
         vol = smooth_volume(3, 2)
         with pytest.raises(ParameterError):
