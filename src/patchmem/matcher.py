@@ -412,16 +412,19 @@ def _pair_blocks(q_key, mem_keys, mem_values, layout, topk, dtype):
     cap = 1.0 + _PAD_SHARE
     if (n_cells * count[-1] - start[-1]) * per_pair <= _PAD_SHARE * _LOGIT_BLOCK_BYTES:
         cap = np.inf
-    # cells lo..hi-1 take (hi - lo) * count[hi - 1] slots, ascending in hi
+    # cells lo..hi-1 take (hi - lo) * count[hi - 1] slots, ascending in hi;
+    # a block ends before the first cell whose slots pass the budget or cap
+    # times the block's pairs, but takes at least one cell
+    budget = _LOGIT_BLOCK_BYTES // per_pair
     bounds = []
-    lo = 0
-    while lo < n_cells:
-        slots = np.arange(1, n_cells - lo + 1) * count[lo:]
-        padded = np.flatnonzero(slots > cap * np.cumsum(count[lo:]))
-        fits = np.searchsorted(slots, _LOGIT_BLOCK_BYTES // per_pair, side="right")
-        hi = lo + max(1, min([fits, *padded[:1]]))
-        bounds.append((lo, hi))
-        lo = hi
+    lo = pairs = 0
+    for hi, c in enumerate(count.tolist()):
+        pairs += c
+        slots = (hi - lo + 1) * c
+        if hi > lo and (slots > budget or slots > cap * pairs):
+            bounds.append((lo, hi))
+            lo, pairs = hi, c
+    bounds.append((lo, n_cells))
     # the tables of all blocks: the cell at position r has slot_c[r] slots
     # from slot_start[r]; its slot j reads pair start[r] + min(j, count[r] - 1),
     # whose memory cell's first bank pixel is the slot's slot_origin

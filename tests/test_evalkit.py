@@ -325,6 +325,105 @@ class TestHd95Classes:
                               equal_nan=True)
 
 
+def hd95_brute(pred, truth, classes, spacing):
+    """hd95 by brute force, as it was computed before its row sweep: per
+    class and frame, (ya - yb)**2 + (xa - xb)**2 over every pair of
+    boundary pixels at (row * dy, col * dx), the minimum per pixel in both
+    directions, then the nearest-rank 95th percentile of the pooled square
+    roots. The same float64 operations, so the same values bit for bit."""
+    dy, dx = spacing
+    *lead, h, w = pred.shape
+    pred, truth = pred.reshape(-1, h, w), truth.reshape(-1, h, w)
+    edges = _edges(pred), _edges(truth)
+    values = np.full((len(classes), len(pred)), np.nan)
+    for i, c in enumerate(classes):
+        for f in range(len(pred)):
+            pa, pb = (np.argwhere(e[f] & (side[f] == c)) for e, side in zip(edges, (pred, truth)))
+            if not len(pa) or not len(pb):
+                continue
+            ya, xa = pa[:, :1] * dy, pa[:, 1:] * dx
+            yb, xb = pb[:, 0] * dy, pb[:, 1] * dx
+            sq = (ya - yb) ** 2 + (xa - xb) ** 2
+            pooled = np.sort(np.sqrt(np.concatenate((sq.min(axis=1), sq.min(axis=0)))))
+            values[i, f] = pooled[math.ceil(0.95 * pooled.size) - 1]
+    return values.reshape(len(classes), *lead)
+
+
+@st.composite
+def rectangle_stacks(draw):
+    """Pred and truth (F, H, W) stacks, F 0-3 and H, W 1-40, of up to three
+    rectangles of labels 1-3 per frame on background 0, some frames noise;
+    classes with 0, repeats and absent labels; a spacing either way round."""
+    shape = (draw(st.integers(0, 3)), draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    _, h, w = shape
+    sides = []
+    for _ in "pt":
+        stack = np.zeros(shape, dtype=np.uint8)
+        for frame in stack:
+            if draw(st.integers(0, 4)) == 0:
+                frame[:] = draw(hnp.arrays(np.uint8, (h, w), elements=st.integers(0, 3)))
+                continue
+            for _ in range(draw(st.integers(0, 3))):
+                r0, c0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+                r1, c1 = draw(st.integers(r0 + 1, h)), draw(st.integers(c0 + 1, w))
+                frame[r0:r1, c0:c1] = draw(st.integers(1, 3))
+        sides.append(stack)
+    classes = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=5)))
+    spacing = tuple(draw(st.floats(0.25, 4.0)) for _ in "yx")
+    return sides[0], sides[1], classes, spacing
+
+
+def far_apart(h=64, w=48):
+    """Two frames whose masks lie far apart in rows, columns or both, with
+    a shared mask beside them, so most pixels are near and a few far."""
+    pred = np.zeros((2, h, w), dtype=np.uint8)
+    truth = np.zeros((2, h, w), dtype=np.uint8)
+    for side in (pred, truth):
+        side[:, 20:30, 20:30] = 2
+    pred[0, 1:4, 2:5] = 1
+    truth[0, h - 4:h - 1, w - 6:w - 2] = 1
+    pred[1, 2:9, 1:3] = 1
+    truth[1, 1:4, w - 3:w] = 1
+    truth[1, h - 3:h, 0:2] = 1
+    return pred, truth
+
+
+class TestHd95Exact:
+    """The row sweep gives hd95_brute's values bit for bit."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(case=rectangle_stacks())
+    def test_equals_brute_force(self, case):
+        pred, truth, classes, spacing = case
+        got = hd95(pred, truth, classes, spacing)
+        assert np.array_equal(got, hd95_brute(pred, truth, classes, spacing), equal_nan=True)
+
+    @pytest.mark.parametrize("spacing", [(0.7, 1.9), (1.9, 0.7), (1.3, 1.3)])
+    @pytest.mark.parametrize("case", ["far apart", "one row", "one column", "no frames"])
+    def test_shapes_and_far_masks(self, case, spacing):
+        rng = np.random.default_rng(88)
+        if case == "far apart":
+            pred, truth = far_apart()
+        else:
+            shape = {"one row": (3, 1, 33), "one column": (3, 33, 1), "no frames": (0, 9, 9)}[case]
+            pred, truth = ((rng.random(shape) < 0.3) * rng.integers(1, 3, shape) for _ in "pt")
+        classes = (1, 0, 2, 1, 3)
+        got = hd95(pred, truth, classes, spacing)
+        want = hd95_brute(pred, truth, classes, spacing)
+        assert got.shape == (len(classes), len(pred))
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(got[0], got[3], equal_nan=True)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5])
+    def test_sweep_rows_do_not_change_values(self, monkeypatch, rows):
+        # fewer rows send more pixels to the brute force, by blocks of one pair
+        pred, truth = far_apart()
+        want = hd95(pred, truth, (1, 2, 0), (1.25, 1.7))
+        monkeypatch.setattr(evalkit, "_SWEEP_ROWS", rows)
+        monkeypatch.setattr(evalkit, "_HD_BLOCK_PAIRS", 1)
+        assert np.array_equal(hd95(pred, truth, (1, 2, 0), (1.25, 1.7)), want, equal_nan=True)
+
+
 def small_phantom_spec(**overrides):
     base = dict(z_count=6, t_count=4, height=48, width=48,
                 lv_radius_px=8.0, myo_thickness_px=3.0, rv_offset_px=12.0,
