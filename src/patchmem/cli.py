@@ -75,16 +75,14 @@ def _read_json(path, what):
         raise ParameterError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
-def _load_json_config(path):
-    loaded = _read_json(path, "config file")
+def _merged(path, cls, args):
+    """The entries of the JSON config file at ``path``, if one is given, with
+    each flag given for a field of ``cls`` on top."""
+    loaded = _read_json(path, "config file") if path else {}
     if not isinstance(loaded, dict):
         raise ParameterError(f"config file {path} must hold a JSON object")
-    return loaded
-
-
-def _merged(file_cfg, overrides):
-    """The config file's entries with every flag that was given on top."""
-    return {**file_cfg, **{k: v for k, v in overrides.items() if v is not None}}
+    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cls)}
+    return {**loaded, **{k: v for k, v in flags.items() if v is not None}}
 
 
 def _from_json(cls, values, what):
@@ -106,19 +104,10 @@ def _echo(payload):
 
 
 def cmd_phantom(args):
-    file_cfg = _load_json_config(args.spec_json) if args.spec_json else {}
-    overrides = {
-        "z_count": args.z, "t_count": args.t,
-        "height": args.height, "width": args.width, "spacing_mm": args.spacing,
-        "lv_radius_px": args.lv_radius, "myo_thickness_px": args.myo_thickness,
-        "rv_offset_px": args.rv_offset,
-        "contraction_frac": args.contraction,
-        "longaxis_shorten_frac": args.shortening,
-        "noise_sigma": args.noise, "seed": args.seed,
-    }
+    merged = _merged(args.spec_json, PhantomSpec, args)
     if args.distractor is not None:
-        overrides["distractor"] = args.distractor == "on"
-    spec = _from_json(PhantomSpec, _merged(file_cfg, overrides), "phantom config")
+        merged["distractor"] = args.distractor == "on"
+    spec = _from_json(PhantomSpec, merged, "phantom config")
     _echo({"command": "phantom", "spec": dataclasses.asdict(spec),
            "out_volume": args.out_volume, "out_truth": args.out_truth})
     volume, truth = gen_phantom(spec)
@@ -141,13 +130,7 @@ def cmd_propagate(args):
     if seed.ndim != 2:
         raise DataError(f"{args.seed_mask} does not hold a 2-d mask")
 
-    file_cfg = _load_json_config(args.config) if args.config else {}
-    overrides = {
-        "z0": args.z0, "patch": args.patch, "k": args.k, "scales": args.scales,
-        "apex_t_max": args.apex_t_max, "continuity_mode": args.continuity,
-        "matcher": args.matcher, "working_side": args.working_side,
-    }
-    merged = _merged(file_cfg, overrides)
+    merged = _merged(args.config, PropagationConfig, args)
     merged["encoder"] = _from_json(EncoderConfig, merged.get("encoder", {}),
                                    "encoder config")
     if merged.get("z0") is None:
@@ -275,17 +258,22 @@ def build_parser():
     p.add_argument("--out-truth", required=True)
     p.add_argument("--spec-json", help="JSON file with phantom parameters; "
                                        "flags override its entries")
-    p.add_argument("--z", type=int)
-    p.add_argument("--t", type=int)
+    # a setting flag's dest is its PhantomSpec field, its metavar the name --help shows
+    p.add_argument("--z", type=int, dest="z_count", metavar="Z")
+    p.add_argument("--t", type=int, dest="t_count", metavar="T")
     p.add_argument("--height", type=int)
     p.add_argument("--width", type=int)
-    p.add_argument("--spacing", type=float, nargs=2, metavar=("DY", "DX"))
-    p.add_argument("--lv-radius", type=float)
-    p.add_argument("--myo-thickness", type=float)
-    p.add_argument("--rv-offset", type=float)
-    p.add_argument("--contraction", type=float)
-    p.add_argument("--shortening", type=float)
-    p.add_argument("--noise", type=float)
+    p.add_argument("--spacing", type=float, nargs=2, dest="spacing_mm",
+                   metavar=("DY", "DX"))
+    p.add_argument("--lv-radius", type=float, dest="lv_radius_px", metavar="LV_RADIUS")
+    p.add_argument("--myo-thickness", type=float, dest="myo_thickness_px",
+                   metavar="MYO_THICKNESS")
+    p.add_argument("--rv-offset", type=float, dest="rv_offset_px", metavar="RV_OFFSET")
+    p.add_argument("--contraction", type=float, dest="contraction_frac",
+                   metavar="CONTRACTION")
+    p.add_argument("--shortening", type=float, dest="longaxis_shorten_frac",
+                   metavar="SHORTENING")
+    p.add_argument("--noise", type=float, dest="noise_sigma", metavar="NOISE")
     p.add_argument("--distractor", choices=["on", "off"])
     p.add_argument("--seed", type=int)
 
@@ -296,6 +284,7 @@ def build_parser():
     p.add_argument("--out-masks", required=True)
     p.add_argument("--out-provenance")
     p.add_argument("--config", help="JSON config; flags override its entries")
+    # a setting flag's dest is its PropagationConfig field
     p.add_argument("--matcher", choices=["plmm", "dense"])
     p.add_argument("--scales", type=_scale_list,
                    help="comma-separated subset of 3,4")
@@ -305,7 +294,7 @@ def build_parser():
     # the anchor is always phase 0; the flag stays so that callers may say so
     p.add_argument("--t0", type=int, choices=[0])
     p.add_argument("--apex-t-max", type=int)
-    p.add_argument("--continuity",
+    p.add_argument("--continuity", dest="continuity_mode",
                    choices=["both", "spatial-only", "temporal-only"])
     p.add_argument("--basal-frac", type=float)
     p.add_argument("--apex-frac", type=float)

@@ -31,6 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError, DimensionError, LayoutError, ParameterError, PhantomSpecError
+from .featurizer import scale_patches
 from .grids import (CLASS_NAMES, CineVolume, FeatureGrid, LabelVolume, _checked_spacing,
                     checked_fields)
 from .matcher import OpCounter, dense_readout, plmm_forward
@@ -514,7 +515,8 @@ class BenchConfig:
 
     Every size is a positive int (bools rejected), the patch must tile the
     (h, w) map, k must not exceed the t * N memory patches, and scales is a
-    non-empty list drawn from (3, 4); anything else raises ParameterError.
+    non-empty list of scales of ``featurizer.STRIDES``; anything else raises
+    ParameterError.
     """
 
     t: int
@@ -530,9 +532,7 @@ class BenchConfig:
             if getattr(self, name) < 1:
                 raise ParameterError(
                     f"{name} must be a positive integer, got {getattr(self, name)}")
-        if not self.scales or any(s not in (3, 4) for s in self.scales):
-            raise ParameterError(
-                f"scales must be a non-empty subset of (3, 4), got {self.scales!r}")
+        scale_patches(self.scales, self.patch)  # refuses a scale outside STRIDES
         try:
             n_h, n_w = layout_shape(self.h, self.w, self.patch)
         except LayoutError as exc:
@@ -646,9 +646,9 @@ def check_complexity(configs=None, reps=5):
     rows = []
     for cfg in configs:
         prev = None  # scale 4's top-K table and layout, which scale 3 lifts
-        for scale in sorted(set(cfg.scales), reverse=True):
-            f = 2 if scale == 3 else 1
-            h, w, p = f * cfg.h, f * cfg.w, f * cfg.patch
+        for scale, p in sorted(scale_patches(cfg.scales, cfg.patch).items(), reverse=True):
+            f = p // cfg.patch  # the map grows with the patch
+            h, w = f * cfg.h, f * cfg.w
             layout = make_layout(h, w, p)
             lifted = None if prev is None else lift_topk(*prev, layout)
             q = FeatureGrid(rng.standard_normal((_BENCH_KEY_CHANNELS, h, w)))

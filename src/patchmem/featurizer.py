@@ -45,9 +45,6 @@ from .grids import (
     resize_bilinear,
 )
 
-# Feature stride of each pyramid scale. A pyramid is a {scale: FeatureGrid}
-# dict; scale 3 is exactly twice the size of scale 4 in both dims.
-STRIDES = {4: 16, 3: 8}
 _VAR_CLAMP = 1e-6
 BLUR_SIGMAS = (1.0, 2.0, 4.0)
 # intensity, the blurs, gradient magnitude, local std, row and column
@@ -56,6 +53,19 @@ PROJECTION_SEED = 1234
 # Largest key_channels: P is drawn in full, (key_channels, RAW_CHANNELS)
 # float64, before its triangular factor is taken; 4096 rows are 256 KB.
 MAX_KEY_CHANNELS = 4096
+# Feature stride of each pyramid scale. A pyramid is a {scale: FeatureGrid}
+# dict; scale 3 is exactly twice the size of scale 4 in both dims.
+STRIDES = {4: 16, 3: 8}
+
+
+def scale_patches(scales, patch):
+    """{scale: patch size} for scale-4 patch size P: P * STRIDES[4] / STRIDES[s]
+    at scale s, so a patch covers one image region at every scale.
+    ParameterError unless ``scales`` is a non-empty subset of STRIDES."""
+    if not scales or any(s not in STRIDES for s in scales):
+        raise ParameterError(
+            f"scales must be a non-empty subset of {tuple(sorted(STRIDES))}, got {scales!r}")
+    return {s: patch * STRIDES[4] // STRIDES[s] for s in scales}
 
 
 @dataclass(frozen=True)

@@ -155,6 +155,15 @@ def checked_fields(obj, error):
         object.__setattr__(obj, f.name, checked)
 
 
+def _check_labels(labels, largest):
+    """LabelError unless the array ``labels`` is integer-typed, in 0..largest."""
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise LabelError(f"label map must be integer-typed, got {labels.dtype}")
+    if labels.size and (labels.min() < 0 or labels.max() > largest):
+        raise LabelError(f"label values must lie in 0..{largest}, "
+                         f"got range {labels.min()}..{labels.max()}")
+
+
 class CineVolume:
     """A (Z, T, H, W) stack of intensity frames normalized to [0, 1].
 
@@ -220,12 +229,7 @@ class LabelVolume:
         if labels.ndim != 4:
             raise DimensionError(
                 f"label volume must have shape (Z, T, H, W), got {labels.shape}")
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise LabelError(f"label volume must be integer-typed, got {labels.dtype}")
-        if labels.size and (labels.min() < 0 or labels.max() > MAX_LABEL):
-            raise LabelError(
-                f"label values must lie in 0..{MAX_LABEL}, "
-                f"got range {labels.min()}..{labels.max()}")
+        _check_labels(labels, MAX_LABEL)
         self.spacing_mm = _checked_spacing(spacing_mm)
         self.labels = labels.astype(np.uint8, copy=False)
 
@@ -275,26 +279,16 @@ class SoftLabelMap:
         return self.probabilities.shape[2]
 
 
-def one_hot(labels, num_classes):
-    """Expand an integer (H, W) label map into a SoftLabelMap.
-
-    Args:
-        labels: 2-d integer array with values in 0..num_classes.
-        num_classes: foreground class count L; output has L + 1 channels.
-    """
+def one_hot(labels):
+    """Expand an integer (H, W) label map, classes 0..MAX_LABEL, into a
+    SoftLabelMap with one channel per class of CLASS_NAMES plus the
+    background."""
     labels = np.asarray(labels)
     if labels.ndim != 2:
         raise DimensionError(f"label map must be 2-d, got shape {labels.shape}")
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise LabelError(f"label map must be integer-typed, got {labels.dtype}")
-    if num_classes < 1:
-        raise ParameterError("num_classes must be at least 1")
-    if labels.size and (labels.min() < 0 or labels.max() > num_classes):
-        raise LabelError(
-            f"labels exceed class range 0..{num_classes}: "
-            f"{labels.min()}..{labels.max()}")
-    probs = np.zeros((num_classes + 1,) + labels.shape, dtype=np.float64)
-    for c in range(num_classes + 1):
+    _check_labels(labels, MAX_LABEL)
+    probs = np.zeros((MAX_LABEL + 1,) + labels.shape, dtype=np.float64)
+    for c in range(MAX_LABEL + 1):
         probs[c] = labels == c
     return SoftLabelMap(probs)
 
@@ -373,8 +367,8 @@ def resize_bilinear(image, out_h, out_w):
     return out
 
 
-def downsample_avg(grid, factor):
-    """Average-pool a FeatureGrid (or raw (C, H, W) array) by an integer factor.
+def downsample_avg(data, factor):
+    """Average-pool a (C, H, W) array by an integer factor into a FeatureGrid.
 
     Both spatial dims must be divisible by the factor; pooling windows never
     straddle the border, so the global sum is preserved exactly up to float
@@ -387,7 +381,7 @@ def downsample_avg(grid, factor):
     Adding whole rows first keeps the inner loop on contiguous memory, which
     makes this several times faster than a mean over both window axes.
     """
-    data = grid.data if isinstance(grid, FeatureGrid) else real_array(grid)
+    data = real_array(data)
     if data.ndim != 3:
         raise DimensionError(f"downsample expects (C, H, W), got {data.shape}")
     if factor < 1:
@@ -418,8 +412,7 @@ def _kind_of(obj):
     if isinstance(obj, LabelVolume):
         return ("ZTYX", "u8"), obj.labels, obj.spacing_mm
     if isinstance(obj, np.ndarray) and obj.ndim == 2 and np.issubdtype(obj.dtype, np.integer):
-        if obj.size and (obj.min() < 0 or obj.max() > 255):
-            raise LabelError("2-d integer map does not fit in u8")
+        _check_labels(obj, 255)  # it must fit in u8
         return ("YX", "u8"), obj, (1.0, 1.0)
     raise ParameterError(f"cannot serialize object of type {type(obj).__name__}")
 

@@ -378,6 +378,11 @@ def _pair_blocks(q_key, mem_keys, mem_values, layout, topk, dtype):
     pixel of each slot's memory cell, the slots of the items) are built
     once per call too, so a block runs only its gathers and arithmetic.
 
+    The block a cell lands in can move its logits by an ulp (OpenBLAS may
+    round a GEMM row differently when the padded row count changes), so
+    _LOGIT_BLOCK_BYTES can move a readout in its last bit: blocked and
+    one-block results are bitwise equal on the tested instances only.
+
     Yields a _PairBlock per block of B cells from processing position lo:
         q_pix: (B, S^2) flat query pixels of its cells, S the stride;
         q: (B, S^2, C_k + 1) their key rows as [2q, 1];

@@ -52,15 +52,14 @@ import numpy as np
 
 from .errors import (
     DimensionError,
-    LabelError,
     ParameterError,
     PartitionError,
     SchedulingError,
     StateError,
 )
-from .featurizer import STRIDES, EncoderConfig, decode, encode_key, encode_value
+from .featurizer import (STRIDES, EncoderConfig, decode, encode_key, encode_value,
+                         scale_patches)
 from .grids import (
-    CLASS_NAMES,
     CineVolume,
     LabelVolume,
     SoftLabelMap,
@@ -161,10 +160,10 @@ class PropagationConfig:
     Attributes:
         z0: annotated slice at phase 0; defaults to Z // 2, must fall in
             the middle region.
-        patch: scale-4 patch size P; scale 3 uses 2 * P.
+        patch: scale-4 patch size P; see ``featurizer.scale_patches``.
         k: memory patches kept per query patch (clamped to the bank's
             total patch count when memory is small).
-        scales: active pyramid scales, a non-empty subset of (3, 4).
+        scales: active pyramid scales, a non-empty subset of STRIDES.
         region_fractions: (basal, apex) slice fractions, each in (0, 1).
         apex_t_max: bank capacity for apex queries (2 disables the
             same-slice history, 3 is the default single extra phase).
@@ -195,10 +194,8 @@ class PropagationConfig:
             raise ParameterError(f"patch must be even and >= 2, got {self.patch}")
         if self.k < 1:
             raise ParameterError(f"k must be >= 1, got {self.k}")
-        scales = tuple(sorted(set(self.scales)))
-        if not scales or any(s not in (3, 4) for s in scales):
-            raise ParameterError(f"scales must be a non-empty subset of (3, 4), got {self.scales}")
-        object.__setattr__(self, "scales", scales)
+        object.__setattr__(self, "scales",
+                           tuple(sorted(scale_patches(self.scales, self.patch))))
         if self.apex_t_max < 2:
             raise ParameterError(f"apex_t_max must be >= 2, got {self.apex_t_max}")
         if self.continuity_mode not in ("both", "spatial-only", "temporal-only"):
@@ -384,18 +381,15 @@ class PropagationEngine:
     # seeding --------------------------------------------------------------
 
     def seed_anchor(self, seed_labels):
-        """Install the annotated mask, labels 0..len(CLASS_NAMES), at (z0, 0)."""
+        """Install the annotated mask, labels 0..grids.MAX_LABEL, at (z0, 0)."""
         seed_labels = np.asarray(seed_labels)
         if seed_labels.shape != (self.volume.height, self.volume.width):
             raise DimensionError(
                 f"seed mask shape {seed_labels.shape} does not match frames "
                 f"({self.volume.height}, {self.volume.width})")
-        if not np.issubdtype(seed_labels.dtype, np.integer):
-            raise LabelError("seed mask must be integer-typed")
         fid = (self.z0, 0)
         self._check_unsegmented(fid)
-        # soft maps hold one channel per class of CLASS_NAMES plus the background
-        soft = one_hot(seed_labels, len(CLASS_NAMES)).probabilities.astype(_MATCH_DTYPE)
+        soft = one_hot(seed_labels).probabilities.astype(_MATCH_DTYPE)
         work = renormalized(resize_bilinear(soft, self.work_h, self.work_w))
         self._finish(fid, seed_labels, SoftLabelMap(work), provenance=[])
 
@@ -438,12 +432,11 @@ class PropagationEngine:
             # both scales tile into the same patch count, so K clamps alike
             n = make_layout(q_keys[4].height, q_keys[4].width, cfg.patch).n_patches
             k_eff = min(cfg.k, len(bank) * n)
-            if cfg.scales == (3, 4):
+            if len(cfg.scales) > 1:
                 readouts = match_multiscale(q_keys, mem_keys, mem_values, cfg.patch, k_eff)
-            else:  # one scale, its own top-K; scale 3 uses patch 2P
-                (s,) = cfg.scales
-                readouts = {s: plmm_forward(*at(s), patch=cfg.patch * (2 if s == 3 else 1),
-                                            k=k_eff).readout}
+            else:  # one scale, its own top-K
+                ((s, patch),) = scale_patches(cfg.scales, cfg.patch).items()
+                readouts = {s: plmm_forward(*at(s), patch=patch, k=k_eff).readout}
 
         soft = decode(readouts)
         full = renormalized(resize_bilinear(soft.probabilities, self.volume.height,

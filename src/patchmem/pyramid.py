@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import LayoutError
+from .featurizer import scale_patches
 from .matcher import plmm_forward
 from .patcher import make_layout
 
@@ -30,10 +31,10 @@ def lift_topk(topk, layout4, layout3):
         raise LayoutError(
             f"scale-3 layout has {layout3.n_patches} patches, scale-4 has "
             f"{layout4.n_patches}; top-K cannot be lifted")
-    if layout3.patch != 2 * layout4.patch:
+    if layout3.patch != scale_patches((3,), layout4.patch)[3]:
         raise LayoutError(
             f"scale-3 patch {layout3.patch} is not twice scale-4 patch {layout4.patch}")
-    if not np.array_equal(layout3.origins, 2 * layout4.origins):
+    if not np.array_equal(layout3.origins, layout3.patch // layout4.patch * layout4.origins):
         raise LayoutError("scale-3 origins are not twice the scale-4 origins")
     if topk.ids.shape[0] != layout4.n_patches:
         raise LayoutError(
@@ -49,7 +50,7 @@ def match_multiscale(query, memory_keys, memory_values, p4, k, counter=None):
         query: key pyramid of the query frame.
         memory_keys: list of key pyramids, one per memory frame.
         memory_values: list of value pyramids, parallel to memory_keys.
-        p4: patch size at scale 4; scale 3 uses 2 * p4.
+        p4: patch size at scale 4; scale 3 uses ``scale_patches``.
         k: memory patches kept per query patch.
         counter: optional OpCounter. Only the scale-4 pass adds patch pairs.
 
@@ -57,13 +58,14 @@ def match_multiscale(query, memory_keys, memory_values, p4, k, counter=None):
         {3: readout, 4: readout}, FeatureGrids. LayoutError if the scale-3
         layout is not the scale-4 layout doubled.
     """
+    p3 = scale_patches((3,), p4)[3]
     res4 = plmm_forward(
         query[4], [m[4] for m in memory_keys], [m[4] for m in memory_values],
         patch=p4, k=k, counter=counter)
     layout4 = make_layout(query[4].height, query[4].width, p4)
-    layout3 = make_layout(query[3].height, query[3].width, 2 * p4)
+    layout3 = make_layout(query[3].height, query[3].width, p3)
     lifted = lift_topk(res4.topk, layout4, layout3)
     res3 = plmm_forward(
         query[3], [m[3] for m in memory_keys], [m[3] for m in memory_values],
-        patch=2 * p4, k=k, counter=counter, topk_override=lifted)
+        patch=p3, k=k, counter=counter, topk_override=lifted)
     return {3: res3.readout, 4: res4.readout}

@@ -29,7 +29,8 @@ from patchmem.errors import (
 )
 from patchmem.evalkit import BenchConfig, ComplexityReport, default_bench_grid
 from patchmem.featurizer import EncoderConfig
-from patchmem.grids import MAGIC, FeatureGrid, LabelVolume, load_container, save_container
+from patchmem.grids import (MAGIC, CineVolume, FeatureGrid, LabelVolume, load_container,
+                            save_container)
 from patchmem.matcher import TopKIndex, plmm_forward, topk_select
 from patchmem.patcher import scatter_add
 from patchmem.propagator import PropagationConfig, run_4d
@@ -150,6 +151,48 @@ class TestPhantomCommand:
         assert rc == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "v.cgrid").exists()
+
+
+def long_flags(command):
+    """The long flags of a subcommand, --help aside."""
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return {opt for action in sub.choices[command]._actions
+            for opt in action.option_strings if opt.startswith("--")} - {"--help"}
+
+
+PHANTOM_FILE_FLAGS = {"--out-volume", "--out-truth", "--spec-json"}
+# values other than the default for every flag that sets the spec
+PHANTOM_SETTING_FLAGS = {
+    "--z": ["5"], "--t": ["3"], "--height": ["120"], "--width": ["120"],
+    "--spacing": ["1.5", "1.2"], "--lv-radius": ["18"], "--myo-thickness": ["6"],
+    "--rv-offset": ["28"], "--contraction": ["0.2"], "--shortening": ["0.1"],
+    "--noise": ["0.05"], "--distractor": ["off"], "--seed": ["8"],
+}
+
+
+class TestPhantomFlags:
+    """No phantom flag is parsed and then dropped: each one names a file, or
+    changes one field of the echoed spec."""
+
+    def test_every_flag_is_classified(self):
+        assert long_flags("phantom") == PHANTOM_FILE_FLAGS | set(PHANTOM_SETTING_FLAGS)
+
+    @pytest.mark.parametrize("flag", sorted(PHANTOM_SETTING_FLAGS))
+    def test_setting_flag_changes_one_spec_field(self, tmp_path, capsys, monkeypatch,
+                                                 flag):
+        # the spec is what is checked, so a tiny volume stands in for the phantom
+        shape = (1, 2, 4, 4)
+        monkeypatch.setattr(cli, "gen_phantom", lambda spec: (
+            CineVolume(np.zeros(shape)), LabelVolume(np.zeros(shape, dtype=np.uint8))))
+        argv = ["phantom", "--out-volume", str(tmp_path / "v.cgrid"),
+                "--out-truth", str(tmp_path / "t.cgrid")]
+        assert main(argv) == 0
+        default, _ = echoed_json(capsys)
+        assert main(argv + [flag, *PHANTOM_SETTING_FLAGS[flag]]) == 0
+        changed, _ = echoed_json(capsys)
+        assert len([k for k in default["spec"]
+                    if changed["spec"][k] != default["spec"][k]]) == 1
 
 
 PROPAGATE_FLAGS = ["--scales", "4", "--patch", "6", "--k", "2",
@@ -356,12 +399,8 @@ class TestPropagateFlags:
     or changes the echoed config."""
 
     def test_every_flag_is_classified(self):
-        (sub,) = [a for a in build_parser()._actions
-                  if isinstance(a, argparse._SubParsersAction)]
-        flags = {opt for action in sub.choices["propagate"]._actions
-                 for opt in action.option_strings if opt.startswith("--")} - {"--help"}
-        assert flags == (PROPAGATE_FILE_FLAGS | PROPAGATE_EXEMPT_FLAGS
-                         | set(PROPAGATE_SETTING_FLAGS))
+        assert long_flags("propagate") == (PROPAGATE_FILE_FLAGS | PROPAGATE_EXEMPT_FLAGS
+                                           | set(PROPAGATE_SETTING_FLAGS))
 
     @pytest.mark.parametrize("flag", sorted(PROPAGATE_SETTING_FLAGS))
     def test_setting_flag_changes_echoed_config(self, tmp_path, capsys, small_study,

@@ -375,7 +375,7 @@ class TestFactorKeysMatchAsFullKeys:
 
 def soft_map(labels, dtype):
     """The one-hot SoftLabelMap of ``labels`` with probabilities in ``dtype``."""
-    return SoftLabelMap(one_hot(labels, 3).probabilities.astype(dtype))
+    return SoftLabelMap(one_hot(labels).probabilities.astype(dtype))
 
 
 class TestEncodeValue:

@@ -106,7 +106,7 @@ class TestFeatureGrid:
     def test_float32_kept_other_dtypes_held_as_float64(self):
         single = np.random.default_rng(3).random((2, 4, 4)).astype(np.float32)
         assert FeatureGrid(single).data is single
-        assert downsample_avg(FeatureGrid(single), 2).data.dtype == np.float32
+        assert downsample_avg(single, 2).data.dtype == np.float32
         for data in (single.astype(np.float16), np.ones((2, 4, 4), dtype=np.int64),
                      single.tolist()):
             assert FeatureGrid(data).data.dtype == np.float64
@@ -202,7 +202,7 @@ class TestSoftLabelMap:
         for dtype in DTYPES:
             rng = np.random.default_rng(3)
             labels = rng.integers(0, 4, size=(10, 12)).astype(np.uint8)
-            probs = one_hot(labels, num_classes=3).probabilities.astype(dtype)
+            probs = one_hot(labels).probabilities.astype(dtype)
             soft = SoftLabelMap(probs)
             assert soft.probabilities is probs
             assert soft.probabilities.shape == (4, 10, 12)
@@ -370,7 +370,7 @@ class TestDownsampleAvg:
     def test_matches_block_means(self):
         rng = np.random.default_rng(5)
         grid = FeatureGrid(rng.random((2, 8, 12)))
-        out = downsample_avg(grid, 4)
+        out = downsample_avg(grid.data, 4)
         assert out.data.shape == (2, 2, 3)
         for c in range(2):
             for i in range(2):
@@ -394,7 +394,7 @@ class TestDownsampleAvg:
 
     def test_divisibility_enforced(self):
         with pytest.raises(DimensionError):
-            downsample_avg(FeatureGrid(np.zeros((1, 9, 8))), 4)
+            downsample_avg(np.zeros((1, 9, 8)), 4)
 
 
 def read_header(path):

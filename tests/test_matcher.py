@@ -566,7 +566,9 @@ class TestPlmmForward:
         # scale 3 at working side 576: N = 121 query patches of P = 12 on
         # 144 query cells, which the default budget and 4 MiB split into
         # blocks of a few cells each; in one block, every cell's pairs are
-        # padded to the largest count. float32 is the engine's dtype
+        # padded to the largest count. float32 is the engine's dtype. The
+        # bitwise equality holds for this instance, not in general: OpenBLAS
+        # can round a GEMM row differently when a block's row count changes
         rng = np.random.default_rng(43)
         q, mk, mv = random_maps(rng, t=3, h=72, w=72, c_key=64, c_val=4)
         budget = matcher._LOGIT_BLOCK_BYTES if budget_mib is None else budget_mib << 20
@@ -706,7 +708,9 @@ class TestChannelsLastGather:
     def test_backward_blocks_equal_one_block_bitwise(self, monkeypatch, budget_kib):
         # N = 121 query patches of P = 6 on 144 query cells, which the
         # default budget splits into blocks; every cell is over 4 KiB and
-        # forms a block of its own
+        # forms a block of its own. The bitwise equality holds for this
+        # instance, not in general: OpenBLAS can round a GEMM row differently
+        # when a block's row count changes
         rng = np.random.default_rng(46)
         q, mk, mv = random_maps(rng, t=3, h=36, w=36, c_key=64, c_val=4)
         upstream = rng.standard_normal((4, 36, 36))
