@@ -33,7 +33,8 @@ from .evalkit import (
 )
 from .featurizer import EncoderConfig
 from .grids import CineVolume, LabelVolume, load_container, save_container
-from .propagator import PropagationConfig, _checked_fractions, partition_regions, run_4d
+from .propagator import (CONTINUITY_MODES, DEFAULT_REGION_FRACTIONS, MATCHERS,
+                         PropagationConfig, _checked_fractions, partition_regions, run_4d)
 from .verification import SUITES
 
 EXIT_OK = 0
@@ -285,7 +286,7 @@ def build_parser():
     p.add_argument("--out-provenance")
     p.add_argument("--config", help="JSON config; flags override its entries")
     # a setting flag's dest is its PropagationConfig field
-    p.add_argument("--matcher", choices=["plmm", "dense"])
+    p.add_argument("--matcher", choices=MATCHERS)
     p.add_argument("--scales", type=_scale_list,
                    help="comma-separated subset of 3,4")
     p.add_argument("--patch", type=int)
@@ -295,7 +296,7 @@ def build_parser():
     p.add_argument("--t0", type=int, choices=[0])
     p.add_argument("--apex-t-max", type=int)
     p.add_argument("--continuity", dest="continuity_mode",
-                   choices=["both", "spatial-only", "temporal-only"])
+                   choices=CONTINUITY_MODES)
     p.add_argument("--basal-frac", type=float)
     p.add_argument("--apex-frac", type=float)
     p.add_argument("--working-side", type=int)
@@ -304,8 +305,8 @@ def build_parser():
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--out-csv")
-    p.add_argument("--basal-frac", type=float, default=1.0 / 3.0)
-    p.add_argument("--apex-frac", type=float, default=1.0 / 3.0)
+    p.add_argument("--basal-frac", type=float, default=DEFAULT_REGION_FRACTIONS[0])
+    p.add_argument("--apex-frac", type=float, default=DEFAULT_REGION_FRACTIONS[1])
     p.add_argument("--method", default="plmm",
                    help="method name written into the CSV rows")
     # eval runs on one thread; the flag stays so that callers may say so

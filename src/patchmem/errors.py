@@ -33,10 +33,6 @@ class LayoutError(PatchmemError):
     """A patch layout cannot be built for the requested geometry."""
 
 
-class StateError(PatchmemError):
-    """An operation was called before its required state was produced."""
-
-
 class PartitionError(PatchmemError):
     """A slice-region partition request leaves a region empty."""
 
@@ -44,7 +40,9 @@ class PartitionError(PatchmemError):
 
 
 class SchedulingError(PatchmemError):
-    """The propagation scheduler hit a missing prerequisite or an unreachable frame."""
+    """The propagation engine was asked for a step its state does not allow:
+    a frame segmented twice, memory without a mask, an empty bank, or a
+    frame left unsegmented."""
 
 
 class PhantomSpecError(PatchmemError):

@@ -274,14 +274,11 @@ def encode_value(labels_soft):
 
     Returns a {scale: FeatureGrid} pyramid of the map's dtype. Pooling
     preserves normalization exactly, so each pooled cell is still a
-    probability vector.
+    probability vector. Map dims that a stride does not divide are refused
+    by ``downsample_avg`` with a DimensionError.
     """
     if not isinstance(labels_soft, SoftLabelMap):
         raise ParameterError("encode_value expects a SoftLabelMap")
-    h, w = labels_soft.height, labels_soft.width
-    if h % STRIDES[4] or w % STRIDES[4]:
-        raise DimensionError(
-            f"soft map dims ({h}, {w}) must be divisible by {STRIDES[4]}")
     grids = {}
     for scale, stride in STRIDES.items():
         g = downsample_avg(labels_soft.probabilities, stride)

@@ -55,7 +55,6 @@ from .errors import (
     ParameterError,
     PartitionError,
     SchedulingError,
-    StateError,
 )
 from .featurizer import (STRIDES, EncoderConfig, decode, encode_key, encode_value,
                          scale_patches)
@@ -81,9 +80,12 @@ MAX_WORKING_SIDE = 2048
 # image, key, match, soft map and value pyramid; a fixed choice of the engine.
 _MATCH_DTYPE = np.float32
 
-REGION_BASAL = "basal"
-REGION_MIDDLE = "middle"
-REGION_APEX = "apex"
+# The values the matcher and continuity_mode settings may take, and the
+# default region fractions; PropagationConfig, partition_regions and the
+# command line all read them here.
+MATCHERS = ("plmm", "dense")
+CONTINUITY_MODES = ("both", "spatial-only", "temporal-only")
+DEFAULT_REGION_FRACTIONS = (1.0 / 3.0, 1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -93,15 +95,6 @@ class RegionPartition:
     basal: tuple
     middle: tuple
     apex: tuple
-
-    def region_of(self, z):
-        if z in self.basal:
-            return REGION_BASAL
-        if z in self.middle:
-            return REGION_MIDDLE
-        if z in self.apex:
-            return REGION_APEX
-        raise ParameterError(f"slice {z} is outside the partition")
 
     @property
     def z_count(self):
@@ -116,7 +109,7 @@ def _checked_fractions(fractions):
     return bf, af
 
 
-def partition_regions(z_count, fractions=(1.0 / 3.0, 1.0 / 3.0)):
+def partition_regions(z_count, fractions=DEFAULT_REGION_FRACTIONS):
     """Split slice indices into basal, middle, and apex thirds.
 
     The basal region takes the first ceil(Z * basal_frac) slices, the apex
@@ -138,21 +131,6 @@ def partition_regions(z_count, fractions=(1.0 / 3.0, 1.0 / 3.0)):
     )
 
 
-@dataclass
-class BankEntry:
-    """One memory frame: its index plus its key and value pyramids, each a
-    {scale: FeatureGrid} dict."""
-
-    z: int
-    t: int
-    keys: dict
-    values: dict
-
-    @property
-    def frame_id(self):
-        return (self.z, self.t)
-
-
 @dataclass(frozen=True)
 class PropagationConfig:
     """Knobs of the 4D scheduler and its matcher.
@@ -167,13 +145,15 @@ class PropagationConfig:
         region_fractions: (basal, apex) slice fractions, each in (0, 1).
         apex_t_max: bank capacity for apex queries (2 disables the
             same-slice history, 3 is the default single extra phase).
-        continuity_mode: "both", "spatial-only", or "temporal-only".
-        matcher: "plmm" for patch-level matching, "dense" for the
-            all-pairs reference.
-        working_side: fixed working resolution (must be admissible and at
-            most MAX_WORKING_SIDE); None picks the smallest admissible size
-            per axis, and the engine refuses a derived side over
-            MAX_WORKING_SIDE before the run allocates anything.
+        continuity_mode: one of CONTINUITY_MODES, "both",
+            "spatial-only" or "temporal-only"; see ``plan_visits``.
+        matcher: one of MATCHERS, "plmm" for patch-level matching,
+            "dense" for the all-pairs reference.
+        working_side: fixed working resolution (at most MAX_WORKING_SIDE
+            and admissible: ``working_side_for`` returns it unchanged);
+            None picks the smallest admissible size per axis, and the
+            engine refuses a derived side over MAX_WORKING_SIDE before
+            the run allocates anything.
         encoder: key encoder settings.
     """
 
@@ -181,7 +161,7 @@ class PropagationConfig:
     patch: int = 6
     k: int = 4
     scales: tuple[int, ...] = (3, 4)
-    region_fractions: tuple[float, float] = (1.0 / 3.0, 1.0 / 3.0)
+    region_fractions: tuple[float, float] = DEFAULT_REGION_FRACTIONS
     apex_t_max: int = 3
     continuity_mode: str = "both"
     matcher: str = "plmm"
@@ -198,14 +178,13 @@ class PropagationConfig:
                            tuple(sorted(scale_patches(self.scales, self.patch))))
         if self.apex_t_max < 2:
             raise ParameterError(f"apex_t_max must be >= 2, got {self.apex_t_max}")
-        if self.continuity_mode not in ("both", "spatial-only", "temporal-only"):
+        if self.continuity_mode not in CONTINUITY_MODES:
             raise ParameterError(f"unknown continuity mode {self.continuity_mode!r}")
-        if self.matcher not in ("plmm", "dense"):
+        if self.matcher not in MATCHERS:
             raise ParameterError(f"unknown matcher {self.matcher!r}")
         object.__setattr__(self, "region_fractions",
                            _checked_fractions(self.region_fractions))
         if self.working_side is not None:
-            # the bound first: working_side_for loops up to the side
             if self.working_side > MAX_WORKING_SIDE:
                 raise ParameterError(
                     f"working side {self.working_side} exceeds the largest "
@@ -236,14 +215,12 @@ def working_side_for(side, patch):
     Admissible means divisible by the scale-4 stride s = STRIDES[4] with a
     stride-s grid the patch tiles: grid = S / s satisfies grid >= P and
     (grid - P) % (P / 2) == 0. So a side S is admissible exactly when
-    ``working_side_for(S, patch) == S``. The loop runs about 2 S / (s P)
-    times, so callers bound ``side`` first.
+    ``working_side_for(S, patch) == S``. The grid is the least P + n P/2
+    that reaches ceil(S / s): s (P + ceil(max(0, ceil(S / s) - P) / (P/2)) P/2).
     """
-    stride = STRIDES[4]
-    grid = patch
-    while stride * grid < side:
-        grid += patch // 2
-    return stride * grid
+    stride, half = STRIDES[4], patch // 2
+    steps = -(-max(0, -(-side // stride) - patch) // half)
+    return stride * (patch + steps * half)
 
 
 def plan_visits(partition, z0, t_count, apex_t_max, continuity_mode):
@@ -251,11 +228,13 @@ def plan_visits(partition, z0, t_count, apex_t_max, continuity_mode):
 
     Returns a list of (query, bank ids) pairs; each bank lists its memory
     frames anchor first, duplicates dropped. The plan depends only on the
-    grid shape and the settings, never on image content:
+    grid shape and the settings, never on image content; of the partition
+    it reads only which slices are apex slices, and its slice count:
 
     * "both": phase by phase (ascending), the temporal step to (z0, tau),
       then one sweep toward the base and one toward the apex, with
-      same-slice history in apex banks (up to apex_t_max frames in total).
+      same-slice history in the banks of slices in partition.apex (up to
+      apex_t_max frames in total).
     * "spatial-only": the same visits, but apex banks drop the history.
     * "temporal-only": one sweep at phase 0, then slice by slice each
       slice's own chain in time, anchored at its phase-0 frame.
@@ -274,7 +253,7 @@ def plan_visits(partition, z0, t_count, apex_t_max, continuity_mode):
             z = z0 + step
             while 0 <= z < z_count:
                 ids = [(z0, 0), (z - step, tau)]
-                if history and partition.region_of(z) == REGION_APEX:
+                if history and z in partition.apex:
                     ids += [(z, t) for t in range(tau - 1, -1, -1)][:apex_t_max - 2]
                 visit((z, tau), ids)
                 z += step
@@ -396,32 +375,30 @@ class PropagationEngine:
     # bank assembly and matching --------------------------------------------
 
     def build_bank(self, frame_ids):
-        """Key and value pyramids of the listed frames, in order."""
+        """(frame id, key pyramid, value pyramid) of the listed frames, in order."""
         bank = []
-        for z, t in frame_ids:
-            if (z, t) not in self._values:
+        for fid in frame_ids:
+            if fid not in self._values:
                 raise SchedulingError(
-                    f"frame {(z, t)} has no mask yet or no planned use left; "
+                    f"frame {fid} has no mask yet or no planned use left; "
                     "cannot serve as memory")
-            bank.append(BankEntry(z=z, t=t, keys=self.keys_of(z, t),
-                                  values=self._values[(z, t)]))
+            bank.append((fid, self.keys_of(*fid), self._values[fid]))
         return bank
 
     def segment_frame(self, query, bank):
-        """Segment one frame against an assembled bank (a list of BankEntry).
+        """Segment one frame against an assembled bank, a list of
+        (frame id, key pyramid, value pyramid) triples.
 
         Writes its labels at input resolution to the output volume, records
         its provenance, and frees every pyramid this step used for the last
         time.
         """
         if not bank:
-            raise StateError(f"empty memory bank for query {query}")
+            raise SchedulingError(f"empty memory bank for query {query}")
         self._check_unsegmented(query)
-        z, t = query
+        ids, mem_keys, mem_values = zip(*bank)
         cfg = self.cfg
-        q_keys = self.keys_of(z, t)
-        mem_keys = [e.keys for e in bank]
-        mem_values = [e.values for e in bank]
+        q_keys = self.keys_of(*query)
 
         def at(s):
             return q_keys[s], [m[s] for m in mem_keys], [m[s] for m in mem_values]
@@ -441,8 +418,7 @@ class PropagationEngine:
         soft = decode(readouts)
         full = renormalized(resize_bilinear(soft.probabilities, self.volume.height,
                                             self.volume.width))
-        ids = [e.frame_id for e in bank]
-        self._finish(query, _labels(full), soft, provenance=ids)
+        self._finish(query, _labels(full), soft, provenance=list(ids))
         _release([query, *ids], self._key_uses, self._keys)
         _release(ids, self._value_uses, self._values)
 

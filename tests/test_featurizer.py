@@ -409,6 +409,12 @@ class TestEncodeValue:
         with pytest.raises(ParameterError):
             encode_value(np.zeros((4, 32, 32)))
 
+    def test_dims_the_strides_do_not_divide_are_refused(self):
+        # 40 is a multiple of stride 8 but not of stride 16
+        labels = np.zeros((40, 40), dtype=np.uint8)
+        with pytest.raises(DimensionError):
+            encode_value(soft_map(labels, np.float32))
+
 
 def where_decode_reference(readout3, readout4):
     """decode's fusion with fresh temporaries and np.where, the bitwise

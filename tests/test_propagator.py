@@ -10,7 +10,6 @@ from patchmem.errors import (
     ParameterError,
     PartitionError,
     SchedulingError,
-    StateError,
 )
 from patchmem.evalkit import PhantomSpec, gen_phantom, report_by_region
 from patchmem.featurizer import EncoderConfig
@@ -85,14 +84,6 @@ class TestPartition:
         assert part.middle == (4, 5)
         assert part.apex == (6, 7, 8, 9)
 
-    def test_region_of(self):
-        part = partition_regions(9)
-        assert part.region_of(0) == "basal"
-        assert part.region_of(4) == "middle"
-        assert part.region_of(8) == "apex"
-        with pytest.raises(ParameterError):
-            part.region_of(9)
-
     def test_empty_middle_rejected(self):
         with pytest.raises(PartitionError):
             partition_regions(3, (0.45, 0.45))
@@ -156,7 +147,7 @@ class TestMemoryBank:
         engine = seeded_engine(smooth_volume(3, 2))
         plan = dict(engine.plan)
         assert plan[(0, 0)] == plan[(2, 0)] == [(1, 0)]
-        assert [e.frame_id for e in engine.build_bank(plan[(0, 0)])] == [(1, 0)]
+        assert [fid for fid, _, _ in engine.build_bank(plan[(0, 0)])] == [(1, 0)]
 
     def test_capacity_one_cannot_evict(self):
         # at the smallest cap, 2, an apex bank has no room for history
@@ -173,7 +164,7 @@ class TestMemoryBank:
         # at t = 1 the previous phase is the anchor itself
         engine = seeded_engine(smooth_volume(3, 2))
         bank = engine.build_bank(dict(engine.plan)[(1, 1)])
-        assert [e.frame_id for e in bank] == [(1, 0)]
+        assert [fid for fid, _, _ in bank] == [(1, 0)]
 
 
 class TestPropagationConfig:
@@ -242,6 +233,12 @@ class TestWorkingResolution:
         (128, 6, 144),
         (200, 6, 240),
         (100, 4, 128),
+        # 10**18 / 16 = 2**14 * 5**18 is 1 mod 3 and 16 mod 48, so the grid
+        # grows by 2 cells to a multiple of 3 and by 32 to one of 48; a loop
+        # over half-patch steps would take about 10**16 of them here
+        (10 ** 18, 2, 10 ** 18),
+        (10 ** 18, 6, 10 ** 18 + 32),
+        (10 ** 18 + 1, 96, 10 ** 18 + 512),
     ])
     def test_smallest_admissible(self, side, patch, want):
         assert working_side_for(side, patch) == want
@@ -261,7 +258,7 @@ class TestWorkingResolution:
                     (side, patch)
 
     def test_huge_side_is_refused_at_once(self):
-        # refused by the bound before working_side_for would loop up to it
+        # refused by the bound, not as an inadmissible side
         with pytest.raises(ParameterError, match="exceeds"):
             PropagationConfig(working_side=10 ** 18)
 
@@ -322,7 +319,7 @@ class TestEngineGuards:
     def test_empty_bank_rejected(self):
         engine = PropagationEngine(smooth_volume(3, 2), FAST)
         engine.seed_anchor(disc_seed())
-        with pytest.raises(StateError):
+        with pytest.raises(SchedulingError, match="empty memory bank"):
             engine.segment_frame((0, 0), [])
 
 
@@ -338,11 +335,12 @@ class TestTemporalPass:
 
     def test_anchor_mask_kept_verbatim(self):
         engine = seeded_engine(smooth_volume(3, 2))
-        anchor_values = engine.build_bank([(1, 0)])[0].values[4].data.copy()
+        ((_, _, values),) = engine.build_bank([(1, 0)])
+        anchor_values = values[4].data.copy()
         run_steps(engine, temporal_chain(engine))
         assert np.array_equal(engine.masks[1, 0], disc_seed())
-        assert np.array_equal(engine.build_bank([(1, 0)])[0].values[4].data,
-                              anchor_values)
+        ((_, _, values),) = engine.build_bank([(1, 0)])
+        assert np.array_equal(values[4].data, anchor_values)
         assert engine.masks[1, 1].shape == (48, 48)
 
 
